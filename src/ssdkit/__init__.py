@@ -15,9 +15,8 @@ from .errors import (CapacityError, DimensionError, FormatError, IntegrityError,
 from .core import (SsmCoefficients, build_kernel_matrix, cumulative_transition,
                    random_coefficients, recurrent_scan)
 from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, ChunkPlan, ChunkStageOutputs,
-                      ChunkView, ChunkedCoefficients, chunked_forward,
-                      collect_stage_outputs, dense_dual, inter_chunk_correction,
-                      intra_chunk, partition, propagate_states)
+                      chunk_major, chunked_forward, dense_dual, inter_chunk_correction,
+                      intra_chunk, propagate_states)
 from .instrumentation import ActivationArena, FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer,
@@ -38,10 +37,9 @@ __all__ = [
     "FormatError", "IntegrityError",
     "SsmCoefficients", "random_coefficients", "cumulative_transition",
     "build_kernel_matrix", "recurrent_scan",
-    "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "ChunkPlan", "ChunkView",
-    "ChunkedCoefficients", "ChunkStageOutputs", "partition", "intra_chunk",
-    "propagate_states", "inter_chunk_correction", "chunked_forward", "dense_dual",
-    "collect_stage_outputs",
+    "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "ChunkPlan", "ChunkStageOutputs",
+    "chunk_major", "intra_chunk", "propagate_states", "inter_chunk_correction",
+    "chunked_forward", "dense_dual",
     "ActivationArena", "FlopCounter", "MemoryLedger",
     "ModelSpec", "LayerParams", "StackedModel", "InferenceResult",
     "generate_coefficients", "layer_forward", "horizontal_infer", "vertical_infer",

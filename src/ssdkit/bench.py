@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chunked import (DEFAULT_DENSE_LIMIT, chunked_forward, collect_stage_outputs,
-                      dense_dual, partition)
+from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual
 from .core import random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
@@ -133,17 +132,16 @@ def _stage_checks(report, instance, coeffs, x, h0, q, config):
     """Check each decomposition stage against an independent oracle."""
     add = report.checks.append
     tol = config.tolerance
-    stages = collect_stage_outputs(coeffs, x, q, h0, fault=config.fault)
-    parts = partition(coeffs, x, q)
-    plan = parts.plan
+    stages = chunked_forward(coeffs, x, q, h0, keep_stages=True, fault=config.fault)
+    plan = stages.plan
     multi = plan.num_chunks > 1
+    chunks = [(plan.bounds(c), coeffs.slice_time(*plan.bounds(c)))
+              for c in range(plan.num_chunks)]
 
     # Stage 1: each chunk against the dense operator with zero incoming state.
     err = 0.0
-    for c in range(plan.num_chunks):
-        start, stop = plan.bounds(c)
-        view = parts.chunk(c)
-        y_ref, h_ref = dense_dual(view.coeffs, view.x)
+    for c, ((start, stop), part) in enumerate(chunks):
+        y_ref, h_ref = dense_dual(part, x[:, start:stop])
         err = max(err, relative_error(stages.y_intra[:, start:stop], y_ref),
                   relative_error(stages.b_intra[:, c], h_ref))
     add(CheckResult(instance, f"stage-intra-q{q}", multi, err, tol, err <= tol))
@@ -152,21 +150,18 @@ def _stage_checks(report, instance, coeffs, x, h0, q, config):
     err = 0.0
     h = h0 if h0 is not None else np.zeros((coeffs.batch, coeffs.heads, coeffs.state_dim))
     err = max(err, relative_error(stages.boundary_states[:, 0], h))
-    for c in range(plan.num_chunks):
-        view = parts.chunk(c)
-        _, h = recurrent_scan(view.coeffs, view.x, h)
+    for c, ((start, stop), part) in enumerate(chunks):
+        _, h = recurrent_scan(part, x[:, start:stop], h)
         err = max(err, relative_error(stages.boundary_states[:, c + 1], h))
     add(CheckResult(instance, f"stage-boundary-q{q}", multi, err, tol, err <= tol))
 
     # Stage 3: each correction equals reading the carried state out through
     # the chunk with its own inputs silenced (superposition of the two parts).
     err = 0.0
-    for c in range(plan.num_chunks):
-        start, stop = plan.bounds(c)
-        view = parts.chunk(c)
+    for c, ((start, stop), part) in enumerate(chunks):
         carried = stages.boundary_states[:, c] if c > 0 else (
             h0 if h0 is not None else np.zeros_like(stages.boundary_states[:, 0]))
-        y_ref, _ = recurrent_scan(view.coeffs, np.zeros_like(view.x), carried)
+        y_ref, _ = recurrent_scan(part, np.zeros_like(x[:, start:stop]), carried)
         err = max(err, relative_error(stages.y_inter[:, start:stop], y_ref))
     add(CheckResult(instance, f"stage-correction-q{q}", multi, err, tol, err <= tol))
 

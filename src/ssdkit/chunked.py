@@ -1,22 +1,36 @@
 """Block-decomposed evaluation of the state-space kernel.
 
-The sequence is partitioned into chunks of at most ``chunk_size`` positions.
-Evaluation runs in three stages:
+The sequence is partitioned into chunks of ``chunk_size`` positions.  Every
+stage runs once per call over all chunks at once, on chunk-major arrays
+(batch, chunks, heads, chunk_size, ...):
 
-  1. intra   - each chunk's diagonal kernel block is applied to its own
-               inputs, producing the chunk-local output and the state
-               contribution of the chunk's inputs at its right boundary;
+  1. intra   - G = C @ B^T for every chunk, masked in place by the intra-
+               chunk decay weights, gives each chunk's local output (G @ x)
+               and the state contribution of its inputs at its right
+               boundary (weighted by the last row of the decay mask);
   2. propagate - boundary states are carried across chunks by one
                multiply-add per chunk (the only sequential stage);
   3. correct - each chunk's output is completed by reading out the state
-               carried in from everything before it, weighted by the decay
-               from the previous boundary to each position.
+               carried in from everything before it (one batched C @ state),
+               weighted by the decay from the previous boundary to each
+               position.
 
-Cost is O(num_chunks * chunk_size^2) scalar work per batch/head slice and the
-only materialized blocks are chunk-local, never a full off-diagonal block.
+The decay mask is built by the same division-free running product as the
+kernel matrix in ``ssdkit.core`` (row i = a_i * row i-1, unit diagonal), one
+row at a time over the chunk axis; only G is materialized, never a separate
+decay block.  The stage-1 workspace is therefore one (batch, chunks, heads,
+chunk_size, chunk_size) buffer for all chunks at once: linear in sequence
+length for a whole-sequence call, and flat in it for the vertical schedule,
+whose blocks hold at most block_len / chunk_size chunks.
+
+A ragged tail (length not a multiple of chunk_size) is padded to a full
+chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
+multiply decay products by exactly one, so outputs, the final state and the
+flop counts are those of the unpadded sequence.
+
 ``dense_dual`` is the single-block special case (chunk_size = sequence
 length): the same code path, so the two agree bitwise, with a capacity guard
-because it materializes a (length, length) kernel per slice.
+because it materializes a (length, length) block per slice.
 
 Fault injection: the four ``FAULT_MODES`` each disable one algebraic
 ingredient (intra-block decay mask, boundary-row weights, carry transition
@@ -27,11 +41,10 @@ prove each ingredient is load-bearing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import SsmCoefficients, _check_inputs, _check_state, _kernel_blocks
+from .core import SsmCoefficients, _check_inputs, _check_state
 from .errors import CapacityError, DimensionError, ValidationError
 from .instrumentation import ActivationArena, FlopCounter, UNTRACKED
 
@@ -39,16 +52,13 @@ __all__ = [
     "DEFAULT_DENSE_LIMIT",
     "FAULT_MODES",
     "ChunkPlan",
-    "ChunkView",
-    "ChunkedCoefficients",
     "ChunkStageOutputs",
-    "partition",
+    "chunk_major",
     "intra_chunk",
     "propagate_states",
     "inter_chunk_correction",
     "chunked_forward",
     "dense_dual",
-    "collect_stage_outputs",
 ]
 
 DEFAULT_DENSE_LIMIT = 4096
@@ -96,98 +106,90 @@ class ChunkPlan:
         return start, start + self.chunk_len(c)
 
 
-class ChunkView(NamedTuple):
-    """Zero-copy slice of the inputs covering one chunk."""
-
-    index: int
-    start: int
-    length: int
-    coeffs: SsmCoefficients
-    x: np.ndarray
+def _over_chunks(k: int, q: int, tail: int | None, per_chunk) -> int:
+    """Closed-form total of per_chunk(len) over k - 1 full chunks and the tail."""
+    return (k - 1) * per_chunk(q) + per_chunk(q if tail is None else tail)
 
 
-class ChunkedCoefficients:
-    """Chunk-partitioned view of one layer's coefficients and inputs.
+def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
+    """Lay coefficients and inputs out chunk-major for the stage functions.
 
-    Holds slices only; reassembling the views reproduces the flat arrays
-    exactly.  Boundary transitions (the decay product across each chunk's full
-    span) are computed on demand.
+    Returns (plan, a, Bmat, Cmat, x) with a and x (batch, chunks, heads, Q)
+    and Bmat/Cmat (batch, chunks, heads, Q, state).  When the length is a
+    multiple of Q these are zero-copy views of the inputs; otherwise they are
+    copies with the tail padded by a = 1 and B = C = x = 0.
     """
-
-    def __init__(self, coeffs: SsmCoefficients, x: np.ndarray, plan: ChunkPlan):
-        self.coeffs = coeffs
-        self.x = x
-        self.plan = plan
-        self._transitions = None
-
-    def chunk(self, c: int) -> ChunkView:
-        start, stop = self.plan.bounds(c)
-        return ChunkView(c, start, stop - start,
-                         self.coeffs.slice_time(start, stop), self.x[:, start:stop])
-
-    def kernel_block(self, c: int) -> np.ndarray:
-        """Diagonal kernel block for chunk c: (batch, heads, len, len)."""
-        start, stop = self.plan.bounds(c)
-        return _kernel_blocks(self.coeffs.a[:, start:stop])
-
-    @property
-    def boundary_transitions(self) -> np.ndarray:
-        """(batch, num_chunks, heads) decay products across each chunk."""
-        if self._transitions is None:
-            b, _, h = self.coeffs.a.shape
-            out = np.empty((b, self.plan.num_chunks, h), dtype=np.float64)
-            for c in range(self.plan.num_chunks):
-                start, stop = self.plan.bounds(c)
-                out[:, c] = np.cumprod(self.coeffs.a[:, start:stop], axis=1)[:, -1]
-            self._transitions = out
-        return self._transitions
-
-
-def partition(coeffs: SsmCoefficients, x, chunk_size: int) -> ChunkedCoefficients:
-    """Split coefficients and inputs into chunk views of at most chunk_size."""
     x = _check_inputs(coeffs, x)
     plan = ChunkPlan.for_sequence(coeffs.length, chunk_size)
-    return ChunkedCoefficients(coeffs, x, plan)
+    b, t, h = x.shape
+    n = coeffs.state_dim
+    k, q = plan.num_chunks, chunk_size
+    a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
+    pad = k * q - t
+    if pad:
+        a = np.concatenate([a, np.ones((b, pad, h))], axis=1)
+        Bm = np.concatenate([Bm, np.zeros((b, pad, h, n))], axis=1)
+        Cm = np.concatenate([Cm, np.zeros((b, pad, h, n))], axis=1)
+        x = np.concatenate([x, np.zeros((b, pad, h))], axis=1)
+    return (plan,
+            a.reshape(b, k, q, h).transpose(0, 1, 3, 2),
+            Bm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
+            Cm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
+            x.reshape(b, k, q, h).transpose(0, 1, 3, 2))
 
 
-def intra_chunk(view: ChunkView, *, fault=None, counter: FlopCounter | None = None,
-                arena: ActivationArena | None = None):
-    """Stage 1 for one chunk: chunk-local output and boundary-state input.
+def _time_major(plan: ChunkPlan, arr: np.ndarray) -> np.ndarray:
+    """Inverse of the chunk-major layout: (b, k, h, Q) -> (b, t, h), tail trimmed."""
+    b, k, h, q = arr.shape
+    out = np.empty((b, k * q, h), dtype=np.float64)
+    out.reshape(b, k, q, h)[:] = arr.swapaxes(-1, -2)  # a fresh buffer, never a view
+    return np.ascontiguousarray(out[:, :plan.seq_len])
+
+
+def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
+                counter: FlopCounter | None = None, arena: ActivationArena | None = None):
+    """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
+
+    Args:
+        a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
+        Bm, Cm: (batch, chunks, heads, Q, state) chunk-major input/readout maps.
+        tail:   real length of the last chunk when it is padded (default Q);
+                only the flop count depends on it.
 
     Returns:
-        y_intra: (batch, len, heads) output from the chunk's own inputs with
-                 zero incoming state.
-        b_intra: (batch, heads, state) contribution of the chunk's inputs to
-                 the state at the chunk's right boundary; each input is
+        y_intra: (batch, chunks, heads, Q) output from each chunk's own inputs
+                 with zero incoming state.
+        b_intra: (batch, chunks, heads, state) contribution of each chunk's
+                 inputs to the state at its right boundary; each input is
                  weighted by the decay from its position to that boundary.
     """
     _check_fault(fault)
     counter = counter if counter is not None else FlopCounter()
     arena = arena if arena is not None else UNTRACKED
-    a, Bm, Cm, x = view.coeffs.a, view.coeffs.Bmat, view.coeffs.Cmat, view.x
-    b, q, h = x.shape
-    n = Bm.shape[3]
+    b, k, h, q = x.shape
+    n = Bm.shape[-1]
+    Bt = Bm.swapaxes(-1, -2)
 
-    L = _kernel_blocks(a)
-    arena.track(L)
-    G = np.einsum("bihn,bjhn->bhij", Cm, Bm)
+    G = Cm @ Bt
     arena.track(G)
-    if fault == FAULT_INTRA_MASK:
-        G *= np.tril(np.ones((q, q)))  # causal only: decay weights dropped
-    else:
-        G *= L
-    y_intra = np.einsum("bhij,bjh->bih", G, x)
-
-    row = L[..., q - 1, :]  # decay from each position to the right boundary
-    if fault == FAULT_INTRA_WEIGHTS:
-        w = np.ascontiguousarray(x.transpose(0, 2, 1))
-    else:
-        w = row * x.transpose(0, 2, 1)
-    b_intra = np.einsum("bjhn,bhj->bhn", Bm, w)
-
+    row = arena.allocate((b, k, h, q), zero=True)  # row i of the decay mask
+    causal = np.tri(q) if fault == FAULT_INTRA_MASK else None  # decay weights dropped
+    for i in range(q):
+        row[..., :i] *= a[..., i, None]
+        row[..., i] = 1.0
+        G[..., i, :] *= row if causal is None else causal[i]
+    y_intra = (G @ x[..., None])[..., 0]
+    arena.track(y_intra)
     arena.release(G)
-    arena.release(L)
-    counter.intra += b * h * (q * (q - 1) // 2 + q * q * n + 2 * q * q + q + q * n)
+    del G
+
+    # row now holds the decay from each position to the right boundary
+    w = x if fault == FAULT_INTRA_WEIGHTS else row * x
+    b_intra = (Bt @ w[..., None])[..., 0]
+    arena.track(b_intra)
+    arena.release(row)
+    counter.intra += b * h * _over_chunks(
+        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * m + m + m * n)
     return y_intra, b_intra
 
 
@@ -227,46 +229,68 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
             states[:, c + 1] = states[:, c] + b_intra[:, c]
         else:
             states[:, c + 1] = transitions[:, c, :, None] * states[:, c] + b_intra[:, c]
-        counter.propagate += b * h * n
+    counter.propagate += b * h * n * k
     return states
 
 
-def inter_chunk_correction(view: ChunkView, b_prev: np.ndarray, *, entry_products=None,
+def inter_chunk_correction(a, Cm, b_prev, *, entry_products=None, tail: int | None = None,
                            fault=None, counter: FlopCounter | None = None) -> np.ndarray:
-    """Stage 3 for one chunk: read out the state carried in from earlier chunks.
+    """Stage 3 for every chunk: read out the state carried in from earlier chunks.
+
+    Args:
+        a:      (batch, chunks, heads, Q) chunk-major transitions.
+        Cm:     (batch, chunks, heads, Q, state) chunk-major readout maps.
+        b_prev: (batch, chunks, heads, state) state entering each chunk.
+        tail:   real length of the last chunk when it is padded (default Q).
 
     The weight applied at local position i is the decay product from the
     previous chunk's last position through position i, i.e. the running prefix
-    product of this chunk's transition scalars including its entry step.
+    product of the chunk's transition scalars including its entry step.
     """
     _check_fault(fault)
     counter = counter if counter is not None else FlopCounter()
-    a, Cm = view.coeffs.a, view.coeffs.Cmat
-    b, q, h = a.shape
-    n = Cm.shape[3]
+    b, k, h, q = a.shape
+    n = Cm.shape[-1]
     b_prev = np.asarray(b_prev, dtype=np.float64)
-    if b_prev.shape != (b, h, n):
-        raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, h, n)}")
+    if b_prev.shape != (b, k, h, n):
+        raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, k, h, n)}")
     if fault == FAULT_CORRECTION:
-        return np.zeros((b, q, h), dtype=np.float64)
+        return np.zeros((b, k, h, q), dtype=np.float64)
     if entry_products is None:
-        entry_products = np.cumprod(a, axis=1)
-        counter.intra += b * h * q
-    y_inter = entry_products * np.einsum("bihn,bhn->bih", Cm, b_prev)
-    counter.inter += b * h * (q * n + q)
+        entry_products = np.cumprod(a, axis=-1)
+        counter.intra += b * h * _over_chunks(k, q, tail, lambda m: m)
+    y_inter = entry_products * (Cm @ b_prev[..., None])[..., 0]
+    counter.inter += b * h * _over_chunks(k, q, tail, lambda m: m * n + m)
     return y_inter
 
 
+@dataclass
+class ChunkStageOutputs:
+    """All intermediate stage products, assembled for inspection."""
+
+    plan: ChunkPlan
+    y_intra: np.ndarray          # (b, t, h)
+    b_intra: np.ndarray          # (b, k, h, n)
+    boundary_states: np.ndarray  # (b, k + 1, h, n); index 0 is b0
+    y_inter: np.ndarray          # (b, t, h)
+    y: np.ndarray                # (b, t, h)
+    hT: np.ndarray               # (b, h, n)
+
+
 def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
-                    fault=None, counter: FlopCounter | None = None,
+                    keep_stages: bool = False, fault=None,
+                    counter: FlopCounter | None = None,
                     arena: ActivationArena | None = None):
     """Full block-decomposed forward pass.
 
     Args:
-        coeffs:     per-position coefficients.
-        x:          (batch, length, heads) input channels.
-        chunk_size: maximum chunk length; the final chunk may be shorter.
-        h0:         optional (batch, heads, state) initial state.
+        coeffs:      per-position coefficients.
+        x:           (batch, length, heads) input channels.
+        chunk_size:  chunk length; a ragged final chunk is padded (see module).
+        h0:          optional (batch, heads, state) initial state.
+        keep_stages: return every intermediate stage product as a
+                     ChunkStageOutputs (for tests and equivalence harnesses)
+                     instead of (y, hT); y and hT are the same bits either way.
 
     Returns:
         (y, hT) matching recurrent_scan.  When an arena is supplied, all
@@ -274,14 +298,15 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
         stays charged and must be released by the caller.
     """
     _check_fault(fault)
-    x = _check_inputs(coeffs, x)
     counter = counter if counter is not None else FlopCounter()
     arena = arena if arena is not None else UNTRACKED
-    parts = partition(coeffs, x, chunk_size)
-    plan = parts.plan
-    b, t, h = x.shape
+    plan, a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
+    b, k, h, q = xs.shape
     n = coeffs.state_dim
-    k = plan.num_chunks
+    tail = plan.last_chunk_len
+    padded = (a, Bm, Cm, xs) if tail != q else ()
+    for arr in padded:
+        arena.track(arr)
 
     if h0 is None:
         b0 = np.zeros((b, h, n), dtype=np.float64)
@@ -290,38 +315,36 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
         b0 = _check_state(h0, b, h, n)
         carry_in = bool(np.any(b0 != 0.0))
 
-    y = arena.allocate((b, t, h))
-    entry = arena.allocate((b, t, h))
-    b_intra = arena.allocate((b, k, h, n))
-    transitions = np.empty((b, k, h), dtype=np.float64)
-
-    for c in range(k):
-        view = parts.chunk(c)
-        start, stop = plan.bounds(c)
-        y_c, b_c = intra_chunk(view, fault=fault, counter=counter, arena=arena)
-        y[:, start:stop] = y_c
-        b_intra[:, c] = b_c
-        entry[:, start:stop] = np.cumprod(view.coeffs.a, axis=1)
-        transitions[:, c] = entry[:, stop - 1]
-        counter.intra += b * h * (stop - start)
-
-    states = propagate_states(b_intra, transitions, b0, fault=fault,
+    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, tail=tail, fault=fault,
+                               counter=counter, arena=arena)
+    entry = arena.allocate((b, k, h, q))
+    np.cumprod(a, axis=-1, out=entry)
+    counter.intra += b * h * plan.seq_len
+    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault,
                               counter=counter, arena=arena)
+    y_intra = _time_major(plan, y_c) if keep_stages else None
+    arena.release(b_intra)
 
-    for c in range(k):
-        if c == 0 and not carry_in:
-            continue  # state entering the first chunk is zero: correction is zero
-        view = parts.chunk(c)
-        start, stop = plan.bounds(c)
-        y[:, start:stop] += inter_chunk_correction(
-            view, states[:, c], entry_products=entry[:, start:stop],
-            fault=fault, counter=counter)
-
+    # the state entering the first chunk is zero without carry-in, and so is
+    # its correction: stage 3 then reads out chunks 1.. only
+    first = 0 if carry_in else 1
+    y_inter = arena.allocate(y_c.shape, zero=True)
+    if first < k:
+        y_inter[:, first:] = inter_chunk_correction(
+            a[:, first:], Cm[:, first:], states[:, first:k], entry_products=entry[:, first:],
+            tail=tail, fault=fault, counter=counter)
+    y_c += y_inter
+    for arr in padded + (entry, y_inter):
+        arena.release(arr)
     hT = states[:, k].copy()
     arena.release(states)
-    arena.release(b_intra)
-    arena.release(entry)
-    return y, hT
+
+    y = _time_major(plan, y_c)
+    arena.track(y)
+    arena.release(y_c)
+    if not keep_stages:
+        return y, hT
+    return ChunkStageOutputs(plan, y_intra, b_intra, states, _time_major(plan, y_inter), y, hT)
 
 
 def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
@@ -339,59 +362,3 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
             f"sequence length {coeffs.length} exceeds dense limit {dense_limit}")
     return chunked_forward(coeffs, x, coeffs.length, h0,
                            counter=counter, arena=arena)
-
-
-@dataclass
-class ChunkStageOutputs:
-    """All intermediate stage products, assembled for inspection."""
-
-    plan: ChunkPlan
-    y_intra: np.ndarray          # (b, t, h)
-    b_intra: np.ndarray          # (b, k, h, n)
-    boundary_states: np.ndarray  # (b, k + 1, h, n); index 0 is b0
-    y_inter: np.ndarray          # (b, t, h)
-    y: np.ndarray                # (b, t, h)
-    hT: np.ndarray               # (b, h, n)
-
-
-def collect_stage_outputs(coeffs: SsmCoefficients, x, chunk_size: int,
-                          h0=None, *, fault=None) -> ChunkStageOutputs:
-    """Run the three stages and keep every intermediate product.
-
-    Built from the same public stage operations as chunked_forward; intended
-    for tests and equivalence harnesses that check each stage independently.
-    """
-    _check_fault(fault)
-    x = _check_inputs(coeffs, x)
-    parts = partition(coeffs, x, chunk_size)
-    plan = parts.plan
-    b, t, h = x.shape
-    n = coeffs.state_dim
-
-    if h0 is None:
-        b0 = np.zeros((b, h, n), dtype=np.float64)
-        carry_in = False
-    else:
-        b0 = _check_state(h0, b, h, n)
-        carry_in = bool(np.any(b0 != 0.0))
-
-    y_intra = np.empty((b, t, h), dtype=np.float64)
-    b_intra = np.empty((b, plan.num_chunks, h, n), dtype=np.float64)
-    for c in range(plan.num_chunks):
-        start, stop = plan.bounds(c)
-        y_c, b_c = intra_chunk(parts.chunk(c), fault=fault)
-        y_intra[:, start:stop] = y_c
-        b_intra[:, c] = b_c
-
-    states = propagate_states(b_intra, parts.boundary_transitions, b0, fault=fault)
-
-    y_inter = np.zeros((b, t, h), dtype=np.float64)
-    for c in range(plan.num_chunks):
-        if c == 0 and not carry_in:
-            continue
-        start, stop = plan.bounds(c)
-        y_inter[:, start:stop] = inter_chunk_correction(
-            parts.chunk(c), states[:, c], fault=fault)
-
-    return ChunkStageOutputs(plan, y_intra, b_intra, states, y_inter,
-                             y_intra + y_inter, states[:, plan.num_chunks].copy())

@@ -92,7 +92,7 @@ class SsmCoefficients:
         return self.Bmat.shape[3]
 
     def slice_time(self, start: int, stop: int) -> "SsmCoefficients":
-        """Return a zero-copy time-slice view (used by the chunk partitioner)."""
+        """Return a zero-copy time-slice view."""
         return SsmCoefficients(
             self.a[:, start:stop],
             self.Bmat[:, start:stop],
@@ -172,20 +172,12 @@ def build_kernel_matrix(a) -> np.ndarray:
         raise ValidationError("transition series must have length >= 1")
     if not np.all(a > 0.0):
         raise ValidationError("transition scalars must be positive")
-    return _kernel_blocks(a[None, :, None])[0, 0]
-
-
-def _kernel_blocks(a: np.ndarray) -> np.ndarray:
-    """Batched kernel blocks: a (b, q, h) -> L (b, h, q, q).
-
-    Same row recursion as build_kernel_matrix, vectorized over batch/heads.
-    """
-    b, q, h = a.shape
-    L = np.zeros((b, h, q, q), dtype=np.float64)
-    L[..., 0, 0] = 1.0
+    q = a.shape[0]
+    L = np.zeros((q, q), dtype=np.float64)
+    L[0, 0] = 1.0
     for i in range(1, q):
-        L[..., i, :i] = a[:, i, :, None] * L[..., i - 1, :i]
-        L[..., i, i] = 1.0
+        L[i, :i] = a[i] * L[i - 1, :i]
+        L[i, i] = 1.0
     return L
 
 

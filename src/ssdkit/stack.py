@@ -251,6 +251,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     for arr in (a, Bmat, Cmat, x):
         arena.track(arr)
     arena.release(un)
+    del un
     coeffs = SsmCoefficients(a, Bmat, Cmat, validate=False)
 
     if kernel == "chunked":

@@ -1,4 +1,5 @@
-"""Chunk plans, the three evaluation stages, fault modes, and cost counting.
+"""Chunk plans, the chunk-major layout, the three evaluation stages, fault
+modes, and cost counting.
 
 Stage oracles are the sequential scan run over the corresponding span, which
 exercises none of the blockwise code.
@@ -12,13 +13,13 @@ from ssdkit import (
     ChunkPlan,
     FAULT_MODES,
     FlopCounter,
+    SsmCoefficients,
     ValidationError,
+    chunk_major,
     chunked_forward,
-    collect_stage_outputs,
     dense_dual,
     inter_chunk_correction,
     intra_chunk,
-    partition,
     propagate_states,
     random_coefficients,
     recurrent_scan,
@@ -73,31 +74,44 @@ class TestChunkPlan:
             plan.bounds(-1)
 
 
+def time_major(arr, t):
+    """(b, k, h, q, ...) chunk-major -> (b, t, h, ...) with the padded tail trimmed."""
+    b, k, h, q = arr.shape[:4]
+    flat = np.moveaxis(arr, 3, 2).reshape((b, k * q, h) + arr.shape[4:])
+    return flat[:, :t]
+
+
 class TestPartition:
     def test_views_tile_the_sequence(self):
         coeffs, x, _ = random_problem(2, 2, 11, 2, 3)
-        parts = partition(coeffs, x, 4)
-        pieces = [parts.chunk(c) for c in range(parts.plan.num_chunks)]
-        assert [v.length for v in pieces] == [4, 4, 3]
-        assert np.array_equal(np.concatenate([v.x for v in pieces], axis=1), x)
-        assert np.array_equal(
-            np.concatenate([v.coeffs.a for v in pieces], axis=1), coeffs.a)
+        plan, a, Bm, Cm, xs = chunk_major(coeffs, x, 4)
+        assert (plan.num_chunks, plan.last_chunk_len) == (3, 3)
+        assert a.shape == xs.shape == (2, 3, 2, 4)
+        assert Bm.shape == Cm.shape == (2, 3, 2, 4, 3)
+        assert np.array_equal(time_major(xs, 11), x)
+        assert np.array_equal(time_major(a, 11), coeffs.a)
+        assert np.array_equal(time_major(Cm, 11), coeffs.Cmat)
+        # the ragged tail is padded with a = 1 and B = C = x = 0
+        assert np.array_equal(a[:, 2, :, 3], np.ones((2, 2)))
+        for arr in (Bm, Cm, xs):
+            assert not np.any(arr[:, 2, :, 3])
 
     def test_views_share_memory_with_the_source(self):
         coeffs, x, _ = random_problem(2, 1, 8, 1, 2)
-        parts = partition(coeffs, x, 4)
-        view = parts.chunk(1)
-        assert np.shares_memory(view.x, x)
-        assert np.shares_memory(view.coeffs.Bmat, coeffs.Bmat)
+        _, a, Bm, _, xs = chunk_major(coeffs, x, 4)
+        assert np.shares_memory(xs, x)
+        assert np.shares_memory(Bm, coeffs.Bmat)
+        assert np.array_equal(Bm[:, 1, 0], coeffs.Bmat[:, 4:8, 0])
+        assert np.array_equal(a[:, 1, 0], coeffs.a[:, 4:8, 0])
 
     def test_boundary_transitions_are_chunk_products(self):
         coeffs, x, _ = random_problem(5, 2, 10, 3, 2)
-        parts = partition(coeffs, x, 4)
-        trans = parts.boundary_transitions
+        plan, a, _, _, _ = chunk_major(coeffs, x, 4)
+        trans = np.cumprod(a, axis=-1)[..., -1]
         assert trans.shape == (2, 3, 3)
         for c in range(3):
-            start, stop = parts.plan.bounds(c)
-            # ascending running product, same order as the cumprod inside
+            start, stop = plan.bounds(c)
+            # ascending running product; the padded ones leave it unchanged
             expected = np.ones((2, 3))
             for pos in range(start, stop):
                 expected = expected * coeffs.a[:, pos]
@@ -107,40 +121,44 @@ class TestPartition:
 class TestIntraChunk:
     def test_zero_input_gives_zero_outputs(self):
         coeffs, _, _ = random_problem(0, 1, 6, 2, 3)
-        parts = partition(coeffs, np.zeros((1, 6, 2)), 6)
-        y_intra, b_intra = intra_chunk(parts.chunk(0))
-        assert np.array_equal(y_intra, np.zeros((1, 6, 2)))
-        assert np.array_equal(b_intra, np.zeros((1, 2, 3)))
+        _, a, Bm, Cm, xs = chunk_major(coeffs, np.zeros((1, 6, 2)), 6)
+        y_intra, b_intra = intra_chunk(a, Bm, Cm, xs)
+        assert np.array_equal(y_intra, np.zeros((1, 1, 2, 6)))
+        assert np.array_equal(b_intra, np.zeros((1, 1, 2, 3)))
 
     def test_single_position_chunk_closed_form(self):
         # length-1 chunk: y = (C . B) x and the boundary state is B x
         coeffs, x, _ = random_problem(1, 2, 1, 2, 4)
-        parts = partition(coeffs, x, 1)
-        y_intra, b_intra = intra_chunk(parts.chunk(0))
+        y_intra, b_intra = intra_chunk(*chunk_major(coeffs, x, 1)[1:])
         want_y = np.einsum("bhn,bhn->bh", coeffs.Cmat[:, 0], coeffs.Bmat[:, 0]) * x[:, 0]
         want_b = coeffs.Bmat[:, 0] * x[:, 0][..., None]
-        assert rel_err(y_intra[:, 0], want_y) <= 1e-13
-        assert rel_err(b_intra, want_b) <= 1e-13
+        assert rel_err(y_intra[:, 0, :, 0], want_y) <= 1e-13
+        assert rel_err(b_intra[:, 0], want_b) <= 1e-13
 
     def test_matches_zero_state_scan_over_the_chunk(self):
-        coeffs, x, _ = random_problem(3, 2, 6, 2, 3)
-        parts = partition(coeffs, x, 6)
-        view = parts.chunk(0)
-        y_intra, b_intra = intra_chunk(view)
-        y_ref, h_ref = recurrent_scan(view.coeffs, view.x)
-        assert rel_err(y_intra, y_ref) <= 1e-12
-        assert rel_err(b_intra, h_ref) <= 1e-12
+        # every chunk of a ragged run, each against its own zero-state scan
+        coeffs, x, _ = random_problem(3, 2, 14, 2, 3)
+        plan, *parts = chunk_major(coeffs, x, 6)
+        y_intra, b_intra = intra_chunk(*parts)
+        for c in range(plan.num_chunks):
+            start, stop = plan.bounds(c)
+            y_ref, h_ref = recurrent_scan(coeffs.slice_time(start, stop), x[:, start:stop])
+            got = y_intra[:, c, :, :stop - start].transpose(0, 2, 1)
+            assert rel_err(got, y_ref) <= 1e-12
+            assert rel_err(b_intra[:, c], h_ref) <= 1e-12
 
     def test_flop_count_is_the_closed_form(self):
         # b*h * (q(q-1)/2 products + q^2 n pair terms + 2 q^2 apply
-        #        + q mask + q n boundary weights)
-        coeffs, x, _ = random_problem(4, 2, 4, 3, 5)
-        parts = partition(coeffs, x, 4)
+        #        + q mask + q n boundary weights), per chunk of its real length
+        coeffs, x, _ = random_problem(4, 2, 11, 3, 5)
         counter = FlopCounter()
-        intra_chunk(parts.chunk(0), counter=counter)
-        q, n = 4, 5
-        per_slice = q * (q - 1) // 2 + q * q * n + 2 * q * q + q + q * n
-        assert counter.intra == 2 * 3 * per_slice
+        intra_chunk(*chunk_major(coeffs, x, 4)[1:], tail=3, counter=counter)
+        n = 5
+
+        def per_slice(q):
+            return q * (q - 1) // 2 + q * q * n + 2 * q * q + q + q * n
+
+        assert counter.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3))
         assert counter.propagate == 0
         assert counter.inter == 0
 
@@ -178,34 +196,34 @@ class TestPropagateStates:
 
 class TestInterChunkCorrection:
     def test_zero_carry_gives_zero_correction(self):
-        coeffs, x, _ = random_problem(6, 1, 4, 2, 3)
-        parts = partition(coeffs, x, 4)
-        y_inter = inter_chunk_correction(parts.chunk(0), np.zeros((1, 2, 3)))
-        assert np.array_equal(y_inter, np.zeros((1, 4, 2)))
+        coeffs, x, _ = random_problem(6, 1, 8, 2, 3)
+        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        y_inter = inter_chunk_correction(a, Cm, np.zeros((1, 2, 2, 3)))
+        assert np.array_equal(y_inter, np.zeros((1, 2, 2, 4)))
 
     def test_matches_silenced_input_scan(self):
         # carried state read out with the chunk's own inputs silenced
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        parts = partition(coeffs, x, 4)
-        view = parts.chunk(1)
-        y_inter = inter_chunk_correction(view, h0)
-        y_ref, _ = recurrent_scan(view.coeffs, np.zeros_like(view.x), h0)
-        assert rel_err(y_inter, y_ref) <= 1e-12
+        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        y_inter = inter_chunk_correction(a[:, 1:], Cm[:, 1:], h0[:, None])
+        y_ref, _ = recurrent_scan(coeffs.slice_time(4, 8), np.zeros((2, 4, 2)), h0)
+        assert rel_err(y_inter[:, 0].transpose(0, 2, 1), y_ref) <= 1e-12
 
     def test_precomputed_entry_products_change_nothing(self):
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        parts = partition(coeffs, x, 4)
-        view = parts.chunk(1)
-        entry = np.cumprod(view.coeffs.a, axis=1)
-        default = inter_chunk_correction(view, h0)
-        supplied = inter_chunk_correction(view, h0, entry_products=entry)
+        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        carried = np.stack([h0, 2.0 * h0], axis=1)
+        entry = np.cumprod(a, axis=-1)
+        default = inter_chunk_correction(a, Cm, carried)
+        supplied = inter_chunk_correction(a, Cm, carried, entry_products=entry)
         assert np.array_equal(default, supplied)
 
     def test_correction_fault_silences_the_stage(self):
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        parts = partition(coeffs, x, 4)
-        y_inter = inter_chunk_correction(parts.chunk(1), h0, fault="output-correction")
-        assert np.array_equal(y_inter, np.zeros((2, 4, 2)))
+        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        y_inter = inter_chunk_correction(a, Cm, np.stack([h0, h0], axis=1),
+                                         fault="output-correction")
+        assert np.array_equal(y_inter, np.zeros((2, 2, 2, 4)))
 
 
 class TestChunkedForward:
@@ -298,33 +316,100 @@ class TestFaultModes:
 
 
 class TestCollectStageOutputs:
+    """chunked_forward(..., keep_stages=True) keeps every stage product."""
+
     def test_stage_sum_reproduces_the_answer(self):
-        coeffs, x, h0 = random_problem(21, 2, 20, 2, 3)
-        stages = collect_stage_outputs(coeffs, x, 6, h0)
-        y_ref, h_ref = recurrent_scan(coeffs, x, h0)
-        assert np.array_equal(stages.y, stages.y_intra + stages.y_inter)
-        assert rel_err(stages.y, y_ref) <= 1e-12
-        assert rel_err(stages.hT, h_ref) <= 1e-12
+        # one head and no ragged tail make the chunk-major -> time-major
+        # reshape a possible view of the stage buffer
+        for heads, t in ((2, 20), (1, 18)):
+            coeffs, x, h0 = random_problem(21, 2, t, heads, 3)
+            stages = chunked_forward(coeffs, x, 6, h0, keep_stages=True)
+            y_ref, h_ref = recurrent_scan(coeffs, x, h0)
+            assert np.array_equal(stages.y, stages.y_intra + stages.y_inter)
+            assert rel_err(stages.y, y_ref) <= 1e-12
+            assert rel_err(stages.hT, h_ref) <= 1e-12
 
     def test_boundary_states_start_at_the_initial_state(self):
         coeffs, x, h0 = random_problem(21, 2, 20, 2, 3)
-        stages = collect_stage_outputs(coeffs, x, 6, h0)
+        stages = chunked_forward(coeffs, x, 6, h0, keep_stages=True)
         assert stages.boundary_states.shape == (2, stages.plan.num_chunks + 1, 2, 3)
         assert np.array_equal(stages.boundary_states[:, 0], h0)
         assert np.array_equal(stages.boundary_states[:, -1], stages.hT)
 
     def test_first_chunk_has_no_correction_without_carry(self):
         coeffs, x, _ = random_problem(22, 1, 12, 1, 2)
-        stages = collect_stage_outputs(coeffs, x, 4)
+        stages = chunked_forward(coeffs, x, 4, keep_stages=True)
         assert np.array_equal(stages.y_inter[:, :4], np.zeros((1, 4, 1)))
         assert not np.array_equal(stages.y_inter[:, 4:8], np.zeros((1, 4, 1)))
 
     def test_agrees_with_chunked_forward(self):
+        # same bits as the plain call, ragged tail included
         coeffs, x, h0 = random_problem(23, 2, 17, 2, 4)
-        stages = collect_stage_outputs(coeffs, x, 5, h0)
-        y, hT = chunked_forward(coeffs, x, 5, h0)
-        assert rel_err(stages.y, y) <= 1e-13
-        assert np.array_equal(stages.hT, hT)
+        for state in (h0, None):
+            stages = chunked_forward(coeffs, x, 5, state, keep_stages=True)
+            y, hT = chunked_forward(coeffs, x, 5, state)
+            assert np.array_equal(stages.y, y)
+            assert np.array_equal(stages.hT, hT)
+
+
+class TestChunkMajorEvaluation:
+    """One call over every chunk equals the same chunks evaluated in pieces."""
+
+    @pytest.mark.parametrize("t,q,splits", [
+        (48, 8, (16, 40)),      # whole chunks only
+        (45, 8, (8, 32)),       # ragged final chunk
+        (13, 16, ()),           # k = 1, ragged
+        (37, 4, (4, 8, 12)),    # many blocks, the last one ragged
+    ])
+    def test_block_calls_with_carried_state_are_bitwise(self, t, q, splits):
+        coeffs, x, h0 = random_problem(31, 2, t, 3, 4)
+        y_full, h_full = chunked_forward(coeffs, x, q, h0)
+        pieces, h = [], h0
+        for start, stop in zip((0,) + splits, splits + (t,)):
+            y_part, h = chunked_forward(coeffs.slice_time(start, stop),
+                                        x[:, start:stop], q, h)
+            pieces.append(y_part)
+        assert np.array_equal(np.concatenate(pieces, axis=1), y_full)
+        assert np.array_equal(h, h_full)
+
+    def test_padded_tail_changes_neither_state_nor_flops(self):
+        # padding by hand to a whole chunk gives the same bits; the flop
+        # count is that of the real positions, chunk by chunk
+        coeffs, x, h0 = random_problem(32, 2, 13, 2, 3)
+        counter = FlopCounter()
+        y, hT = chunked_forward(coeffs, x, 5, h0, counter=counter)
+
+        def pad(arr, value):  # two positions fill the last chunk of five
+            return np.concatenate([arr, np.full((2, 2) + arr.shape[2:], value)], axis=1)
+
+        padded = SsmCoefficients(pad(coeffs.a, 1.0), pad(coeffs.Bmat, 0.0),
+                                 pad(coeffs.Cmat, 0.0))
+        y_pad, h_pad = chunked_forward(padded, pad(x, 0.0), 5, h0)
+        assert np.array_equal(y_pad[:, :13], y)
+        assert np.array_equal(h_pad, hT)
+
+        by_chunk, h = FlopCounter(), h0
+        for start, stop in ((0, 5), (5, 10), (10, 13)):  # each one unpadded chunk
+            _, h = chunked_forward(coeffs.slice_time(start, stop), x[:, start:stop],
+                                   stop - start, h, counter=by_chunk)
+        assert (counter.intra, counter.propagate, counter.inter) == \
+               (by_chunk.intra, by_chunk.propagate, by_chunk.inter)
+
+    def test_stages_run_once_per_call(self, monkeypatch):
+        import ssdkit.chunked as chunked
+        calls = {name: 0 for name in ("intra_chunk", "propagate_states",
+                                      "inter_chunk_correction")}
+        for name in calls:
+            original = getattr(chunked, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(chunked, name, counted)
+        coeffs, x, h0 = random_problem(33, 1, 64, 2, 3)
+        chunked_forward(coeffs, x, 4, h0)
+        assert calls == {name: 1 for name in calls}
 
 
 class TestFlopScaling:
