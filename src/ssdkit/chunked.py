@@ -4,10 +4,11 @@ The sequence is partitioned into chunks of ``chunk_size`` positions.  Every
 stage runs once per call over all chunks at once, on chunk-major arrays
 (batch, chunks, heads, chunk_size, ...):
 
-  1. intra   - G = C @ B^T for every chunk, masked in place by the intra-
-               chunk decay weights, gives each chunk's local output (G @ x)
-               and the state contribution of its inputs at its right
-               boundary (weighted by the last row of the decay mask);
+  1. intra   - the x-weighted decay mask M[i, j] = L[i, j] x_j of every
+               chunk, times B, gives the local state after each position
+               (Z = M @ B); C reads each chunk's local output out of it
+               (C . Z), and B^T @ M[last row] is the state contribution of
+               the chunk's inputs at its right boundary;
   2. propagate - boundary states are carried across chunks by one
                multiply-add per chunk (the only sequential stage);
   3. correct - each chunk's output is completed by reading out the state
@@ -15,13 +16,15 @@ stage runs once per call over all chunks at once, on chunk-major arrays
                weighted by the decay from the previous boundary to each
                position.
 
-The decay mask is built by the same division-free running product as the
-kernel matrix in ``ssdkit.core`` (row i = a_i * row i-1, unit diagonal), one
-row at a time over the chunk axis; only G is materialized, never a separate
-decay block.  The stage-1 workspace is therefore one (batch, chunks, heads,
-chunk_size, chunk_size) buffer for all chunks at once: linear in sequence
-length for a whole-sequence call, and flat in it for the vertical schedule,
-whose blocks hold at most block_len / chunk_size chunks.
+The mask is built by the same division-free running product as the kernel
+matrix in ``ssdkit.core`` (row i = a_i * row i-1), run directly on the
+x-weighted rows (diagonal x_i instead of 1), one contiguous row at a time;
+neither C @ B^T nor an unweighted decay block is ever formed.  The stage-1
+workspace is therefore M, one (batch, chunks, heads, chunk_size, chunk_size)
+buffer for all chunks at once, plus Z, (batch, chunks, heads, chunk_size,
+state): linear in sequence length for a whole-sequence call, and flat in it
+for the vertical schedule, whose blocks hold at most block_len / chunk_size
+chunks.
 
 A ragged tail (length not a multiple of chunk_size) is padded to a full
 chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
@@ -150,6 +153,11 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
                 counter: FlopCounter | None = None, arena: ActivationArena | None = None):
     """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
 
+    Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
+    row-major as (Q, batch, chunks, heads, Q), and the local states
+    Z = M @ B (batch, chunks, heads, Q, state); both are charged to the arena
+    while live.  C @ B^T is never formed.
+
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
         Bm, Cm: (batch, chunks, heads, Q, state) chunk-major input/readout maps.
@@ -168,28 +176,37 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     arena = arena if arena is not None else UNTRACKED
     b, k, h, q = x.shape
     n = Bm.shape[-1]
-    Bt = Bm.swapaxes(-1, -2)
 
-    G = Cm @ Bt
-    arena.track(G)
-    row = arena.allocate((b, k, h, q), zero=True)  # row i of the decay mask
-    causal = np.tri(q) if fault == FAULT_INTRA_MASK else None  # decay weights dropped
-    for i in range(q):
-        row[..., :i] *= a[..., i, None]
-        row[..., i] = 1.0
-        G[..., i, :] *= row if causal is None else causal[i]
-    y_intra = (G @ x[..., None])[..., 0]
-    arena.track(y_intra)
-    arena.release(G)
-    del G
+    # M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
+    # with the row axis first so each step of the recursion is contiguous;
+    # entries above the diagonal are zero: row 0 is zeroed and every later
+    # row is a multiple of the one before
+    M = arena.allocate((q, b, k, h, q))
+    M[0] = 0.0
+    M[0, ..., 0] = x[..., 0]
+    for i in range(1, q):
+        np.multiply(M[i - 1], a[..., i, None], out=M[i])
+        M[i, ..., i] = x[..., i]
+    # decay weights dropped from the output mask only
+    mask = np.tri(q)[:, None, None, None, :] * x if fault == FAULT_INTRA_MASK else M
+    # local state after each position; np.moveaxis in place of transpose made
+    # the vertical schedule's tracemalloc peak grow with length (about 100
+    # bytes retained per call)
+    Z = mask.transpose(1, 2, 3, 0, 4) @ Bm
+    arena.track(Z)
 
-    # row now holds the decay from each position to the right boundary
-    w = x if fault == FAULT_INTRA_WEIGHTS else row * x
-    b_intra = (Bt @ w[..., None])[..., 0]
+    # the last row is the decay from each position to the right boundary, times x
+    w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
+    b_intra = (Bm.swapaxes(-1, -2) @ w[..., None])[..., 0]
     arena.track(b_intra)
-    arena.release(row)
+    arena.release(M)
+    del M, mask, w
+
+    y_intra = np.einsum("...n,...n->...", Cm, Z)
+    arena.track(y_intra)
+    arena.release(Z)
     counter.intra += b * h * _over_chunks(
-        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * m + m + m * n)
+        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n)
     return y_intra, b_intra
 
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .stack import LAYER_FIELDS, LayerParams, ModelSpec, StackedModel
+from .stack import LAYER_FIELDS, LayerParams, ModelSpec, StackedModel, _document_int
 
 __all__ = [
     "generate_model",
@@ -129,8 +129,9 @@ def spec_from_config(doc: dict) -> ModelSpec:
     extra = set(doc) - set(_SPEC_FIELDS)
     if extra:
         raise FormatError(f"unknown model spec fields: {sorted(extra)}")
+    values = {k: _document_int(v, f"model spec field {k}") for k, v in doc.items()}
     try:
-        return ModelSpec(**{k: int(v) for k, v in doc.items()})
+        return ModelSpec(**values)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid model spec document: {exc}") from exc
 

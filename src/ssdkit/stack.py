@@ -420,26 +420,53 @@ def export_state_snapshot(states) -> dict:
     }
 
 
+def _document_int(value, name: str) -> int:
+    """An integer field read from a document; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def import_state_snapshot(doc: dict) -> np.ndarray:
-    """Inverse of export_state_snapshot, with structural validation."""
+    """Inverse of export_state_snapshot, with structural validation.
+
+    Dimensions must be non-negative integers and every state value a finite
+    JSON number; anything else is a FormatError, never coerced.
+    """
     try:
         version = doc["version"]
-        layers, batch, heads, n = (int(doc[k]) for k in ("layer_count", "b", "h", "n"))
+        dims = tuple(_document_int(doc[k], k) for k in ("layer_count", "b", "h", "n"))
         flat = doc["states"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed state snapshot: {exc}") from exc
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
+    if min(dims) < 0:
+        raise FormatError(f"snapshot dimensions must be non-negative, got {dims}")
+    layers, batch, heads, n = dims
+    if not isinstance(flat, list):
+        raise FormatError("snapshot states must be a list of per-layer value lists")
     if len(flat) != layers:
         raise FormatError(
             f"snapshot declares {layers} layers but carries {len(flat)}")
     per_layer = batch * heads * n
-    out = np.empty((layers, batch, heads, n), dtype=np.float64)
     for i, values in enumerate(flat):
+        if not isinstance(values, list):
+            raise FormatError(f"layer {i} values must be a list")
         if len(values) != per_layer:
             raise FormatError(
                 f"layer {i} carries {len(values)} values, expected {per_layer}")
-        out[i] = np.asarray(values, dtype=np.float64).reshape(batch, heads, n)
+        # one check per distinct element type, so the cost stays O(values)
+        if any(issubclass(t, bool) or not issubclass(t, (int, float))
+               for t in set(map(type, values))):
+            raise FormatError(f"layer {i} carries values that are not numbers")
+    # sized by the values carried, which now match the declared dimensions
+    try:
+        out = np.array(flat, dtype=np.float64).reshape(dims)
+    except OverflowError as exc:
+        raise FormatError("snapshot carries a value out of float range") from exc
+    if not np.isfinite(out).all():
+        raise FormatError("snapshot carries non-finite state values")
     return out
 
 

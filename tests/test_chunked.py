@@ -148,15 +148,15 @@ class TestIntraChunk:
             assert rel_err(b_intra[:, c], h_ref) <= 1e-12
 
     def test_flop_count_is_the_closed_form(self):
-        # b*h * (q(q-1)/2 products + q^2 n pair terms + 2 q^2 apply
-        #        + q mask + q n boundary weights), per chunk of its real length
+        # b*h * (q(q-1)/2 mask products + q^2 n for M @ B + q n for the C . Z
+        #        readout + q n for the boundary matvec), per chunk of its real length
         coeffs, x, _ = random_problem(4, 2, 11, 3, 5)
         counter = FlopCounter()
         intra_chunk(*chunk_major(coeffs, x, 4)[1:], tail=3, counter=counter)
         n = 5
 
         def per_slice(q):
-            return q * (q - 1) // 2 + q * q * n + 2 * q * q + q + q * n
+            return q * (q - 1) // 2 + q * q * n + 2 * q * n
 
         assert counter.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3))
         assert counter.propagate == 0
@@ -410,6 +410,31 @@ class TestChunkMajorEvaluation:
         coeffs, x, h0 = random_problem(33, 1, 64, 2, 3)
         chunked_forward(coeffs, x, 4, h0)
         assert calls == {name: 1 for name in calls}
+
+
+class TestExtremeGates:
+    # the mask recursion multiplies gates along each row: at a = 1e-200 the
+    # products underflow to exactly 0 after one step, at a = 1 - 1e-12 they
+    # stay within ~Q * 1e-12 of one across a long chunk
+    @pytest.mark.parametrize("gate,q,t", [
+        (1e-200, 16, 100),
+        (1e-200, 256, 300),
+        (1.0 - 1e-12, 256, 600),
+        (1.0 - 1e-12, 16, 1000),
+    ])
+    def test_chunked_matches_the_scan(self, gate, q, t):
+        rng = np.random.default_rng(40)
+        b, h, n = 2, 2, 3
+        coeffs = SsmCoefficients(np.full((b, t, h), gate),
+                                 rng.standard_normal((b, t, h, n)),
+                                 rng.standard_normal((b, t, h, n)))
+        x = rng.standard_normal((b, t, h))
+        h0 = rng.standard_normal((b, h, n))
+        y, hT = chunked_forward(coeffs, x, q, h0)
+        y_ref, h_ref = recurrent_scan(coeffs, x, h0)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(hT))
+        assert rel_err(y, y_ref) <= 1e-9
+        assert rel_err(hT, h_ref) <= 1e-9
 
 
 class TestFlopScaling:

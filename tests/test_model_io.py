@@ -184,6 +184,15 @@ class TestSpecFiles:
         with pytest.raises(FormatError):
             spec_from_config([1, 2, 3])
 
+    @pytest.mark.parametrize("field,value", [
+        ("L", 2.9), ("L", 2.0), ("d", True), ("H", "2"), ("N", None)])
+    def test_non_integer_fields_rejected(self, field, value):
+        # never truncated or coerced: {"L": 2.9} must not load as L=2
+        doc = spec_to_config(ModelSpec())
+        doc[field] = value
+        with pytest.raises(FormatError, match=field):
+            spec_from_config(doc)
+
     def test_file_roundtrip(self, tmp_path):
         spec = ModelSpec(seed=13, L=2, d=8, H=2, N=2, vocab_size=64, Q=8, V=16)
         path = tmp_path / "spec.json"

@@ -1,6 +1,7 @@
 """Layer math, the two inference schedules, memory accounting, snapshots."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,43 @@ class TestVerticalInfer:
                            initial_states=np.zeros((2, 1, 2, 4)))
 
 
+def traced_peak_bytes(fn, *args, **kwargs):
+    """Run fn under tracemalloc (NumPy reports its buffers to it); return
+    (result, peak bytes allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLedgerAgainstTracedMemory:
+    # The ledger charges every buffer the schedules keep alive and skips
+    # transient temporaries, so it should sit just under the measured peak.
+    # Bounds: traced / (8 bytes x ledger peak) within [0.95, 1.10] for one
+    # horizontal call (measured 1.003-1.035), and a vertical traced peak at
+    # T = 4096 within 1.10x of the one at T = 256 (measured within 2%).
+    SPEC = ModelSpec(seed=42, L=4, d=16, H=2, N=4, vocab_size=64, Q=16, V=64)
+
+    @pytest.mark.parametrize("batch,t", [(1, 256), (2, 1000)])
+    def test_horizontal_traced_peak_matches_the_ledger(self, batch, t):
+        model = generate_model(self.SPEC)
+        tok = tokens_for(self.SPEC, t, batch)
+        horizontal_infer(model, tok)  # warm lazy set-up
+        result, peak = traced_peak_bytes(horizontal_infer, model, tok)
+        ratio = peak / (8 * result.ledger.peak_elements)
+        assert 0.95 <= ratio <= 1.10
+
+    def test_vertical_traced_peak_is_flat_in_length(self):
+        model = generate_model(self.SPEC)
+        vertical_infer(model, tokens_for(self.SPEC, 256))  # warm lazy set-up
+        peaks = {}
+        for t in (256, 4096):
+            _, peaks[t] = traced_peak_bytes(vertical_infer, model, tokens_for(self.SPEC, t))
+        assert peaks[4096] <= 1.10 * peaks[256]
+
+
 class TestStateSnapshots:
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(30)
@@ -352,6 +390,29 @@ class TestStateSnapshots:
     def test_short_layer_payload_rejected(self):
         doc = export_state_snapshot(np.zeros((1, 1, 2, 2)))
         doc["states"][0] = doc["states"][0][:3]
+        with pytest.raises(FormatError):
+            import_state_snapshot(doc)
+
+    @pytest.mark.parametrize("field,value", [
+        ("b", 1.7), ("b", 1.0), ("h", True), ("n", "1"), ("layer_count", -1)])
+    def test_malformed_dimension_rejected(self, field, value):
+        doc = export_state_snapshot(np.zeros((1, 1, 1, 1)))
+        doc[field] = value
+        with pytest.raises(FormatError):
+            import_state_snapshot(doc)
+
+    def test_huge_declared_dimensions_rejected_before_allocating(self):
+        doc = export_state_snapshot(np.zeros((1, 1, 1, 1)))
+        doc["b"] = doc["h"] = 2 ** 20  # 8 TiB if allocated from the header
+        with pytest.raises(FormatError):
+            import_state_snapshot(doc)
+
+    @pytest.mark.parametrize("value", [
+        "nan", "1.5", None, True, [0.0], float("nan"), float("inf"),
+        pytest.param(10 ** 400, id="int-beyond-float")])
+    def test_non_numeric_or_non_finite_value_rejected(self, value):
+        doc = export_state_snapshot(np.zeros((2, 1, 1, 2)))
+        doc["states"][1][1] = value
         with pytest.raises(FormatError):
             import_state_snapshot(doc)
 
