@@ -19,8 +19,8 @@ from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, ChunkPlan, ChunkStageOut
                       intra_chunk, propagate_states)
 from .instrumentation import ActivationArena, FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
-                    export_state_snapshot, generate_coefficients, horizontal_infer,
-                    import_state_snapshot, layer_forward, load_state_snapshot,
+                    export_state_snapshot, generate_coefficients, horizontal_infer, infer,
+                    import_state_snapshot, layer_forward, layer_shapes, load_state_snapshot,
                     save_state_snapshot, vertical_infer)
 from .embedding import (EmbeddingOutput, LossConfig, QUERY_TEMPLATE, cosine_similarity,
                         embed_sequence, format_query, info_nce_loss, tokenize_words)
@@ -42,7 +42,8 @@ __all__ = [
     "chunked_forward", "dense_dual",
     "ActivationArena", "FlopCounter", "MemoryLedger",
     "ModelSpec", "LayerParams", "StackedModel", "InferenceResult",
-    "generate_coefficients", "layer_forward", "horizontal_infer", "vertical_infer",
+    "layer_shapes", "generate_coefficients", "layer_forward", "infer",
+    "horizontal_infer", "vertical_infer",
     "export_state_snapshot", "import_state_snapshot", "save_state_snapshot",
     "load_state_snapshot",
     "QUERY_TEMPLATE", "EmbeddingOutput", "LossConfig", "format_query",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual
 from .core import random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
-from .stack import ModelSpec, StackedModel, horizontal_infer, vertical_infer
+from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, vertical_infer
 
 __all__ = [
     "STRATEGIES",
@@ -242,8 +241,21 @@ class SweepConfig:
     strategies: tuple[str, ...] = STRATEGIES
     reps: int = 3
     warmup: int = 1
-    parallel: bool = False
     dense_limit: int | None = None  # None: the model's configured limit
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValidationError(f"reps must be >= 1, got {self.reps}")
+        if self.warmup < 0:
+            raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
+        if not self.strategies or not set(self.strategies) <= set(STRATEGIES):
+            raise ValidationError(
+                f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
+        for name in ("t_grid", "batch_grid", "q_grid", "v_grid"):
+            grid = getattr(self, name)
+            if grid is not None and (not grid or min(grid) < 1):
+                raise ValidationError(f"{name} must be a non-empty list of positive "
+                                      f"integers, got {grid}")
 
 
 @dataclass(frozen=True)
@@ -268,8 +280,6 @@ def _cell_list(config: SweepConfig, dense_limit: int, log) -> list[tuple]:
     """Expand the grids into (strategy, T, batch, Q, V) cells, pruned."""
     cells = []
     for strategy in config.strategies:
-        if strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {strategy!r}; expected {STRATEGIES}")
         for t in config.t_grid:
             if strategy == "dense" and t > dense_limit:
                 log(f"skip dense T={t}: exceeds dense limit {dense_limit}")
@@ -297,15 +307,14 @@ def _time_cell(model: StackedModel, config: SweepConfig, dense_limit: int,
     rng = np.random.default_rng([config.seed, t, batch])
     tokens = rng.integers(0, model.spec.vocab_size - 1, size=(batch, t))
     chunk = q if q else model.spec.Q
+    kernel = "chunked" if q else strategy
 
     def run_once():
         start = time.perf_counter()
-        if strategy == "vertical":
+        if v:
             result = vertical_infer(model, tokens, v, chunk)
-        elif strategy == "chunked-horizontal":
-            result = horizontal_infer(model, tokens, chunk)
         else:
-            result = horizontal_infer(model, tokens, chunk, kernel=strategy,
+            result = horizontal_infer(model, tokens, chunk, kernel=kernel,
                                       dense_limit=dense_limit)
         return result, time.perf_counter() - start
 
@@ -323,28 +332,18 @@ def _time_cell(model: StackedModel, config: SweepConfig, dense_limit: int,
 
 def run_sweep(model: StackedModel, config: SweepConfig = SweepConfig(),
               *, log=None) -> list[BenchRecord]:
-    """Time every grid cell; returns records sorted by the CSV column order.
-
-    Cells run sequentially unless config.parallel is set, in which case
-    independent cells run on a small thread pool and records must be treated
-    as parallel-timed (counts stay exact; wall times contend).
-    """
+    """Time every grid cell, one after another; returns records sorted by the
+    CSV column order."""
     log = log if log is not None else (lambda msg: None)
     dense_limit = config.dense_limit if config.dense_limit is not None else model.spec.dense_limit
-    cells = _cell_list(config, dense_limit, log)
-    if config.parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            batches = list(pool.map(
-                lambda cell: _time_cell(model, config, dense_limit, cell), cells))
-    else:
-        batches = [_time_cell(model, config, dense_limit, cell) for cell in cells]
-    records = [rec for batch in batches for rec in batch]
+    records = [rec for cell in _cell_list(config, dense_limit, log)
+               for rec in _time_cell(model, config, dense_limit, cell)]
     records.sort(key=BenchRecord.sort_key)
     return records
 
 
 def write_records(path, records: list[BenchRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
         for rec in records:

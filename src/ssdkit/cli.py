@@ -16,7 +16,7 @@ from .bench import (EquivalenceConfig, SweepConfig, read_records, run_equivalenc
                     run_sweep, summarize_records, write_records, STRATEGIES)
 from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
-from .errors import SsdError
+from .errors import SsdError, ValidationError
 from .model_io import generate_model, load_model, load_model_spec, spec_to_config
 from .stack import ModelSpec
 
@@ -77,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated subset of {','.join(STRATEGIES)}")
     sw.add_argument("--reps", type=int, default=3)
     sw.add_argument("--warmup", type=int, default=1)
-    sw.add_argument("--parallel", action="store_true",
-                    help="run independent cells concurrently; wall times are "
-                         "then parallel-timed (recorded in the sidecar)")
     sw.add_argument("--out", required=True, help="output CSV path")
 
     em = sub.add_parser("embed", help="embed a text file")
@@ -89,9 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     em.add_argument("--vertical", action="store_true",
                     help="use the vertical (bounded-memory) schedule")
     em.add_argument("--q", type=int, default=None, help="chunk size override")
-    em.add_argument("--v", type=int, default=None, help="vertical block length override")
+    em.add_argument("--v", type=int, default=None,
+                    help="vertical block length override (with --vertical)")
     em.add_argument("--memory-cap", action="store_true",
-                    help="cap vertical memory: block length = chunk size")
+                    help="cap vertical memory: block length = chunk size (with --vertical)")
     em.add_argument("--format-query", metavar="PROMPT", default=None,
                     help="render the instruction template around the input first")
     em.add_argument("--out", help="write the vector to a file instead of stdout")
@@ -129,8 +127,7 @@ def _cmd_equivalence(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _load_model_arg(args)
-    overrides = {"seed": args.seed, "reps": args.reps, "warmup": args.warmup,
-                 "parallel": args.parallel}
+    overrides = {"seed": args.seed, "reps": args.reps, "warmup": args.warmup}
     if args.grid_t is not None:
         overrides["t_grid"] = args.grid_t
     if args.grid_q is not None:
@@ -149,7 +146,6 @@ def _cmd_sweep(args) -> int:
     write_records(args.out, records)
     meta = {
         "model_spec": spec_to_config(model.spec),
-        "parallel_timed": config.parallel,
         "reps": config.reps,
         "warmup": config.warmup,
         "timing_note": "wall_time_s spans one forward pass, including per-layer "
@@ -162,6 +158,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    if not args.vertical and (args.v is not None or args.memory_cap):
+        raise ValidationError("--v and --memory-cap apply to the vertical schedule; "
+                              "add --vertical")
     model = _load_model_arg(args)
     if args.input == "-":
         text = sys.stdin.read()
@@ -178,7 +177,7 @@ def _cmd_embed(args) -> int:
     block = args.v if args.v is not None else (chunk if args.memory_cap else model.spec.V)
     out = embed_sequence(model, ids,
                          strategy="vertical" if args.vertical else "horizontal",
-                         chunk_size=chunk, block_len=block if args.vertical else None)
+                         chunk_size=chunk, block_len=block)
     line = ",".join(f"{value:.17g}" for value in out.vector)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -191,15 +190,9 @@ def _cmd_embed(args) -> int:
 def _cmd_report(args) -> int:
     records = read_records(args.csv)
     rows = summarize_records(records)
-    meta_path = str(args.csv) + ".meta.json"
-    parallel = None
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            parallel = json.load(fh).get("parallel_timed")
     lines = [
         "# aggregate of one sweep CSV; wall times include per-layer coefficient "
         "generation inside the forward pass",
-        f"# parallel-timed: {parallel if parallel is not None else 'unknown'}",
         "strategy,T,batch,Q,V,reps,wall_mean_s,wall_min_s,wall_max_s,peak_elems,flops_total",
     ]
     for row in rows:

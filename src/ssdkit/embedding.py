@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .stack import StackedModel, horizontal_infer, vertical_infer
+from .stack import StackedModel, _check_tokens, horizontal_infer, vertical_infer
 
 __all__ = [
     "QUERY_TEMPLATE",
@@ -85,13 +85,8 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise DimensionError(f"embed_sequence takes a single 1-D sequence, got {tokens.shape}")
-    if tokens.size == 0:
-        raise ValidationError("cannot embed an empty token sequence")
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise ValidationError(f"token ids must be integers, got dtype {tokens.dtype}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= model.spec.eos_id):
-        raise ValidationError(
-            f"token ids must lie in [0, {model.spec.eos_id}); the terminal id is reserved")
+    # ids stop below the reserved terminal id
+    _check_tokens(tokens, model.spec.eos_id)
     full = np.concatenate([tokens.astype(np.int64), [model.spec.eos_id]])
 
     if strategy == "horizontal":

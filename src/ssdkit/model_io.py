@@ -27,7 +27,8 @@ import math
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .stack import LAYER_FIELDS, LayerParams, ModelSpec, StackedModel, _document_int
+from .stack import (LayerParams, ModelSpec, StackedModel, _document_int, atomic_write,
+                    layer_shapes)
 
 __all__ = [
     "generate_model",
@@ -72,7 +73,6 @@ def generate_model(spec: ModelSpec | None = None, **kwargs) -> StackedModel:
     """
     if spec is None:
         spec = ModelSpec(**kwargs)
-    d, h, n = spec.d, spec.H, spec.N
     offset = 0
 
     def draw(shape, fan_in):
@@ -82,25 +82,22 @@ def generate_model(spec: ModelSpec | None = None, **kwargs) -> StackedModel:
         offset += count
         return vals.reshape(shape)
 
-    embedding = draw((spec.vocab_size, d), d)
+    embedding = draw((spec.vocab_size, spec.d), spec.d)
+    shapes = layer_shapes(spec.H, spec.d, spec.N)
     layers = []
     for _ in range(spec.L):
-        layers.append(LayerParams(
-            w_a=draw((h, d), d),
-            b_a=draw((h,), d),
-            W_B=draw((h, n, d), d),
-            W_C=draw((h, n, d), d),
-            W_x=draw((h, d), d),
-            W_out=draw((h, d), h),
-            gamma=np.ones(d, dtype=np.float64),
-        ))
+        layers.append(LayerParams(**{
+            name: np.ones(shape) if name == "gamma"
+            else draw(shape, spec.H if name == "W_out" else spec.d)
+            for name, shape in shapes.items()}))
     return StackedModel(spec, embedding, layers)
 
 
 def _iter_tensors(model: StackedModel):
     yield model.embedding
+    names = layer_shapes(model.spec.H, model.spec.d, model.spec.N)
     for layer in model.layers:
-        for name in LAYER_FIELDS:
+        for name in names:
             yield getattr(layer, name)
 
 
@@ -110,9 +107,8 @@ def model_payload(model: StackedModel) -> bytes:
 
 
 def expected_payload_bytes(spec: ModelSpec) -> int:
-    d, h, n = spec.d, spec.H, spec.N
-    per_layer = h * d + h + 2 * h * n * d + h * d + h * d + d
-    return 8 * (spec.vocab_size * d + spec.L * per_layer)
+    per_layer = sum(math.prod(s) for s in layer_shapes(spec.H, spec.d, spec.N).values())
+    return 8 * (spec.vocab_size * spec.d + spec.L * per_layer)
 
 
 def _checksum(payload: bytes) -> str:
@@ -137,7 +133,7 @@ def spec_from_config(doc: dict) -> ModelSpec:
 
 
 def save_model_spec(path, spec: ModelSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(spec_to_config(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -160,7 +156,7 @@ def save_model(path, model: StackedModel) -> None:
         "payload_bytes": len(payload),
         "checksum": _checksum(payload),
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(payload)
@@ -193,9 +189,6 @@ def load_model(path) -> StackedModel:
         raise IntegrityError("model payload checksum mismatch")
 
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    d, h, n = spec.d, spec.H, spec.N
-    shapes = {"w_a": (h, d), "b_a": (h,), "W_B": (h, n, d), "W_C": (h, n, d),
-              "W_x": (h, d), "W_out": (h, d), "gamma": (d,)}
     pos = 0
 
     def take(shape):
@@ -205,8 +198,9 @@ def load_model(path) -> StackedModel:
         pos += count
         return out
 
-    embedding = take((spec.vocab_size, d))
+    embedding = take((spec.vocab_size, spec.d))
+    shapes = layer_shapes(spec.H, spec.d, spec.N)
     layers = []
     for _ in range(spec.L):
-        layers.append(LayerParams(**{name: take(shapes[name]) for name in LAYER_FIELDS}))
+        layers.append(LayerParams(**{name: take(shape) for name, shape in shapes.items()}))
     return StackedModel(spec, embedding, layers)

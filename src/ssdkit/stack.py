@@ -1,30 +1,32 @@
-"""Residual stacks of state-space layers and the two inference schedules.
+"""Residual stacks of state-space layers and the inference schedule.
 
 Each layer RMS-normalizes its input, projects it to per-head coefficients
 (a, B, C) and a scalar input channel per head, runs the state-space kernel,
 and adds the per-head outputs back to the residual stream through a fixed
 output projection.
 
-Two schedules evaluate a stack:
+One block loop, ``infer``, evaluates a stack: it runs each block of
+``block_len`` positions through all layers, carrying one state vector per
+layer across blocks.  The two schedules are two block lengths:
 
-  horizontal - layer at a time over the full sequence.  Activation footprint
-               grows linearly with sequence length; exactly one layer's
-               input and output buffers are live at once.
-  vertical   - block of ``block_len`` positions at a time through all layers,
-               carrying one state vector per layer across blocks.  Activation
-               footprint is independent of sequence length once it exceeds
-               the block length; for shorter sequences it falls back to the
-               horizontal schedule (bitwise-identical result, no carried
-               state buffer).
+  horizontal - one block spanning the whole sequence, i.e. layer at a time.
+               Activation footprint grows linearly with sequence length;
+               exactly one layer's input and output buffers are live at once.
+  vertical   - blocks of ``V`` positions.  Activation footprint is
+               independent of sequence length once it exceeds the block
+               length; a sequence within one block is the horizontal case.
 
-Both return an InferenceResult with the final hidden states, the memory
-ledger, the flop counter, and the final per-layer states (resumable via the
-snapshot helpers at the bottom of this module).
+Both return an InferenceResult with the final block's hidden states, the
+memory ledger, the flop counter, and the final per-layer states (resumable
+via the snapshot helpers at the bottom of this module).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +43,15 @@ __all__ = [
     "LayerParams",
     "StackedModel",
     "InferenceResult",
+    "layer_shapes",
     "generate_coefficients",
     "layer_forward",
+    "infer",
     "horizontal_infer",
     "vertical_infer",
     "export_state_snapshot",
     "import_state_snapshot",
+    "atomic_write",
     "save_state_snapshot",
     "load_state_snapshot",
 ]
@@ -54,8 +59,11 @@ __all__ = [
 RMS_EPS = 1e-8
 KERNELS = ("chunked", "recurrent", "dense")
 
-# Serialization order of LayerParams tensors; model_io relies on it.
-LAYER_FIELDS = ("w_a", "b_a", "W_B", "W_C", "W_x", "W_out", "gamma")
+
+def layer_shapes(H: int, d: int, N: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of one layer's tensors, in serialization and draw order."""
+    return {"w_a": (H, d), "b_a": (H,), "W_B": (H, N, d), "W_C": (H, N, d),
+            "W_x": (H, d), "W_out": (H, d), "gamma": (d,)}
 
 
 @dataclass(frozen=True)
@@ -121,16 +129,12 @@ class LayerParams:
     gamma: np.ndarray  # (d,)
 
     def __post_init__(self):
-        for name in LAYER_FIELDS:
-            setattr(self, name, _as_f64(getattr(self, name), name))
-        h, d = self.w_a.shape
-        n = self.W_B.shape[1]
-        expect = {"w_a": (h, d), "b_a": (h,), "W_B": (h, n, d), "W_C": (h, n, d),
-                  "W_x": (h, d), "W_out": (h, d), "gamma": (d,)}
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionError(f"LayerParams.{name} shape {got}, expected {shape}")
+        h, d = np.shape(self.w_a)
+        for name, shape in layer_shapes(h, d, np.shape(self.W_B)[1]).items():
+            arr = _as_f64(getattr(self, name), name)
+            if arr.shape != shape:
+                raise DimensionError(f"LayerParams.{name} shape {arr.shape}, expected {shape}")
+            setattr(self, name, arr)
 
     @property
     def heads(self) -> int:
@@ -169,8 +173,9 @@ class StackedModel:
 class InferenceResult:
     """Outputs of one inference call.
 
-    hidden: final-layer hidden states; the full sequence for the horizontal
-            schedule, the final block for the vertical one.
+    hidden: final-layer hidden states of the final block: the full sequence
+            for the horizontal schedule (one block), the last V positions
+            or fewer for the vertical one.
     states: final per-layer kernel states (L, batch, H, N), usable as
             initial_states of a continuation call.
     """
@@ -196,28 +201,29 @@ def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
     return u / rms * params.gamma
 
 
-def _project_coefficients(params: LayerParams, un: np.ndarray):
-    logit = np.einsum("hd,btd->bth", params.w_a, un) + params.b_a
-    a = np.exp(-np.logaddexp(0.0, logit))  # in (0, 1) for any finite logit
-    Bmat = np.einsum("hnd,btd->bthn", params.W_B, un)
-    Cmat = np.einsum("hnd,btd->bthn", params.W_C, un)
-    return a, Bmat, Cmat
-
-
-def generate_coefficients(params: LayerParams, u, *, arena: ActivationArena | None = None
-                          ) -> SsmCoefficients:
+def generate_coefficients(params: LayerParams, u, *, arena: ActivationArena | None = None):
     """Project a layer input (batch, length, d) to per-position coefficients.
 
     The input is RMS-normalized per position before projection.  Transition
     scalars are squashed to (0, 1) through exp(-softplus(logit)); a zero input
     with zero bias therefore yields a = 0.5.
+
+    Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
+    channel, all four tensors charged to the arena (caller releases).
     """
     u = _check_channels(params, u)
     arena = arena if arena is not None else UNTRACKED
-    a, Bmat, Cmat = _project_coefficients(params, _normalize(params, u))
-    for arr in (a, Bmat, Cmat):
+    un = _normalize(params, u)
+    arena.track(un)
+    # in (0, 1) for any finite logit
+    a = np.exp(-np.logaddexp(0.0, np.einsum("hd,btd->bth", params.w_a, un) + params.b_a))
+    Bmat = np.einsum("hnd,btd->bthn", params.W_B, un)
+    Cmat = np.einsum("hnd,btd->bthn", params.W_C, un)
+    x = np.einsum("hd,btd->bth", params.W_x, un)
+    for arr in (a, Bmat, Cmat, x):
         arena.track(arr)
-    return SsmCoefficients(a, Bmat, Cmat, validate=False)
+    arena.release(un)
+    return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
@@ -240,19 +246,10 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    u = _check_channels(params, u)
     counter = counter if counter is not None else FlopCounter()
     arena = arena if arena is not None else UNTRACKED
-
-    un = _normalize(params, u)
-    arena.track(un)
-    a, Bmat, Cmat = _project_coefficients(params, un)
-    x = np.einsum("hd,btd->bth", params.W_x, un)
-    for arr in (a, Bmat, Cmat, x):
-        arena.track(arr)
-    arena.release(un)
-    del un
-    coeffs = SsmCoefficients(a, Bmat, Cmat, validate=False)
+    coeffs, x = generate_coefficients(params, u, arena=arena)  # validates u
+    u = np.asarray(u, dtype=np.float64)
 
     if kernel == "chunked":
         if chunk_size is None:
@@ -268,7 +265,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
 
     v = arena.allocate(u.shape)
     np.add(u, np.einsum("bth,hd->btd", y, params.W_out), out=v)
-    for arr in (y, x, Cmat, Bmat, a):
+    for arr in (y, x, coeffs.Cmat, coeffs.Bmat, coeffs.a):
         arena.release(arr)
     return v, hT
 
@@ -290,72 +287,38 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
     return arr
 
 
-def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,
-                     kernel: str = "chunked", dense_limit: int | None = None,
-                     fault=None) -> InferenceResult:
-    """Layer-at-a-time inference over the full sequence.
-
-    The previous layer's buffer is released only once the next layer's output
-    is complete, so the ledger peak carries two full-sequence channel buffers
-    plus one layer's working set, all linear in sequence length.
-    """
-    q = chunk_size if chunk_size is not None else model.spec.Q
-    limit = dense_limit if dense_limit is not None else model.spec.dense_limit
-    tok = _check_tokens(tokens, model.spec.vocab_size)
-    ledger = MemoryLedger()
-    arena = ActivationArena(ledger)
-    counter = FlopCounter()
-
-    u = arena.allocate((tok.shape[0], tok.shape[1], model.spec.d))
-    u[:] = model.embedding[tok]
-    states = np.empty((model.spec.L, tok.shape[0], model.spec.H, model.spec.N))
-    for i, layer in enumerate(model.layers):
-        v, hT = layer_forward(layer, u, None, q, kernel=kernel, dense_limit=limit,
-                              fault=fault, counter=counter, arena=arena)
-        states[i] = hT
-        arena.release(u)
-        u = v
-    hidden = u.copy()
-    arena.release(u)
-    return InferenceResult(hidden, ledger, counter, states)
-
-
-def vertical_infer(model: StackedModel, tokens, block_len: int | None = None,
-                   chunk_size: int | None = None, *, initial_states=None,
-                   sink=None, fault=None) -> InferenceResult:
+def infer(model: StackedModel, tokens, block_len: int | None = None,
+          chunk_size: int | None = None, *, kernel: str = "chunked",
+          dense_limit: int | None = None, initial_states=None, sink=None,
+          fault=None) -> InferenceResult:
     """Block-at-a-time inference through all layers, states carried across.
 
     Args:
-        block_len:      positions per vertical block (default model.spec.V);
-                        must be a multiple of the chunk size.
+        block_len:      positions per block, a multiple of the chunk size;
+                        None runs one block spanning the whole sequence.
+        chunk_size:     chunk length (default model.spec.Q).
+        kernel:         "chunked", "recurrent", or "dense" (see layer_forward).
         initial_states: optional (L, batch, H, N) states from a previous call
                         on the preceding positions.
         sink:           optional callable(start, hidden_block) receiving every
                         block's final-layer output; storage at the sink is the
                         caller's, not counted by the ledger.
 
-    Returns an InferenceResult whose hidden field covers the final block only.
-    For sequences no longer than one block with no incoming states this
-    delegates to horizontal_infer (bitwise-identical result, no carried state
-    buffer) and feeds the sink, if any, with the single block.
+    The ledger charges the carried (L, batch, H, N) state buffer, the block's
+    input and output channels while a layer runs, and that layer's working
+    set.  The result's hidden field covers the final block only.
     """
-    v_len = block_len if block_len is not None else model.spec.V
-    q = chunk_size if chunk_size is not None else model.spec.Q
-    if v_len < 1:
-        raise ValidationError(f"block length must be >= 1, got {v_len}")
-    if v_len % q != 0:
-        raise ValidationError(
-            f"vertical block length {v_len} must be a multiple of chunk size {q}")
-    tok = _check_tokens(tokens, model.spec.vocab_size)
-    batch, t = tok.shape
-
-    if t <= v_len and initial_states is None:
-        result = horizontal_infer(model, tok, q, fault=fault)
-        if sink is not None:
-            sink(0, result.hidden.copy())
-        return result
-
     spec = model.spec
+    q = chunk_size if chunk_size is not None else spec.Q
+    limit = dense_limit if dense_limit is not None else spec.dense_limit
+    if block_len is not None and block_len < 1:
+        raise ValidationError(f"block length must be >= 1, got {block_len}")
+    if block_len is not None and block_len % q != 0:
+        raise ValidationError(
+            f"vertical block length {block_len} must be a multiple of chunk size {q}")
+    tok = _check_tokens(tokens, spec.vocab_size)
+    batch, t = tok.shape
+    step = block_len if block_len is not None else t
     ledger = MemoryLedger()
     arena = ActivationArena(ledger)
     counter = FlopCounter()
@@ -370,27 +333,44 @@ def vertical_infer(model: StackedModel, tokens, block_len: int | None = None,
                 f"{states.shape}")
         states[:] = initial_states
 
-    hidden = None
-    num_blocks = -(-t // v_len)
-    for bi in range(num_blocks):
-        start, stop = bi * v_len, min(t, (bi + 1) * v_len)
-        u = arena.allocate((batch, stop - start, spec.d))
-        u[:] = model.embedding[tok[:, start:stop]]
+    for start in range(0, t, step):
+        # the states entering the first block are zero unless carried in;
+        # passing None for them skips the kernels' state checks
+        fresh = start == 0 and initial_states is None
+        block = tok[:, start:start + step]
+        u = arena.allocate(block.shape + (spec.d,))
+        u[:] = model.embedding[block]
         for li, layer in enumerate(model.layers):
-            v, hT = layer_forward(layer, u, states[li], q, fault=fault,
-                                  counter=counter, arena=arena)
-            states[li] = hT
+            v, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
+                                          kernel=kernel, dense_limit=limit, fault=fault,
+                                          counter=counter, arena=arena)
             arena.release(u)
             u = v
+        # u is the only name left on this block's output, so it is freed as
+        # soon as the next block's input takes its place
+        del v
         if sink is not None:
             sink(start, u.copy())
-        if bi == num_blocks - 1:
-            hidden = u.copy()
         arena.release(u)
-
-    final_states = states.copy()
     arena.release(states)
-    return InferenceResult(hidden, ledger, counter, final_states)
+    return InferenceResult(u, ledger, counter, states)
+
+
+def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,
+                     kernel: str = "chunked", dense_limit: int | None = None,
+                     fault=None) -> InferenceResult:
+    """Layer-at-a-time inference: ``infer`` with one block spanning the sequence."""
+    return infer(model, tokens, None, chunk_size, kernel=kernel,
+                 dense_limit=dense_limit, fault=fault)
+
+
+def vertical_infer(model: StackedModel, tokens, block_len: int | None = None,
+                   chunk_size: int | None = None, *, initial_states=None,
+                   sink=None, fault=None) -> InferenceResult:
+    """Bounded-memory inference: ``infer`` with blocks of block_len positions
+    (default model.spec.V), so activation memory is flat in sequence length."""
+    return infer(model, tokens, block_len if block_len is not None else model.spec.V,
+                 chunk_size, initial_states=initial_states, sink=sink, fault=fault)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +450,31 @@ def import_state_snapshot(doc: dict) -> np.ndarray:
     return out
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a fresh temp file beside ``path`` for writing ("w" or "wb" mode).
+
+    When the block completes the file is flushed, fsynced and renamed over
+    ``path``; when it raises the temp file is removed, so ``path`` is either
+    left as it was or fully replaced, never half-written.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_state_snapshot(path, states) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(export_state_snapshot(states), fh)
 
 

@@ -176,16 +176,14 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep(model, SweepConfig(strategies=("warp",)))
 
-    def test_parallel_sweep_keeps_exact_counts(self):
-        model = generate_model(SWEEP_MODEL_SPEC)
-        base = SweepConfig(t_grid=(16,), batch_grid=(1,), q_grid=(4,), v_grid=(8,),
-                           reps=1, warmup=0)
-        seq = run_sweep(model, base)
-        par = run_sweep(model, SweepConfig(t_grid=(16,), batch_grid=(1,), q_grid=(4,),
-                                           v_grid=(8,), reps=1, warmup=0, parallel=True))
-        count = lambda recs: [(r.strategy, r.T, r.Q, r.V, r.flops_intra, r.flops_prop,
-                               r.flops_inter, r.peak_elems) for r in recs]
-        assert count(seq) == count(par)
+    @pytest.mark.parametrize("field,value", [
+        ("reps", 0), ("warmup", -1), ("strategies", ()), ("t_grid", ()),
+        ("batch_grid", ()), ("q_grid", ()), ("v_grid", ()), ("t_grid", (16, 0)),
+        ("batch_grid", (0,)), ("q_grid", (-4,)), ("v_grid", (8, 0)),
+    ])
+    def test_config_rejects_empty_or_non_positive_fields(self, field, value):
+        with pytest.raises(ValidationError):
+            SweepConfig(**{field: value})
 
 
 class TestRecordsCsv:

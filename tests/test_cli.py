@@ -81,7 +81,6 @@ class TestSweepAndReportCommands:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 2  # strategies x lengths x reps
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert meta["parallel_timed"] is False
         assert meta["reps"] == 2
         assert "model_spec" in meta
 
@@ -96,21 +95,33 @@ class TestSweepAndReportCommands:
         assert records[0].strategy == "recurrent"
         assert records[0].T == 8
 
-    def test_report_aggregates_and_reads_the_sidecar(self, tmp_path, capsys):
+    def test_report_aggregates_the_reps(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         main(["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
               "--grid-batch", "1", "--strategy", "vertical", "--reps", "3",
-              "--warmup", "0", "--parallel", "--out", str(out_path)])
+              "--warmup", "0", "--out", str(out_path)])
         capsys.readouterr()
         rc = main(["report", str(out_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "# parallel-timed: True" in out
         header_line = [l for l in out.splitlines() if not l.startswith("#")][0]
         assert header_line.startswith("strategy,T,batch,Q,V,reps,wall_mean_s")
         data = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(data) == 1  # three reps fold into one cell
         assert data[0].split(",")[5] == "3"
+
+    @pytest.mark.parametrize("extra", [["--reps", "0"], ["--warmup", "-1"],
+                                       ["--grid-t", "0"], ["--grid-batch", ""]])
+    def test_invalid_sweep_settings_exit_two_and_write_nothing(self, tmp_path, capsys,
+                                                               extra):
+        out_path = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
+                   "--grid-batch", "1", "--strategy", "recurrent", "--out",
+                   str(out_path)] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_out_flag_writes_a_file(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
@@ -165,6 +176,16 @@ class TestEmbedCommand:
         got_h = np.array([float(v) for v in horizontal.split(",")])
         got_v = np.array([float(v) for v in vertical.split(",")])
         assert np.max(np.abs(got_h - got_v)) <= 1e-9 * np.max(np.abs(got_h))
+
+    @pytest.mark.parametrize("flags", [["--v", "32"], ["--memory-cap"]])
+    def test_vertical_options_need_the_vertical_flag(self, tmp_path, capsys, flags):
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        rc = main(["embed", str(src)] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--vertical" in captured.err
+        assert captured.out == ""
 
     def test_format_query_wraps_the_text(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

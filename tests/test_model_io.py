@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ssdkit import (
+    BenchRecord,
     FormatError,
     IntegrityError,
     ModelSpec,
@@ -21,7 +22,10 @@ from ssdkit import (
     model_payload,
     save_model,
     save_model_spec,
+    save_state_snapshot,
+    write_records,
 )
+from ssdkit import stack
 from ssdkit.model_io import spec_from_config, spec_to_config
 
 # Pinned outputs of the default configuration (seed 42, 4 layers, d=16,
@@ -204,3 +208,57 @@ class TestSpecFiles:
         path.write_text("nope")
         with pytest.raises(FormatError):
             load_model_spec(path)
+
+
+class _CrashingFile:
+    """A file whose second write raises, like a process dying mid-write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("simulated crash mid-write")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+SPEC_A = ModelSpec(seed=1, L=1, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
+SPEC_B = ModelSpec(seed=2, L=1, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
+RECORD = BenchRecord("recurrent", 16, 1, 0, 0, 0, 0.001, 320, 0, 0, 0)
+WRITERS = {
+    "model": (save_model, generate_model(SPEC_A), generate_model(SPEC_B)),
+    "spec": (save_model_spec, SPEC_A, SPEC_B),
+    "snapshot": (save_state_snapshot, np.zeros((2, 1, 2, 3)), np.ones((2, 1, 2, 3))),
+    "records": (write_records, [RECORD], [RECORD, RECORD]),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_crash_mid_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        write, old, new = WRITERS[kind]
+        path = tmp_path / "target"
+        write(path, old)
+        before = path.read_bytes()
+        real_open = open
+        monkeypatch.setattr(stack, "open",
+                            lambda *a, **k: _CrashingFile(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="simulated crash"):
+            write(path, new)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+        write(path, new)
+        assert path.read_bytes() != before
+        assert list(tmp_path.iterdir()) == [path]
