@@ -12,7 +12,7 @@ operation counts per stage.
 
 import numpy as np
 
-from ssdkit import FlopCounter, chunked_forward, random_coefficients, recurrent_scan
+from ssdkit import Probe, chunked_forward, random_coefficients, recurrent_scan
 
 
 def main():
@@ -28,15 +28,16 @@ def main():
     print(f"{'Q':>5} {'chunks':>7} {'rel err':>10} {'intra':>10} {'carry':>8} "
           f"{'correct':>9} {'total':>10}")
     for q in (1, 2, 4, 8, 16, 32, 64, 200):
-        counter = FlopCounter()
-        y, hT = chunked_forward(coeffs, x, q, h0, counter=counter)
+        probe = Probe()
+        y, hT = chunked_forward(coeffs, x, q, h0, probe=probe)
+        flops = probe.flops
         err = max(
             np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref)),
             np.max(np.abs(hT - h_ref)) / np.max(np.abs(h_ref)),
         )
         chunks = -(-t // q)
-        print(f"{q:>5} {chunks:>7} {err:>10.2e} {counter.intra:>10} "
-              f"{counter.propagate:>8} {counter.inter:>9} {counter.total:>10}")
+        print(f"{q:>5} {chunks:>7} {err:>10.2e} {flops.intra:>10} "
+              f"{flops.propagate:>8} {flops.inter:>9} {flops.total:>10}")
 
     print("\nReading the table: intra work grows with Q (quadratic blocks),")
     print("carry steps shrink as 1/Q, and the answer never moves.")

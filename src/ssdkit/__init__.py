@@ -17,7 +17,7 @@ from .core import (SsmCoefficients, build_kernel_matrix, cumulative_transition,
 from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, ChunkPlan, ChunkStageOutputs,
                       chunk_major, chunked_forward, dense_dual, inter_chunk_correction,
                       intra_chunk, propagate_states)
-from .instrumentation import ActivationArena, FlopCounter, MemoryLedger
+from .instrumentation import FlopCounter, MemoryLedger, Probe
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer, infer,
                     import_state_snapshot, layer_forward, layer_shapes, load_state_snapshot,
@@ -40,7 +40,7 @@ __all__ = [
     "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "ChunkPlan", "ChunkStageOutputs",
     "chunk_major", "intra_chunk", "propagate_states", "inter_chunk_correction",
     "chunked_forward", "dense_dual",
-    "ActivationArena", "FlopCounter", "MemoryLedger",
+    "FlopCounter", "MemoryLedger", "Probe",
     "ModelSpec", "LayerParams", "StackedModel", "InferenceResult",
     "layer_shapes", "generate_coefficients", "layer_forward", "infer",
     "horizontal_infer", "vertical_infer",

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import SsmCoefficients, _check_inputs, _check_state
 from .errors import CapacityError, DimensionError, ValidationError
-from .instrumentation import ActivationArena, FlopCounter, UNTRACKED
+from .instrumentation import UNTRACKED, Probe
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
@@ -150,12 +150,12 @@ def _time_major(plan: ChunkPlan, arr: np.ndarray) -> np.ndarray:
 
 
 def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
-                counter: FlopCounter | None = None, arena: ActivationArena | None = None):
+                probe: Probe = UNTRACKED):
     """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
 
     Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
     row-major as (Q, batch, chunks, heads, Q), and the local states
-    Z = M @ B (batch, chunks, heads, Q, state); both are charged to the arena
+    Z = M @ B (batch, chunks, heads, Q, state); both are charged to the probe
     while live.  C @ B^T is never formed.
 
     Args:
@@ -172,8 +172,6 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
                  weighted by the decay from its position to that boundary.
     """
     _check_fault(fault)
-    counter = counter if counter is not None else FlopCounter()
-    arena = arena if arena is not None else UNTRACKED
     b, k, h, q = x.shape
     n = Bm.shape[-1]
 
@@ -181,7 +179,7 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     # with the row axis first so each step of the recursion is contiguous;
     # entries above the diagonal are zero: row 0 is zeroed and every later
     # row is a multiple of the one before
-    M = arena.allocate((q, b, k, h, q))
+    M = probe.allocate((q, b, k, h, q))
     M[0] = 0.0
     M[0, ..., 0] = x[..., 0]
     for i in range(1, q):
@@ -193,26 +191,25 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     # the vertical schedule's tracemalloc peak grow with length (about 100
     # bytes retained per call)
     Z = mask.transpose(1, 2, 3, 0, 4) @ Bm
-    arena.track(Z)
+    probe.track(Z)
 
     # the last row is the decay from each position to the right boundary, times x
     w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
     b_intra = (Bm.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    arena.track(b_intra)
-    arena.release(M)
+    probe.track(b_intra)
+    probe.release(M)
     del M, mask, w
 
     y_intra = np.einsum("...n,...n->...", Cm, Z)
-    arena.track(y_intra)
-    arena.release(Z)
-    counter.intra += b * h * _over_chunks(
-        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n)
+    probe.track(y_intra)
+    probe.release(Z)
+    probe.count(intra=b * h * _over_chunks(
+        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n))
     return y_intra, b_intra
 
 
 def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarray,
-                     *, fault=None, counter: FlopCounter | None = None,
-                     arena: ActivationArena | None = None) -> np.ndarray:
+                     *, fault=None, probe: Probe = UNTRACKED) -> np.ndarray:
     """Stage 2: carry boundary states across chunks, one multiply-add each.
 
     Args:
@@ -225,8 +222,6 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
         state at chunk c's left boundary for c >= 1.
     """
     _check_fault(fault)
-    counter = counter if counter is not None else FlopCounter()
-    arena = arena if arena is not None else UNTRACKED
     b_intra = np.asarray(b_intra, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
     b0 = np.asarray(b0, dtype=np.float64)
@@ -239,45 +234,39 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
     if b0.shape != (b, h, n):
         raise DimensionError(f"b0 shape {b0.shape} does not match {(b, h, n)}")
 
-    states = arena.allocate((b, k + 1, h, n))
+    states = probe.allocate((b, k + 1, h, n))
     states[:, 0] = b0
     for c in range(k):
         if fault == FAULT_TRANSITION:
             states[:, c + 1] = states[:, c] + b_intra[:, c]
         else:
             states[:, c + 1] = transitions[:, c, :, None] * states[:, c] + b_intra[:, c]
-    counter.propagate += b * h * n * k
+    probe.count(propagate=b * h * n * k)
     return states
 
 
-def inter_chunk_correction(a, Cm, b_prev, *, entry_products=None, tail: int | None = None,
-                           fault=None, counter: FlopCounter | None = None) -> np.ndarray:
+def inter_chunk_correction(entry, Cm, b_prev, *, tail: int | None = None,
+                           fault=None, probe: Probe = UNTRACKED) -> np.ndarray:
     """Stage 3 for every chunk: read out the state carried in from earlier chunks.
 
     Args:
-        a:      (batch, chunks, heads, Q) chunk-major transitions.
+        entry:  (batch, chunks, heads, Q) running product of each chunk's
+                transitions, np.cumprod(a, axis=-1): the decay from the
+                previous chunk's last position through each local position.
         Cm:     (batch, chunks, heads, Q, state) chunk-major readout maps.
         b_prev: (batch, chunks, heads, state) state entering each chunk.
         tail:   real length of the last chunk when it is padded (default Q).
-
-    The weight applied at local position i is the decay product from the
-    previous chunk's last position through position i, i.e. the running prefix
-    product of the chunk's transition scalars including its entry step.
     """
     _check_fault(fault)
-    counter = counter if counter is not None else FlopCounter()
-    b, k, h, q = a.shape
+    b, k, h, q = entry.shape
     n = Cm.shape[-1]
     b_prev = np.asarray(b_prev, dtype=np.float64)
     if b_prev.shape != (b, k, h, n):
         raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, k, h, n)}")
     if fault == FAULT_CORRECTION:
         return np.zeros((b, k, h, q), dtype=np.float64)
-    if entry_products is None:
-        entry_products = np.cumprod(a, axis=-1)
-        counter.intra += b * h * _over_chunks(k, q, tail, lambda m: m)
-    y_inter = entry_products * (Cm @ b_prev[..., None])[..., 0]
-    counter.inter += b * h * _over_chunks(k, q, tail, lambda m: m * n + m)
+    y_inter = entry * (Cm @ b_prev[..., None])[..., 0]
+    probe.count(inter=b * h * _over_chunks(k, q, tail, lambda m: m * n + m))
     return y_inter
 
 
@@ -295,9 +284,7 @@ class ChunkStageOutputs:
 
 
 def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
-                    keep_stages: bool = False, fault=None,
-                    counter: FlopCounter | None = None,
-                    arena: ActivationArena | None = None):
+                    keep_stages: bool = False, fault=None, probe: Probe = UNTRACKED):
     """Full block-decomposed forward pass.
 
     Args:
@@ -310,20 +297,18 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
                      instead of (y, hT); y and hT are the same bits either way.
 
     Returns:
-        (y, hT) matching recurrent_scan.  When an arena is supplied, all
+        (y, hT) matching recurrent_scan.  When a probe is supplied, all
         intermediate buffers are charged and released here; the returned y
         stays charged and must be released by the caller.
     """
     _check_fault(fault)
-    counter = counter if counter is not None else FlopCounter()
-    arena = arena if arena is not None else UNTRACKED
     plan, a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
     b, k, h, q = xs.shape
     n = coeffs.state_dim
     tail = plan.last_chunk_len
     padded = (a, Bm, Cm, xs) if tail != q else ()
     for arr in padded:
-        arena.track(arr)
+        probe.track(arr)
 
     if h0 is None:
         b0 = np.zeros((b, h, n), dtype=np.float64)
@@ -332,42 +317,38 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
         b0 = _check_state(h0, b, h, n)
         carry_in = bool(np.any(b0 != 0.0))
 
-    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, tail=tail, fault=fault,
-                               counter=counter, arena=arena)
-    entry = arena.allocate((b, k, h, q))
+    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, tail=tail, fault=fault, probe=probe)
+    entry = probe.allocate((b, k, h, q))
     np.cumprod(a, axis=-1, out=entry)
-    counter.intra += b * h * plan.seq_len
-    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault,
-                              counter=counter, arena=arena)
+    probe.count(intra=b * h * plan.seq_len)
+    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault, probe=probe)
     y_intra = _time_major(plan, y_c) if keep_stages else None
-    arena.release(b_intra)
+    probe.release(b_intra)
 
     # the state entering the first chunk is zero without carry-in, and so is
     # its correction: stage 3 then reads out chunks 1.. only
     first = 0 if carry_in else 1
-    y_inter = arena.allocate(y_c.shape, zero=True)
+    y_inter = probe.allocate(y_c.shape, zero=True)
     if first < k:
         y_inter[:, first:] = inter_chunk_correction(
-            a[:, first:], Cm[:, first:], states[:, first:k], entry_products=entry[:, first:],
-            tail=tail, fault=fault, counter=counter)
+            entry[:, first:], Cm[:, first:], states[:, first:k],
+            tail=tail, fault=fault, probe=probe)
     y_c += y_inter
     for arr in padded + (entry, y_inter):
-        arena.release(arr)
+        probe.release(arr)
     hT = states[:, k].copy()
-    arena.release(states)
+    probe.release(states)
 
     y = _time_major(plan, y_c)
-    arena.track(y)
-    arena.release(y_c)
+    probe.track(y)
+    probe.release(y_c)
     if not keep_stages:
         return y, hT
     return ChunkStageOutputs(plan, y_intra, b_intra, states, _time_major(plan, y_inter), y, hT)
 
 
 def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
-               dense_limit: int = DEFAULT_DENSE_LIMIT,
-               counter: FlopCounter | None = None,
-               arena: ActivationArena | None = None):
+               dense_limit: int = DEFAULT_DENSE_LIMIT, probe: Probe = UNTRACKED):
     """Single-operator evaluation: one kernel block spanning the sequence.
 
     Materializes a (length, length) block per batch/head slice, so it is
@@ -377,5 +358,4 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
     if coeffs.length > dense_limit:
         raise CapacityError(
             f"sequence length {coeffs.length} exceeds dense limit {dense_limit}")
-    return chunked_forward(coeffs, x, coeffs.length, h0,
-                           counter=counter, arena=arena)
+    return chunked_forward(coeffs, x, coeffs.length, h0, probe=probe)

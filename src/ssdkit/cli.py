@@ -18,7 +18,7 @@ from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
 from .errors import SsdError, ValidationError
 from .model_io import generate_model, load_model, load_model_spec, spec_to_config
-from .stack import ModelSpec
+from .stack import ModelSpec, atomic_write
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -120,7 +120,7 @@ def _cmd_equivalence(args) -> int:
     print(f"[{status}] {len(report.checks)} checks, "
           f"max_rel_err={report.max_rel_err:.3e}, fault={report.config.fault}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
     return 0 if report.passed else 1
 
@@ -151,7 +151,7 @@ def _cmd_sweep(args) -> int:
         "timing_note": "wall_time_s spans one forward pass, including per-layer "
                        "coefficient generation; token setup and model load excluded",
     }
-    with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
+    with atomic_write(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     return 0
@@ -180,7 +180,7 @@ def _cmd_embed(args) -> int:
                          chunk_size=chunk, block_len=block)
     line = ",".join(f"{value:.17g}" for value in out.vector)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
     else:
         print(line)
@@ -202,7 +202,7 @@ def _cmd_report(args) -> int:
                                         "peak_elems", "flops_total")))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -1,8 +1,9 @@
 """Activation-memory and arithmetic instrumentation.
 
-The memory ledger models the live activation footprint of an inference
-schedule.  Code allocates its working buffers through an ActivationArena;
-the ledger records current and peak element counts.  The accounting boundary
+A Probe carries both instruments through the kernels and layers.  The
+memory ledger models the live activation footprint of an inference
+schedule: code allocates its working buffers through the probe, and the
+ledger records current and peak element counts.  The accounting boundary
 is deliberate: model parameters, token ids, and buffers handed back to the
 caller are not charged, and neither are transient elementwise temporaries
 inside vectorized expressions.  What is charged is every buffer the
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import SsdError
 
-__all__ = ["FlopCounter", "MemoryLedger", "ActivationArena", "UNTRACKED"]
+__all__ = ["FlopCounter", "MemoryLedger", "Probe", "UNTRACKED"]
 
 
 @dataclass
@@ -38,15 +39,10 @@ class FlopCounter:
     def total(self) -> int:
         return self.intra + self.propagate + self.inter
 
-    def merge(self, other: "FlopCounter") -> None:
-        self.intra += other.intra
-        self.propagate += other.propagate
-        self.inter += other.inter
-
 
 @dataclass
 class MemoryLedger:
-    """Live / peak counts of activation scalars charged to an arena."""
+    """Live / peak counts of activation scalars charged through a probe."""
 
     current_elements: int = 0
     peak_elements: int = 0
@@ -63,17 +59,18 @@ class MemoryLedger:
             raise SsdError("ledger discharge below zero: release without matching allocate")
 
 
-class ActivationArena:
-    """Allocation front-end that charges buffers to a MemoryLedger.
+class Probe:
+    """The memory ledger and flop counter of one instrumented call.
 
     ``allocate`` hands out fresh float64 buffers; ``track``/``release`` charge
-    and discharge arrays that were created elsewhere.  An arena constructed
-    with tracking=False is a no-op pass-through used as the default so library
-    entry points work without instrumentation.
+    and discharge arrays that were created elsewhere; ``count`` adds stage
+    flops.  A probe built with tracking=False writes nothing: UNTRACKED is
+    the shared default, so library entry points work without instrumentation.
     """
 
-    def __init__(self, ledger: MemoryLedger | None = None, *, tracking: bool = True):
-        self.ledger = ledger if ledger is not None else MemoryLedger()
+    def __init__(self, *, tracking: bool = True):
+        self.ledger = MemoryLedger()
+        self.flops = FlopCounter()
         self.tracking = tracking
 
     def allocate(self, shape, *, zero: bool = False) -> np.ndarray:
@@ -89,5 +86,11 @@ class ActivationArena:
         if self.tracking:
             self.ledger.discharge(arr.size)
 
+    def count(self, *, intra: int = 0, propagate: int = 0, inter: int = 0) -> None:
+        if self.tracking:
+            self.flops.intra += intra
+            self.flops.propagate += propagate
+            self.flops.inter += inter
 
-UNTRACKED = ActivationArena(tracking=False)
+
+UNTRACKED = Probe(tracking=False)

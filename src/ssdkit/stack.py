@@ -27,14 +27,14 @@ import json
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual
 from .core import SsmCoefficients, _as_f64, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
-from .instrumentation import ActivationArena, FlopCounter, MemoryLedger, UNTRACKED
+from .instrumentation import UNTRACKED, FlopCounter, MemoryLedger, Probe
 
 __all__ = [
     "RMS_EPS",
@@ -94,6 +94,11 @@ class ModelSpec:
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"ModelSpec.{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         for name in ("L", "d", "H", "N", "vocab_size", "Q", "V", "dense_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelSpec.{name} must be >= 1")
@@ -201,7 +206,7 @@ def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
     return u / rms * params.gamma
 
 
-def generate_coefficients(params: LayerParams, u, *, arena: ActivationArena | None = None):
+def generate_coefficients(params: LayerParams, u, *, probe: Probe = UNTRACKED):
     """Project a layer input (batch, length, d) to per-position coefficients.
 
     The input is RMS-normalized per position before projection.  Transition
@@ -209,27 +214,25 @@ def generate_coefficients(params: LayerParams, u, *, arena: ActivationArena | No
     with zero bias therefore yields a = 0.5.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
-    channel, all four tensors charged to the arena (caller releases).
+    channel, all four tensors charged to the probe (caller releases).
     """
     u = _check_channels(params, u)
-    arena = arena if arena is not None else UNTRACKED
     un = _normalize(params, u)
-    arena.track(un)
+    probe.track(un)
     # in (0, 1) for any finite logit
     a = np.exp(-np.logaddexp(0.0, np.einsum("hd,btd->bth", params.w_a, un) + params.b_a))
     Bmat = np.einsum("hnd,btd->bthn", params.W_B, un)
     Cmat = np.einsum("hnd,btd->bthn", params.W_C, un)
     x = np.einsum("hd,btd->bth", params.W_x, un)
     for arr in (a, Bmat, Cmat, x):
-        arena.track(arr)
-    arena.release(un)
+        probe.track(arr)
+    probe.release(un)
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
                   kernel: str = "chunked", dense_limit: int = DEFAULT_DENSE_LIMIT,
-                  fault=None, counter: FlopCounter | None = None,
-                  arena: ActivationArena | None = None):
+                  fault=None, probe: Probe = UNTRACKED):
     """One residual layer: v = u + head outputs mapped back to channels.
 
     Args:
@@ -241,32 +244,28 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     same map, differing in cost profile.
 
     Returns:
-        (v, new_state): output channels charged to the arena (caller
+        (v, new_state): output channels charged to the probe (caller
         releases) and the kernel state at the end of the span.
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    counter = counter if counter is not None else FlopCounter()
-    arena = arena if arena is not None else UNTRACKED
-    coeffs, x = generate_coefficients(params, u, arena=arena)  # validates u
+    coeffs, x = generate_coefficients(params, u, probe=probe)  # validates u
     u = np.asarray(u, dtype=np.float64)
 
     if kernel == "chunked":
         if chunk_size is None:
             raise ValidationError("chunk_size is required for the chunked kernel")
-        y, hT = chunked_forward(coeffs, x, chunk_size, state,
-                                fault=fault, counter=counter, arena=arena)
+        y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault, probe=probe)
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
-        arena.track(y)
+        probe.track(y)
     else:
-        y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit,
-                           counter=counter, arena=arena)
+        y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit, probe=probe)
 
-    v = arena.allocate(u.shape)
+    v = probe.allocate(u.shape)
     np.add(u, np.einsum("bth,hd->btd", y, params.W_out), out=v)
     for arr in (y, x, coeffs.Cmat, coeffs.Bmat, coeffs.a):
-        arena.release(arr)
+        probe.release(arr)
     return v, hT
 
 
@@ -311,6 +310,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     spec = model.spec
     q = chunk_size if chunk_size is not None else spec.Q
     limit = dense_limit if dense_limit is not None else spec.dense_limit
+    if q < 1:
+        raise ValidationError(f"chunk size must be >= 1, got {q}")
     if block_len is not None and block_len < 1:
         raise ValidationError(f"block length must be >= 1, got {block_len}")
     if block_len is not None and block_len % q != 0:
@@ -319,12 +320,10 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     tok = _check_tokens(tokens, spec.vocab_size)
     batch, t = tok.shape
     step = block_len if block_len is not None else t
-    ledger = MemoryLedger()
-    arena = ActivationArena(ledger)
-    counter = FlopCounter()
+    probe = Probe()
 
-    states = arena.allocate((spec.L, batch, spec.H, spec.N), zero=True)
-    ledger.per_layer_state_elements = states.size
+    states = probe.allocate((spec.L, batch, spec.H, spec.N), zero=True)
+    probe.ledger.per_layer_state_elements = states.size
     if initial_states is not None:
         initial_states = _as_f64(initial_states, "initial_states")
         if initial_states.shape != states.shape:
@@ -338,22 +337,22 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         # passing None for them skips the kernels' state checks
         fresh = start == 0 and initial_states is None
         block = tok[:, start:start + step]
-        u = arena.allocate(block.shape + (spec.d,))
+        u = probe.allocate(block.shape + (spec.d,))
         u[:] = model.embedding[block]
         for li, layer in enumerate(model.layers):
             v, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
                                           kernel=kernel, dense_limit=limit, fault=fault,
-                                          counter=counter, arena=arena)
-            arena.release(u)
+                                          probe=probe)
+            probe.release(u)
             u = v
         # u is the only name left on this block's output, so it is freed as
         # soon as the next block's input takes its place
         del v
         if sink is not None:
             sink(start, u.copy())
-        arena.release(u)
-    arena.release(states)
-    return InferenceResult(u, ledger, counter, states)
+        probe.release(u)
+    probe.release(states)
+    return InferenceResult(u, probe.ledger, probe.flops, states)
 
 
 def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,

@@ -7,12 +7,14 @@ exercises none of the blockwise code.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdkit import (
     CapacityError,
     ChunkPlan,
     FAULT_MODES,
-    FlopCounter,
+    Probe,
     SsmCoefficients,
     ValidationError,
     chunk_major,
@@ -24,6 +26,7 @@ from ssdkit import (
     random_coefficients,
     recurrent_scan,
 )
+from ssdkit.instrumentation import UNTRACKED, FlopCounter, MemoryLedger
 
 
 def rel_err(got, ref):
@@ -151,16 +154,16 @@ class TestIntraChunk:
         # b*h * (q(q-1)/2 mask products + q^2 n for M @ B + q n for the C . Z
         #        readout + q n for the boundary matvec), per chunk of its real length
         coeffs, x, _ = random_problem(4, 2, 11, 3, 5)
-        counter = FlopCounter()
-        intra_chunk(*chunk_major(coeffs, x, 4)[1:], tail=3, counter=counter)
+        probe = Probe()
+        intra_chunk(*chunk_major(coeffs, x, 4)[1:], tail=3, probe=probe)
         n = 5
 
         def per_slice(q):
             return q * (q - 1) // 2 + q * q * n + 2 * q * n
 
-        assert counter.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3))
-        assert counter.propagate == 0
-        assert counter.inter == 0
+        assert probe.flops.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3))
+        assert probe.flops.propagate == 0
+        assert probe.flops.inter == 0
 
 
 class TestPropagateStates:
@@ -180,11 +183,11 @@ class TestPropagateStates:
         assert np.array_equal(states[0, :, 0, 0], [1.0, 2.0, 3.0])
 
     def test_flop_count(self):
-        counter = FlopCounter()
+        probe = Probe()
         propagate_states(np.ones((2, 4, 3, 5)), np.ones((2, 4, 3)),
-                         np.zeros((2, 3, 5)), counter=counter)
-        assert counter.propagate == 2 * 3 * 5 * 4
-        assert counter.intra == 0
+                         np.zeros((2, 3, 5)), probe=probe)
+        assert probe.flops.propagate == 2 * 3 * 5 * 4
+        assert probe.flops.intra == 0
 
     def test_rejects_mismatched_shapes(self):
         from ssdkit import DimensionError
@@ -198,30 +201,21 @@ class TestInterChunkCorrection:
     def test_zero_carry_gives_zero_correction(self):
         coeffs, x, _ = random_problem(6, 1, 8, 2, 3)
         _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
-        y_inter = inter_chunk_correction(a, Cm, np.zeros((1, 2, 2, 3)))
+        y_inter = inter_chunk_correction(np.cumprod(a, axis=-1), Cm, np.zeros((1, 2, 2, 3)))
         assert np.array_equal(y_inter, np.zeros((1, 2, 2, 4)))
 
     def test_matches_silenced_input_scan(self):
         # carried state read out with the chunk's own inputs silenced
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
         _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
-        y_inter = inter_chunk_correction(a[:, 1:], Cm[:, 1:], h0[:, None])
+        y_inter = inter_chunk_correction(np.cumprod(a[:, 1:], axis=-1), Cm[:, 1:], h0[:, None])
         y_ref, _ = recurrent_scan(coeffs.slice_time(4, 8), np.zeros((2, 4, 2)), h0)
         assert rel_err(y_inter[:, 0].transpose(0, 2, 1), y_ref) <= 1e-12
-
-    def test_precomputed_entry_products_change_nothing(self):
-        coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
-        carried = np.stack([h0, 2.0 * h0], axis=1)
-        entry = np.cumprod(a, axis=-1)
-        default = inter_chunk_correction(a, Cm, carried)
-        supplied = inter_chunk_correction(a, Cm, carried, entry_products=entry)
-        assert np.array_equal(default, supplied)
 
     def test_correction_fault_silences_the_stage(self):
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
         _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
-        y_inter = inter_chunk_correction(a, Cm, np.stack([h0, h0], axis=1),
+        y_inter = inter_chunk_correction(np.cumprod(a, axis=-1), Cm, np.stack([h0, h0], axis=1),
                                          fault="output-correction")
         assert np.array_equal(y_inter, np.zeros((2, 2, 2, 4)))
 
@@ -260,21 +254,20 @@ class TestChunkedForward:
     def test_zero_state_argument_matches_omitted_state(self):
         # an explicit zero state must not change outputs or the flop count
         coeffs, x, _ = random_problem(15, 2, 16, 2, 3)
-        c_none, c_zero = FlopCounter(), FlopCounter()
-        y1, h1 = chunked_forward(coeffs, x, 4, None, counter=c_none)
-        y2, h2 = chunked_forward(coeffs, x, 4, np.zeros((2, 2, 3)), counter=c_zero)
+        p_none, p_zero = Probe(), Probe()
+        y1, h1 = chunked_forward(coeffs, x, 4, None, probe=p_none)
+        y2, h2 = chunked_forward(coeffs, x, 4, np.zeros((2, 2, 3)), probe=p_zero)
         assert np.array_equal(y1, y2)
         assert np.array_equal(h1, h2)
-        assert (c_none.intra, c_none.propagate, c_none.inter) == \
-               (c_zero.intra, c_zero.propagate, c_zero.inter)
+        assert p_none.flops == p_zero.flops
 
     def test_nonzero_state_charges_first_chunk_correction(self):
         coeffs, x, h0 = random_problem(15, 2, 16, 2, 3)
-        c_zero, c_carry = FlopCounter(), FlopCounter()
-        chunked_forward(coeffs, x, 4, None, counter=c_zero)
-        chunked_forward(coeffs, x, 4, h0, counter=c_carry)
+        p_zero, p_carry = Probe(), Probe()
+        chunked_forward(coeffs, x, 4, None, probe=p_zero)
+        chunked_forward(coeffs, x, 4, h0, probe=p_carry)
         q, n = 4, 3
-        assert c_carry.inter - c_zero.inter == 2 * 2 * (q * n + q)
+        assert p_carry.flops.inter - p_zero.flops.inter == 2 * 2 * (q * n + q)
 
     def test_dense_guard_trips_above_the_limit(self):
         coeffs, x, _ = random_problem(16, 1, 8, 1, 2)
@@ -376,8 +369,8 @@ class TestChunkMajorEvaluation:
         # padding by hand to a whole chunk gives the same bits; the flop
         # count is that of the real positions, chunk by chunk
         coeffs, x, h0 = random_problem(32, 2, 13, 2, 3)
-        counter = FlopCounter()
-        y, hT = chunked_forward(coeffs, x, 5, h0, counter=counter)
+        probe = Probe()
+        y, hT = chunked_forward(coeffs, x, 5, h0, probe=probe)
 
         def pad(arr, value):  # two positions fill the last chunk of five
             return np.concatenate([arr, np.full((2, 2) + arr.shape[2:], value)], axis=1)
@@ -388,12 +381,11 @@ class TestChunkMajorEvaluation:
         assert np.array_equal(y_pad[:, :13], y)
         assert np.array_equal(h_pad, hT)
 
-        by_chunk, h = FlopCounter(), h0
+        by_chunk, h = Probe(), h0
         for start, stop in ((0, 5), (5, 10), (10, 13)):  # each one unpadded chunk
             _, h = chunked_forward(coeffs.slice_time(start, stop), x[:, start:stop],
-                                   stop - start, h, counter=by_chunk)
-        assert (counter.intra, counter.propagate, counter.inter) == \
-               (by_chunk.intra, by_chunk.propagate, by_chunk.inter)
+                                   stop - start, h, probe=by_chunk)
+        assert probe.flops == by_chunk.flops
 
     def test_stages_run_once_per_call(self, monkeypatch):
         import ssdkit.chunked as chunked
@@ -437,6 +429,38 @@ class TestExtremeGates:
         assert rel_err(hT, h_ref) <= 1e-9
 
 
+class TestKernelProperties:
+    # logit 500 gives a = e^-500 < 1e-200; logit -28 gives a = 1 - 7e-13
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3),
+           t=st.integers(1, 160), q=st.sampled_from((1, 2, 3, 4, 8, 16, 64)),
+           p_tiny=st.sampled_from((0.0, 0.1, 0.5)), p_one=st.sampled_from((0.0, 0.3, 1.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_extreme_gates_and_carried_state(self, seed, batch, t, q, p_tiny, p_one):
+        rng = np.random.default_rng(seed)
+        h, n = 2, 3
+        kind = rng.random((batch, t, h))
+        logits = np.where(kind < p_tiny, 500.0,
+                          np.where(kind < p_tiny + p_one, -28.0,
+                                   rng.standard_normal((batch, t, h))))
+        coeffs = SsmCoefficients(np.exp(-np.logaddexp(0.0, logits)),
+                                 rng.standard_normal((batch, t, h, n)),
+                                 rng.standard_normal((batch, t, h, n)))
+        x = rng.standard_normal((batch, t, h))
+        h0 = rng.standard_normal((batch, h, n))
+        y_ref, h_ref = recurrent_scan(coeffs, x, h0)
+        for run in (lambda **kw: chunked_forward(coeffs, x, q, h0, **kw),
+                    lambda **kw: dense_dual(coeffs, x, h0, **kw)):
+            probe = Probe()
+            y, hT = run(probe=probe)
+            assert rel_err(y, y_ref) <= 1e-9
+            assert rel_err(hT, h_ref) <= 1e-9
+            probe.release(y)
+            assert probe.ledger.current_elements == 0
+            assert np.array_equal(run()[0], y)  # the shared default probe
+        assert UNTRACKED.ledger == MemoryLedger()
+        assert UNTRACKED.flops == FlopCounter()
+
+
 class TestFlopScaling:
     def test_doubling_length_doubles_total_within_two_percent(self):
         rng = np.random.default_rng(24)
@@ -444,8 +468,8 @@ class TestFlopScaling:
         for t in (64, 128, 256):
             coeffs = random_coefficients(rng, 1, t, 2, 4)
             x = rng.standard_normal((1, t, 2))
-            counter = FlopCounter()
-            chunked_forward(coeffs, x, 8, counter=counter)
-            totals.append(counter.total)
+            probe = Probe()
+            chunked_forward(coeffs, x, 8, probe=probe)
+            totals.append(probe.flops.total)
         assert abs(totals[1] / totals[0] - 2.0) <= 0.02 * 2.0
         assert abs(totals[2] / totals[1] - 2.0) <= 0.02 * 2.0

@@ -123,6 +123,24 @@ class TestSweepAndReportCommands:
         assert "error:" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_crash_mid_sidecar_write_keeps_the_old_sidecar(self, tmp_path, capsys,
+                                                            crash_atomic_writes):
+        out_path = tmp_path / "sweep.csv"
+        meta_path = tmp_path / "sweep.csv.meta.json"
+        args = ["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
+                "--grid-batch", "1", "--strategy", "recurrent", "--warmup", "0",
+                "--out", str(out_path)]
+        assert main(args + ["--reps", "1"]) == 0
+        before = meta_path.read_bytes()
+        undo = crash_atomic_writes(".meta.json")
+        rc = main(args + ["--reps", "2"])
+        undo()
+        assert rc == 2
+        assert "simulated crash" in capsys.readouterr().err
+        assert meta_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv",
+                                                               "sweep.csv.meta.json"]
+
     def test_report_out_flag_writes_a_file(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
         main(["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
@@ -185,6 +203,15 @@ class TestEmbedCommand:
         captured = capsys.readouterr()
         assert rc == 2
         assert "--vertical" in captured.err
+        assert captured.out == ""
+
+    def test_zero_chunk_size_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        rc = main(["embed", str(src), "--vertical", "--q", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "chunk size" in captured.err
         assert captured.out == ""
 
     def test_format_query_wraps_the_text(self, tmp_path, capsys):

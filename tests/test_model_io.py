@@ -25,7 +25,6 @@ from ssdkit import (
     save_state_snapshot,
     write_records,
 )
-from ssdkit import stack
 from ssdkit.model_io import spec_from_config, spec_to_config
 
 # Pinned outputs of the default configuration (seed 42, 4 layers, d=16,
@@ -210,29 +209,6 @@ class TestSpecFiles:
             load_model_spec(path)
 
 
-class _CrashingFile:
-    """A file whose second write raises, like a process dying mid-write."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.writes = 0
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError("simulated crash mid-write")
-        return self.fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return self.fh.__exit__(*exc)
-
-
 SPEC_A = ModelSpec(seed=1, L=1, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
 SPEC_B = ModelSpec(seed=2, L=1, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
 RECORD = BenchRecord("recurrent", 16, 1, 0, 0, 0, 0.001, 320, 0, 0, 0)
@@ -246,17 +222,15 @@ WRITERS = {
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("kind", sorted(WRITERS))
-    def test_crash_mid_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+    def test_crash_mid_write_keeps_the_old_file(self, tmp_path, crash_atomic_writes, kind):
         write, old, new = WRITERS[kind]
         path = tmp_path / "target"
         write(path, old)
         before = path.read_bytes()
-        real_open = open
-        monkeypatch.setattr(stack, "open",
-                            lambda *a, **k: _CrashingFile(real_open(*a, **k)), raising=False)
+        undo = crash_atomic_writes()
         with pytest.raises(OSError, match="simulated crash"):
             write(path, new)
-        monkeypatch.undo()
+        undo()
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
         write(path, new)

@@ -71,6 +71,19 @@ class TestModelSpec:
         with pytest.raises(ValidationError):
             ModelSpec(seed=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("L", 2.0), ("d", 16.5), ("H", True), ("N", "4"), ("Q", np.float64(16)),
+        ("seed", False), ("V", None),
+    ])
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ModelSpec(**{field: value})
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        spec = ModelSpec(seed=np.uint64(3), L=np.int32(2), Q=np.int64(8), V=np.int8(16))
+        assert spec == ModelSpec(seed=3, L=2, Q=8, V=16)
+        assert type(spec.L) is int and type(spec.seed) is int
+
 
 class TestLayerParams:
     def test_shape_validation(self):
@@ -300,6 +313,13 @@ class TestVerticalInfer:
         model = generate_model(self.SPEC)
         with pytest.raises(ValidationError):
             vertical_infer(model, tokens_for(self.SPEC, 64), block_len=12)
+
+    @pytest.mark.parametrize("chunk_size", [0, -4])
+    def test_rejects_non_positive_chunk_size(self, chunk_size):
+        # checked before the block length is reduced modulo the chunk size
+        model = generate_model(self.SPEC)
+        with pytest.raises(ValidationError, match="chunk size must be >= 1"):
+            infer(model, tokens_for(self.SPEC, 64), 64, chunk_size)
 
     def test_initial_states_shape_checked(self):
         model = generate_model(self.SPEC)
