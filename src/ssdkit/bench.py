@@ -49,6 +49,15 @@ STRATEGIES = ("recurrent", "dense", "chunked-horizontal", "vertical")
 CSV_HEADER = "strategy,T,batch,Q,V,rep,wall_time_s,peak_elems,flops_intra,flops_prop,flops_inter"
 
 
+def _check_grids(config, names) -> None:
+    """Each named grid (None allowed) must be a non-empty list of positive integers."""
+    for name in names:
+        grid = getattr(config, name)
+        if grid is not None and (not grid or min(grid) < 1):
+            raise ValidationError(f"{name} must be a non-empty list of positive "
+                                  f"integers, got {grid}")
+
+
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
     """max |got - ref| normalized by max |ref| (floor guards all-zero refs)."""
     denom = max(float(np.max(np.abs(ref))), 1e-30)
@@ -74,6 +83,14 @@ class EquivalenceConfig:
     model_q: int = 8
     dense_limit: int = DEFAULT_DENSE_LIMIT
     fault: str | None = None
+
+    def __post_init__(self):
+        if not 0 < self.tolerance < math.inf:  # false for NaN too
+            raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
+        _check_grids(self, ("t_grid", "q_grid", "v_grid"))
+        for name in ("batch", "heads", "state_dim", "layers", "d", "model_q", "dense_limit"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -251,11 +268,7 @@ class SweepConfig:
         if not self.strategies or not set(self.strategies) <= set(STRATEGIES):
             raise ValidationError(
                 f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
-        for name in ("t_grid", "batch_grid", "q_grid", "v_grid"):
-            grid = getattr(self, name)
-            if grid is not None and (not grid or min(grid) < 1):
-                raise ValidationError(f"{name} must be a non-empty list of positive "
-                                      f"integers, got {grid}")
+        _check_grids(self, ("t_grid", "batch_grid", "q_grid", "v_grid"))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,7 @@ __all__ = [
     "propagate_states",
     "inter_chunk_correction",
     "chunked_forward",
+    "workspace_elements",
     "dense_dual",
 ]
 
@@ -155,8 +156,7 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
 
     Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
     row-major as (Q, batch, chunks, heads, Q), and the local states
-    Z = M @ B (batch, chunks, heads, Q, state); both are charged to the probe
-    while live.  C @ B^T is never formed.
+    Z = M @ B (batch, chunks, heads, Q, state).  C @ B^T is never formed.
 
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
@@ -179,7 +179,7 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     # with the row axis first so each step of the recursion is contiguous;
     # entries above the diagonal are zero: row 0 is zeroed and every later
     # row is a multiple of the one before
-    M = probe.allocate((q, b, k, h, q))
+    M = np.empty((q, b, k, h, q))
     M[0] = 0.0
     M[0, ..., 0] = x[..., 0]
     for i in range(1, q):
@@ -191,18 +191,13 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     # the vertical schedule's tracemalloc peak grow with length (about 100
     # bytes retained per call)
     Z = mask.transpose(1, 2, 3, 0, 4) @ Bm
-    probe.track(Z)
 
     # the last row is the decay from each position to the right boundary, times x
     w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
     b_intra = (Bm.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    probe.track(b_intra)
-    probe.release(M)
     del M, mask, w
 
     y_intra = np.einsum("...n,...n->...", Cm, Z)
-    probe.track(y_intra)
-    probe.release(Z)
     probe.count(intra=b * h * _over_chunks(
         k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n))
     return y_intra, b_intra
@@ -234,7 +229,7 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
     if b0.shape != (b, h, n):
         raise DimensionError(f"b0 shape {b0.shape} does not match {(b, h, n)}")
 
-    states = probe.allocate((b, k + 1, h, n))
+    states = np.empty((b, k + 1, h, n))
     states[:, 0] = b0
     for c in range(k):
         if fault == FAULT_TRANSITION:
@@ -297,18 +292,14 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
                      instead of (y, hT); y and hT are the same bits either way.
 
     Returns:
-        (y, hT) matching recurrent_scan.  When a probe is supplied, all
-        intermediate buffers are charged and released here; the returned y
-        stays charged and must be released by the caller.
+        (y, hT) matching recurrent_scan.  The float64 elements held beyond
+        the inputs, y included, peak at workspace_elements(...) of the shape.
     """
     _check_fault(fault)
     plan, a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
     b, k, h, q = xs.shape
     n = coeffs.state_dim
     tail = plan.last_chunk_len
-    padded = (a, Bm, Cm, xs) if tail != q else ()
-    for arr in padded:
-        probe.track(arr)
 
     if h0 is None:
         b0 = np.zeros((b, h, n), dtype=np.float64)
@@ -318,33 +309,44 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
         carry_in = bool(np.any(b0 != 0.0))
 
     y_c, b_intra = intra_chunk(a, Bm, Cm, xs, tail=tail, fault=fault, probe=probe)
-    entry = probe.allocate((b, k, h, q))
+    entry = np.empty((b, k, h, q))
     np.cumprod(a, axis=-1, out=entry)
     probe.count(intra=b * h * plan.seq_len)
     states = propagate_states(b_intra, entry[..., -1], b0, fault=fault, probe=probe)
     y_intra = _time_major(plan, y_c) if keep_stages else None
-    probe.release(b_intra)
 
     # the state entering the first chunk is zero without carry-in, and so is
     # its correction: stage 3 then reads out chunks 1.. only
     first = 0 if carry_in else 1
-    y_inter = probe.allocate(y_c.shape, zero=True)
+    y_inter = np.zeros(y_c.shape)
     if first < k:
         y_inter[:, first:] = inter_chunk_correction(
             entry[:, first:], Cm[:, first:], states[:, first:k],
             tail=tail, fault=fault, probe=probe)
     y_c += y_inter
-    for arr in padded + (entry, y_inter):
-        probe.release(arr)
     hT = states[:, k].copy()
-    probe.release(states)
-
     y = _time_major(plan, y_c)
-    probe.track(y)
-    probe.release(y_c)
     if not keep_stages:
         return y, hT
     return ChunkStageOutputs(plan, y_intra, b_intra, states, _time_major(plan, y_inter), y, hT)
+
+
+def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
+    """Peak float64 elements chunked_forward holds beyond its inputs, y included.
+
+    Batch b, length t, heads h, state size n; dense_dual is chunk_size = t.
+    The peak is that of the stage with the most live buffers (the final
+    time-major y is smaller); a ragged tail adds the padded copies of a, B, C
+    and x throughout.  Temporaries inside one expression are not counted.
+    """
+    k = -(-t // chunk_size)
+    c = b * k * h * chunk_size  # a chunk-major (b, k, h, Q) buffer
+    s = b * k * h * n           # one state per chunk
+    g = b * h * n
+    pad = 2 * c * (1 + n) if t % chunk_size else 0
+    return pad + max(c * chunk_size + c * n + s,  # stage 1: M, Z, b_intra
+                     2 * c + 2 * s + g,            # y_intra, entry, b_intra, states
+                     3 * c + s + g)                # stage 3: y_intra, entry, y_inter, states
 
 
 def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,

@@ -14,7 +14,7 @@ materialized kernel matrix; the block-decomposed evaluations live in
 
 Array conventions (all float64):
     x, y : (batch, length, heads)
-    a    : (batch, length, heads)          transition scalars, 0 < a
+    a    : (batch, length, heads)          transition scalars, 0 < a <= 1
     B, C : (batch, length, heads, state)
     h    : (batch, heads, state)
 """
@@ -45,7 +45,7 @@ class SsmCoefficients:
     """Per-position coefficient tensors for one sequence layer.
 
     Attributes:
-        a:    (batch, length, heads) positive transition scalars.
+        a:    (batch, length, heads) transition scalars in (0, 1].
         Bmat: (batch, length, heads, state) input maps.
         Cmat: (batch, length, heads, state) readout maps.
     """
@@ -69,8 +69,8 @@ class SsmCoefficients:
                 )
             if a.shape[1] < 1:
                 raise ValidationError("sequence length must be at least 1")
-            if not np.all(a > 0.0):
-                raise ValidationError("transition scalars must be positive")
+            if not np.all((a > 0.0) & (a <= 1.0)):
+                raise ValidationError("transition scalars must lie in (0, 1]")
         self.a = a
         self.Bmat = Bmat
         self.Cmat = Cmat

@@ -1,28 +1,25 @@
 """Activation-memory and arithmetic instrumentation.
 
-A Probe carries both instruments through the kernels and layers.  The
-memory ledger models the live activation footprint of an inference
-schedule: code allocates its working buffers through the probe, and the
-ledger records current and peak element counts.  The accounting boundary
-is deliberate: model parameters, token ids, and buffers handed back to the
-caller are not charged, and neither are transient elementwise temporaries
-inside vectorized expressions.  What is charged is every buffer the
-algorithm itself must keep alive: layer inputs/outputs, coefficient tensors,
-chunk workspaces, boundary-state chains, and carried per-layer states.
+The memory ledger states the activation footprint of an inference call in
+closed form, from the block shapes alone.  Each module describes only its
+own buffers: ``chunked.workspace_elements`` is the peak a kernel call holds
+beyond its inputs, its output included, and ``stack`` adds the layer's
+buffers around it (input u, normalized un, coefficients a, B, C and x,
+output v) and the carried (L, batch, H, N) states.  Model parameters, token
+ids, buffers handed back to the caller, and elementwise temporaries inside
+one expression are not counted.  Only ``infer`` writes a ledger.
 
 The flop counter tallies multiply-accumulate counts per stage of the
 block-decomposed kernel (intra-chunk, state propagation, cross-chunk
-correction).  Counts are derived from closed-form per-chunk formulas, so they
-are exact, deterministic, and platform independent.
+correction).  They depend on the data (a zero carried-in state skips the
+first chunk's correction), so each stage counts its own from closed-form
+per-chunk formulas where the work happens: exact, deterministic, and
+platform independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import SsdError
 
 __all__ = ["FlopCounter", "MemoryLedger", "Probe", "UNTRACKED"]
 
@@ -42,49 +39,29 @@ class FlopCounter:
 
 @dataclass
 class MemoryLedger:
-    """Live / peak counts of activation scalars charged through a probe."""
+    """Activation float64 element counts of one inference call.
+
+    current_elements is what is still held when the call returns (0: every
+    buffer is released or handed back), peak_elements the largest footprint
+    while it runs, per_layer_state_elements the carried state buffer.
+    """
 
     current_elements: int = 0
     peak_elements: int = 0
     per_layer_state_elements: int = 0
 
-    def charge(self, n: int) -> None:
-        self.current_elements += int(n)
-        if self.current_elements > self.peak_elements:
-            self.peak_elements = self.current_elements
-
-    def discharge(self, n: int) -> None:
-        self.current_elements -= int(n)
-        if self.current_elements < 0:
-            raise SsdError("ledger discharge below zero: release without matching allocate")
-
 
 class Probe:
-    """The memory ledger and flop counter of one instrumented call.
+    """The flop counter of one instrumented call.
 
-    ``allocate`` hands out fresh float64 buffers; ``track``/``release`` charge
-    and discharge arrays that were created elsewhere; ``count`` adds stage
-    flops.  A probe built with tracking=False writes nothing: UNTRACKED is
-    the shared default, so library entry points work without instrumentation.
+    ``count`` adds stage flops.  A probe built with tracking=False writes
+    nothing: UNTRACKED is the shared default, so library entry points work
+    without instrumentation.
     """
 
     def __init__(self, *, tracking: bool = True):
-        self.ledger = MemoryLedger()
         self.flops = FlopCounter()
         self.tracking = tracking
-
-    def allocate(self, shape, *, zero: bool = False) -> np.ndarray:
-        arr = np.zeros(shape, dtype=np.float64) if zero else np.empty(shape, dtype=np.float64)
-        self.track(arr)
-        return arr
-
-    def track(self, arr: np.ndarray) -> None:
-        if self.tracking:
-            self.ledger.charge(arr.size)
-
-    def release(self, arr: np.ndarray) -> None:
-        if self.tracking:
-            self.ledger.discharge(arr.size)
 
     def count(self, *, intra: int = 0, propagate: int = 0, inter: int = 0) -> None:
         if self.tracking:

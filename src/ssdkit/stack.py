@@ -17,8 +17,9 @@ layer across blocks.  The two schedules are two block lengths:
                length; a sequence within one block is the horizontal case.
 
 Both return an InferenceResult with the final block's hidden states, the
-memory ledger, the flop counter, and the final per-layer states (resumable
-via the snapshot helpers at the bottom of this module).
+memory ledger (closed form of the block shapes, see ``_block_elements``),
+the flop counter, and the final per-layer states (resumable via the
+snapshot helpers at the bottom of this module).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual
+from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, workspace_elements
 from .core import SsmCoefficients, _as_f64, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
 from .instrumentation import UNTRACKED, FlopCounter, MemoryLedger, Probe
@@ -206,7 +207,7 @@ def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
     return u / rms * params.gamma
 
 
-def generate_coefficients(params: LayerParams, u, *, probe: Probe = UNTRACKED):
+def generate_coefficients(params: LayerParams, u):
     """Project a layer input (batch, length, d) to per-position coefficients.
 
     The input is RMS-normalized per position before projection.  Transition
@@ -214,19 +215,15 @@ def generate_coefficients(params: LayerParams, u, *, probe: Probe = UNTRACKED):
     with zero bias therefore yields a = 0.5.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
-    channel, all four tensors charged to the probe (caller releases).
+    channel.
     """
     u = _check_channels(params, u)
     un = _normalize(params, u)
-    probe.track(un)
     # in (0, 1) for any finite logit
     a = np.exp(-np.logaddexp(0.0, np.einsum("hd,btd->bth", params.w_a, un) + params.b_a))
     Bmat = np.einsum("hnd,btd->bthn", params.W_B, un)
     Cmat = np.einsum("hnd,btd->bthn", params.W_C, un)
     x = np.einsum("hd,btd->bth", params.W_x, un)
-    for arr in (a, Bmat, Cmat, x):
-        probe.track(arr)
-    probe.release(un)
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
@@ -244,12 +241,12 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     same map, differing in cost profile.
 
     Returns:
-        (v, new_state): output channels charged to the probe (caller
-        releases) and the kernel state at the end of the span.
+        (v, new_state): output channels and the kernel state at the end of
+        the span.
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    coeffs, x = generate_coefficients(params, u, probe=probe)  # validates u
+    coeffs, x = generate_coefficients(params, u)  # validates u
     u = np.asarray(u, dtype=np.float64)
 
     if kernel == "chunked":
@@ -258,15 +255,28 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault, probe=probe)
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
-        probe.track(y)
     else:
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit, probe=probe)
 
-    v = probe.allocate(u.shape)
-    np.add(u, np.einsum("bth,hd->btd", y, params.W_out), out=v)
-    for arr in (y, x, coeffs.Cmat, coeffs.Bmat, coeffs.a):
-        probe.release(arr)
+    v = np.einsum("bth,hd->btd", y, params.W_out)
+    v += u
     return v, hT
+
+
+def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) -> int:
+    """Peak float64 elements one block of t positions holds in a layer call.
+
+    The buffers live in order: the input u throughout; the normalized un
+    until a, B, C and x exist; then the kernel's workspace, which for the
+    recurrent kernel is its output y alone; y stays with a, B, C and x until
+    the output v is formed.
+    """
+    P = batch * t * spec.d  # u, un, v
+    E = batch * t * spec.H  # a, x, y
+    F = E * spec.N          # B, C
+    W = E if kernel == "recurrent" else workspace_elements(
+        batch, t, spec.H, spec.N, t if kernel == "dense" else q)
+    return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, 3 * E + 2 * F + P)
 
 
 def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
@@ -303,9 +313,10 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
                         block's final-layer output; storage at the sink is the
                         caller's, not counted by the ledger.
 
-    The ledger charges the carried (L, batch, H, N) state buffer, the block's
-    input and output channels while a layer runs, and that layer's working
-    set.  The result's hidden field covers the final block only.
+    The ledger's peak is the carried (L, batch, H, N) state buffer plus the
+    largest layer footprint of a block (``_block_elements``), over the full
+    block length and the ragged last one.  The result's hidden field covers
+    the final block only.
     """
     spec = model.spec
     q = chunk_size if chunk_size is not None else spec.Q
@@ -322,8 +333,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     step = block_len if block_len is not None else t
     probe = Probe()
 
-    states = probe.allocate((spec.L, batch, spec.H, spec.N), zero=True)
-    probe.ledger.per_layer_state_elements = states.size
+    states = np.zeros((spec.L, batch, spec.H, spec.N))
     if initial_states is not None:
         initial_states = _as_f64(initial_states, "initial_states")
         if initial_states.shape != states.shape:
@@ -336,23 +346,20 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         # the states entering the first block are zero unless carried in;
         # passing None for them skips the kernels' state checks
         fresh = start == 0 and initial_states is None
-        block = tok[:, start:start + step]
-        u = probe.allocate(block.shape + (spec.d,))
-        u[:] = model.embedding[block]
+        u = model.embedding[tok[:, start:start + step]]
+        # u is the only name on a block's activations, so each layer's input
+        # and the last block's output are freed as soon as they are replaced
         for li, layer in enumerate(model.layers):
-            v, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
+            u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
                                           kernel=kernel, dense_limit=limit, fault=fault,
                                           probe=probe)
-            probe.release(u)
-            u = v
-        # u is the only name left on this block's output, so it is freed as
-        # soon as the next block's input takes its place
-        del v
         if sink is not None:
             sink(start, u.copy())
-        probe.release(u)
-    probe.release(states)
-    return InferenceResult(u, probe.ledger, probe.flops, states)
+    peak = max(_block_elements(spec, batch, n, q, kernel)
+               for n in {min(step, t), (t - 1) % step + 1})
+    ledger = MemoryLedger(peak_elements=states.size + peak,
+                          per_layer_state_elements=states.size)
+    return InferenceResult(u, ledger, probe.flops, states)
 
 
 def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,

@@ -114,6 +114,17 @@ class TestEquivalenceSuite:
         assert ("T=33", "dense-vs-recurrent") not in names
         assert report.passed
 
+    @pytest.mark.parametrize("field,value", [
+        ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
+        ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
+        ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("batch", 0),
+        ("heads", 0), ("state_dim", 0), ("layers", 0), ("d", 0), ("model_q", 0),
+        ("dense_limit", 0),
+    ])
+    def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
+        with pytest.raises(ValidationError):
+            EquivalenceConfig(**{field: value})
+
 
 class TestSweep:
     def test_every_strategy_is_timed(self, records):

@@ -68,6 +68,15 @@ class TestEquivalenceCommand:
         assert rc == 2
         assert "SSD_CHUNK_DENSE_LIMIT" in err
 
+    @pytest.mark.parametrize("flags", [["--tolerance", "nan"], ["--tolerance", "-1"],
+                                       ["--grid-t", ""]])
+    def test_invalid_settings_are_usage_errors(self, capsys, flags):
+        rc = main(EQ_ARGS + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "[PASS]" not in captured.out
+        assert "error:" in captured.err
+
 
 class TestSweepAndReportCommands:
     def test_sweep_writes_csv_and_sidecar(self, tmp_path, capsys):

@@ -293,6 +293,14 @@ class TestSsmCoefficients:
         with pytest.raises(DimensionError):
             SsmCoefficients(a[0], ok, ok)
 
+    def test_rejects_gates_above_one(self):
+        ok = np.zeros((1, 4, 2, 3))
+        SsmCoefficients(np.ones((1, 4, 2)), ok, ok)  # a = 1 (no decay) is allowed
+        a = np.full((1, 4, 2), 0.5)
+        a[0, 2, 1] = 1.5
+        with pytest.raises(ValidationError):
+            SsmCoefficients(a, ok, ok)
+
     def test_rejects_non_finite_coefficients(self):
         a = np.full((1, 4, 2), 0.5)
         bad = np.zeros((1, 4, 2, 3))

@@ -380,6 +380,34 @@ def traced_peak_bytes(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+class TestLedgerPeaks:
+    # Literal peaks of the per-buffer ledger (every buffer charged when made
+    # and discharged when dropped) that the closed form replaced; the closed
+    # form must keep reproducing them.  The two ragged vertical cases have a
+    # last block longer than V - Q whose padded tail outweighs a full block.
+    SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+
+    @pytest.mark.parametrize("kernel,batch,t,q,v,carried,peak", [
+        ("chunked", 1, 50, 16, None, False, 4692),
+        ("recurrent", 3, 40, 3, None, True, 4116),
+        ("dense", 1, 37, 1, None, False, 3866),
+        ("chunked", 3, 96, 3, 24, False, 2772),
+        ("chunked", 1, 64, 16, 32, True, 2008),
+        ("chunked", 1, 136, 16, 48, True, 3582),
+        ("chunked", 3, 47, 3, 12, True, 1908),
+        ("chunked", 3, 60, 1, 16, False, 1974),
+    ])
+    def test_peak_is_pinned(self, kernel, batch, t, q, v, carried, peak):
+        spec = self.SPEC
+        rng = np.random.default_rng(t)
+        tok = rng.integers(0, spec.vocab_size - 1, size=(batch, t))
+        states = rng.standard_normal((spec.L, batch, spec.H, spec.N)) if carried else None
+        result = infer(generate_model(spec), tok, v, q, kernel=kernel, initial_states=states)
+        assert result.ledger.peak_elements == peak
+        assert result.ledger.per_layer_state_elements == spec.L * batch * spec.H * spec.N
+        assert result.ledger.current_elements == 0
+
+
 class TestLedgerAgainstTracedMemory:
     # The ledger charges every buffer the schedules keep alive and skips
     # transient temporaries, so it should sit just under the measured peak.
