@@ -41,12 +41,10 @@ class FlopCounter:
 class MemoryLedger:
     """Activation float64 element counts of one inference call.
 
-    current_elements is what is still held when the call returns (0: every
-    buffer is released or handed back), peak_elements the largest footprint
-    while it runs, per_layer_state_elements the carried state buffer.
+    peak_elements is the largest footprint while it runs,
+    per_layer_state_elements the carried state buffer.
     """
 
-    current_elements: int = 0
     peak_elements: int = 0
     per_layer_state_elements: int = 0
 

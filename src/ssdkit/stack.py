@@ -124,6 +124,10 @@ class LayerParams:
     W_B/W_C to the state input/readout maps; W_x to the scalar input channel
     per head; W_out maps head outputs back to the residual channels; gamma is
     the normalization scale.
+
+    W_in, (H(2N+1), d), stacks the rows of W_B, W_C and W_x so that one
+    product per chunk gives B, C and x (see ``generate_coefficients``).  It is
+    built from the stored tensors on construction and never serialized.
     """
 
     w_a: np.ndarray    # (H, d)
@@ -133,6 +137,7 @@ class LayerParams:
     W_x: np.ndarray    # (H, d)
     W_out: np.ndarray  # (H, d)
     gamma: np.ndarray  # (d,)
+    W_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h, d = np.shape(self.w_a)
@@ -141,6 +146,11 @@ class LayerParams:
             if arr.shape != shape:
                 raise DimensionError(f"LayerParams.{name} shape {arr.shape}, expected {shape}")
             setattr(self, name, arr)
+        # column-major, so the products' operands w_a.T and W_in.T are
+        # row-major (twice as fast per chunk as the transposed views)
+        self.w_a = np.asfortranarray(self.w_a)
+        self.W_in = np.asfortranarray(
+            np.concatenate([self.W_B.reshape(-1, d), self.W_C.reshape(-1, d), self.W_x]))
 
     @property
     def heads(self) -> int:
@@ -203,27 +213,61 @@ def _check_channels(params: LayerParams, u) -> np.ndarray:
 
 
 def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
-    rms = np.sqrt(np.mean(u * u, axis=-1, keepdims=True) + RMS_EPS)
-    return u / rms * params.gamma
+    rms = np.sqrt(np.einsum("btd,btd->bt", u, u) / params.d + RMS_EPS)
+    un = u / rms[..., None]
+    un *= params.gamma
+    return un
 
 
-def generate_coefficients(params: LayerParams, u):
+def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None):
     """Project a layer input (batch, length, d) to per-position coefficients.
 
     The input is RMS-normalized per position before projection.  Transition
-    scalars are squashed to (0, 1) through exp(-softplus(logit)); a zero input
-    with zero bias therefore yields a = 0.5.
+    scalars are squashed to (0, 1) as 1 / (1 + exp(logit)), which is
+    exp(-softplus(logit)); a zero input with zero bias therefore yields
+    a = 0.5, and logits beyond the float range saturate to exactly 0 or 1.
+
+    The projections are one BLAS product per chunk of ``chunk_size``
+    positions (one chunk spanning the call when None): a batched matmul over
+    the full chunks with w_a for the gate logits and one with the stacked
+    W_in for B, C and x, and one more pair for a ragged tail.  A single
+    product over all rows is not used because it is not row-slice
+    invariant: the bits of a row can depend on how many rows share the call.
+    Fixing every product's shape to its chunk gives a position the same bits
+    in any call whose chunks start where its own do, so chunk-aligned
+    vertical blocks and split calls reproduce one whole-sequence call
+    exactly.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
-    channel.
+    channel; B, C and x are views of one (batch, length, H(2N+1)) buffer.
     """
     u = _check_channels(params, u)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
     un = _normalize(params, u)
-    # in (0, 1) for any finite logit
-    a = np.exp(-np.logaddexp(0.0, np.einsum("hd,btd->bth", params.w_a, un) + params.b_a))
-    Bmat = np.einsum("hnd,btd->bthn", params.W_B, un)
-    Cmat = np.einsum("hnd,btd->bthn", params.W_C, un)
-    x = np.einsum("hd,btd->bth", params.W_x, un)
+    b, t, d = un.shape
+    h, n = params.heads, params.state_dim
+    k = params.W_in.shape[0]
+    q = t if chunk_size is None else min(chunk_size, t)
+    full = t - t % q
+    a = np.empty((b, t, h))
+    proj = np.empty((b, t, k))
+    # the full chunks, then the ragged tail as one chunk of its own length
+    for lo, hi, rows in ((0, full, q), (full, t, t - full)):
+        if hi > lo:
+            span = un[:, lo:hi].reshape(b, -1, rows, d)
+            np.matmul(span, params.w_a.T, out=a[:, lo:hi].reshape(b, -1, rows, h))
+            np.matmul(span, params.W_in.T, out=proj[:, lo:hi].reshape(b, -1, rows, k))
+    # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0
+    a += params.b_a
+    with np.errstate(over="ignore"):
+        np.exp(a, out=a)
+    a += 1.0
+    np.reciprocal(a, out=a)
+    hn = h * n
+    Bmat = proj[..., :hn].reshape(b, t, h, n)
+    Cmat = proj[..., hn:2 * hn].reshape(b, t, h, n)
+    x = proj[..., 2 * hn:]
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
@@ -236,7 +280,8 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         params:     layer parameters.
         u:          (batch, length, d) input channels.
         state:      optional (batch, H, N) kernel state entering the layer.
-        chunk_size: chunk length for the chunked kernel.
+        chunk_size: chunk length for the chunked kernel and for the input
+                    projections of every kernel (see generate_coefficients).
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
 
@@ -246,7 +291,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    coeffs, x = generate_coefficients(params, u)  # validates u
+    coeffs, x = generate_coefficients(params, u, chunk_size)  # validates u
     u = np.asarray(u, dtype=np.float64)
 
     if kernel == "chunked":

@@ -458,6 +458,37 @@ class TestKernelProperties:
         assert UNTRACKED.flops == FlopCounter()
 
 
+class TestNearOneGatesAtLength:
+    # gates within 1e-12 of one decay by at most ~1e-8 over 10k positions,
+    # so the carried state sums almost the whole history.  The dense kernel
+    # cannot span 10k positions (a 10k x 10k block per slice, above the
+    # dense limit); it runs the last W positions from the scan's state there
+    W = 512
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2),
+           t=st.integers(10_000, 12_000), q=st.sampled_from((16, 64, 256)),
+           p_one=st.sampled_from((0.5, 1.0)))
+    @settings(max_examples=4, deadline=None)
+    def test_chunked_and_dense_match_the_scan(self, seed, batch, t, q, p_one):
+        rng = np.random.default_rng(seed)
+        h, n, w = 2, 3, self.W
+        near_one = 1.0 - rng.uniform(0.0, 1e-12, (batch, t, h))
+        ordinary = np.exp(-np.logaddexp(0.0, rng.standard_normal((batch, t, h))))
+        coeffs = SsmCoefficients(np.where(rng.random((batch, t, h)) < p_one, near_one, ordinary),
+                                 rng.standard_normal((batch, t, h, n)),
+                                 rng.standard_normal((batch, t, h, n)))
+        x = rng.standard_normal((batch, t, h))
+        h0 = rng.standard_normal((batch, h, n))
+        y_head, h_mid = recurrent_scan(coeffs.slice_time(0, t - w), x[:, :t - w], h0)
+        y_tail, h_ref = recurrent_scan(coeffs.slice_time(t - w, t), x[:, t - w:], h_mid)
+        y, hT = chunked_forward(coeffs, x, q, h0)
+        assert rel_err(y, np.concatenate([y_head, y_tail], axis=1)) <= 1e-9
+        assert rel_err(hT, h_ref) <= 1e-9
+        y_d, h_d = dense_dual(coeffs.slice_time(t - w, t), x[:, t - w:], h_mid)
+        assert rel_err(y_d, y_tail) <= 1e-9
+        assert rel_err(h_d, h_ref) <= 1e-9
+
+
 class TestFlopScaling:
     def test_doubling_length_doubles_total_within_two_percent(self):
         rng = np.random.default_rng(24)
