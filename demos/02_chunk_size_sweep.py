@@ -7,12 +7,12 @@ against sequential steps.  The output must be the same for every Q.
 
 The script sweeps Q over a length-200 instance (most sizes leave a ragged
 final chunk), printing the error against the sequential scan and the exact
-operation counts per stage.
+operation counts per stage (``stage_flops``, a closed form of the shape).
 """
 
 import numpy as np
 
-from ssdkit import Probe, chunked_forward, random_coefficients, recurrent_scan
+from ssdkit import chunked_forward, random_coefficients, recurrent_scan, stage_flops
 
 
 def main():
@@ -28,9 +28,8 @@ def main():
     print(f"{'Q':>5} {'chunks':>7} {'rel err':>10} {'intra':>10} {'carry':>8} "
           f"{'correct':>9} {'total':>10}")
     for q in (1, 2, 4, 8, 16, 32, 64, 200):
-        probe = Probe()
-        y, hT = chunked_forward(coeffs, x, q, h0, probe=probe)
-        flops = probe.flops
+        y, hT = chunked_forward(coeffs, x, q, h0)
+        flops = stage_flops(batch, t, heads, state, q, carry_in=True)
         err = max(
             np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref)),
             np.max(np.abs(hT - h_ref)) / np.max(np.abs(h_ref)),

@@ -16,8 +16,8 @@ from .core import (SsmCoefficients, build_kernel_matrix, cumulative_transition,
                    random_coefficients, recurrent_scan)
 from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, ChunkPlan, ChunkStageOutputs,
                       chunk_major, chunked_forward, dense_dual, inter_chunk_correction,
-                      intra_chunk, propagate_states, workspace_elements)
-from .instrumentation import FlopCounter, MemoryLedger, Probe
+                      intra_chunk, propagate_states, stage_flops, workspace_elements)
+from .instrumentation import FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer, infer,
                     import_state_snapshot, layer_forward, layer_shapes, load_state_snapshot,
@@ -39,8 +39,8 @@ __all__ = [
     "build_kernel_matrix", "recurrent_scan",
     "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "ChunkPlan", "ChunkStageOutputs",
     "chunk_major", "intra_chunk", "propagate_states", "inter_chunk_correction",
-    "chunked_forward", "dense_dual", "workspace_elements",
-    "FlopCounter", "MemoryLedger", "Probe",
+    "chunked_forward", "dense_dual", "workspace_elements", "stage_flops",
+    "FlopCounter", "MemoryLedger",
     "ModelSpec", "LayerParams", "StackedModel", "InferenceResult",
     "layer_shapes", "generate_coefficients", "layer_forward", "infer",
     "horizontal_infer", "vertical_infer",

@@ -269,6 +269,8 @@ class SweepConfig:
             raise ValidationError(
                 f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
         _check_grids(self, ("t_grid", "batch_grid", "q_grid", "v_grid"))
+        if self.dense_limit is not None and self.dense_limit < 1:
+            raise ValidationError(f"dense_limit must be >= 1, got {self.dense_limit}")
 
 
 @dataclass(frozen=True)
@@ -374,9 +376,13 @@ def read_records(path) -> list[BenchRecord]:
     for row in rows[1:]:
         if len(row) != 11:
             raise ValidationError(f"malformed CSV row: {row}")
-        records.append(BenchRecord(
-            row[0], int(row[1]), int(row[2]), int(row[3]), int(row[4]), int(row[5]),
-            float(row[6]), int(row[7]), int(row[8]), int(row[9]), int(row[10])))
+        try:
+            rec = BenchRecord(row[0], *map(int, row[1:6]), float(row[6]), *map(int, row[7:]))
+        except ValueError as exc:
+            raise ValidationError(f"malformed CSV row {row}: {exc}") from exc
+        if not 0.0 <= rec.wall_time_s < math.inf:  # false for NaN too
+            raise ValidationError(f"wall_time_s must be finite and >= 0 in CSV row {row}")
+        records.append(rec)
     return records
 
 

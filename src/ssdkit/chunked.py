@@ -26,10 +26,14 @@ state): linear in sequence length for a whole-sequence call, and flat in it
 for the vertical schedule, whose blocks hold at most block_len / chunk_size
 chunks.
 
+Stage 3 reads out the first chunk only when a state is passed in, zero or
+not, so a call's flops are a closed form of its shape and that one bit
+(``stage_flops``), as its workspace is (``workspace_elements``).
+
 A ragged tail (length not a multiple of chunk_size) is padded to a full
 chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
-multiply decay products by exactly one, so outputs, the final state and the
-flop counts are those of the unpadded sequence.
+multiply decay products by exactly one, so outputs and the final state are
+those of the unpadded sequence.
 
 ``dense_dual`` is the single-block special case (chunk_size = sequence
 length): the same code path, so the two agree bitwise, with a capacity guard
@@ -49,7 +53,7 @@ import numpy as np
 
 from .core import SsmCoefficients, _check_inputs, _check_state
 from .errors import CapacityError, DimensionError, ValidationError
-from .instrumentation import UNTRACKED, Probe
+from .instrumentation import FlopCounter
 
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
@@ -62,6 +66,7 @@ __all__ = [
     "inter_chunk_correction",
     "chunked_forward",
     "workspace_elements",
+    "stage_flops",
     "dense_dual",
 ]
 
@@ -110,11 +115,6 @@ class ChunkPlan:
         return start, start + self.chunk_len(c)
 
 
-def _over_chunks(k: int, q: int, tail: int | None, per_chunk) -> int:
-    """Closed-form total of per_chunk(len) over k - 1 full chunks and the tail."""
-    return (k - 1) * per_chunk(q) + per_chunk(q if tail is None else tail)
-
-
 def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     """Lay coefficients and inputs out chunk-major for the stage functions.
 
@@ -150,8 +150,7 @@ def _time_major(plan: ChunkPlan, arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out[:, :plan.seq_len])
 
 
-def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
-                probe: Probe = UNTRACKED):
+def intra_chunk(a, Bm, Cm, x, *, fault=None):
     """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
 
     Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
@@ -161,8 +160,6 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
         Bm, Cm: (batch, chunks, heads, Q, state) chunk-major input/readout maps.
-        tail:   real length of the last chunk when it is padded (default Q);
-                only the flop count depends on it.
 
     Returns:
         y_intra: (batch, chunks, heads, Q) output from each chunk's own inputs
@@ -173,7 +170,6 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     """
     _check_fault(fault)
     b, k, h, q = x.shape
-    n = Bm.shape[-1]
 
     # M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
     # with the row axis first so each step of the recursion is contiguous;
@@ -198,13 +194,11 @@ def intra_chunk(a, Bm, Cm, x, *, tail: int | None = None, fault=None,
     del M, mask, w
 
     y_intra = np.einsum("...n,...n->...", Cm, Z)
-    probe.count(intra=b * h * _over_chunks(
-        k, q, tail, lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n))
     return y_intra, b_intra
 
 
 def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarray,
-                     *, fault=None, probe: Probe = UNTRACKED) -> np.ndarray:
+                     *, fault=None) -> np.ndarray:
     """Stage 2: carry boundary states across chunks, one multiply-add each.
 
     Args:
@@ -236,12 +230,10 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
             states[:, c + 1] = states[:, c] + b_intra[:, c]
         else:
             states[:, c + 1] = transitions[:, c, :, None] * states[:, c] + b_intra[:, c]
-    probe.count(propagate=b * h * n * k)
     return states
 
 
-def inter_chunk_correction(entry, Cm, b_prev, *, tail: int | None = None,
-                           fault=None, probe: Probe = UNTRACKED) -> np.ndarray:
+def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
     """Stage 3 for every chunk: read out the state carried in from earlier chunks.
 
     Args:
@@ -250,7 +242,6 @@ def inter_chunk_correction(entry, Cm, b_prev, *, tail: int | None = None,
                 previous chunk's last position through each local position.
         Cm:     (batch, chunks, heads, Q, state) chunk-major readout maps.
         b_prev: (batch, chunks, heads, state) state entering each chunk.
-        tail:   real length of the last chunk when it is padded (default Q).
     """
     _check_fault(fault)
     b, k, h, q = entry.shape
@@ -260,9 +251,7 @@ def inter_chunk_correction(entry, Cm, b_prev, *, tail: int | None = None,
         raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, k, h, n)}")
     if fault == FAULT_CORRECTION:
         return np.zeros((b, k, h, q), dtype=np.float64)
-    y_inter = entry * (Cm @ b_prev[..., None])[..., 0]
-    probe.count(inter=b * h * _over_chunks(k, q, tail, lambda m: m * n + m))
-    return y_inter
+    return entry * (Cm @ b_prev[..., None])[..., 0]
 
 
 @dataclass
@@ -279,14 +268,15 @@ class ChunkStageOutputs:
 
 
 def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
-                    keep_stages: bool = False, fault=None, probe: Probe = UNTRACKED):
+                    keep_stages: bool = False, fault=None):
     """Full block-decomposed forward pass.
 
     Args:
         coeffs:      per-position coefficients.
         x:           (batch, length, heads) input channels.
         chunk_size:  chunk length; a ragged final chunk is padded (see module).
-        h0:          optional (batch, heads, state) initial state.
+        h0:          optional (batch, heads, state) initial state; when given,
+                     stage 3 reads it out through the first chunk.
         keep_stages: return every intermediate stage product as a
                      ChunkStageOutputs (for tests and equivalence harnesses)
                      instead of (y, hT); y and hT are the same bits either way.
@@ -299,30 +289,21 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
     plan, a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
     b, k, h, q = xs.shape
     n = coeffs.state_dim
-    tail = plan.last_chunk_len
+    b0 = np.zeros((b, h, n)) if h0 is None else _check_state(h0, b, h, n)
 
-    if h0 is None:
-        b0 = np.zeros((b, h, n), dtype=np.float64)
-        carry_in = False
-    else:
-        b0 = _check_state(h0, b, h, n)
-        carry_in = bool(np.any(b0 != 0.0))
-
-    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, tail=tail, fault=fault, probe=probe)
+    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
     entry = np.empty((b, k, h, q))
     np.cumprod(a, axis=-1, out=entry)
-    probe.count(intra=b * h * plan.seq_len)
-    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault, probe=probe)
+    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
     y_intra = _time_major(plan, y_c) if keep_stages else None
 
-    # the state entering the first chunk is zero without carry-in, and so is
-    # its correction: stage 3 then reads out chunks 1.. only
-    first = 0 if carry_in else 1
+    # without a state passed in, the state entering the first chunk is zero,
+    # and so is its correction: stage 3 then reads out chunks 1.. only
+    first = 0 if h0 is not None else 1
     y_inter = np.zeros(y_c.shape)
     if first < k:
         y_inter[:, first:] = inter_chunk_correction(
-            entry[:, first:], Cm[:, first:], states[:, first:k],
-            tail=tail, fault=fault, probe=probe)
+            entry[:, first:], Cm[:, first:], states[:, first:k], fault=fault)
     y_c += y_inter
     hT = states[:, k].copy()
     y = _time_major(plan, y_c)
@@ -349,8 +330,31 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
                      3 * c + s + g)                # stage 3: y_intra, entry, y_inter, states
 
 
+def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
+                carry_in: bool) -> FlopCounter:
+    """Per-stage flops of one chunked_forward call; dense_dual is chunk_size = t.
+
+    Per batch-head slice and chunk of real length m (a padded tail counts its
+    real positions only): intra m(m-1)/2 + m^2 n + 2mn (mask, M @ B, C . Z and
+    the boundary row) plus one per position for the running product of the
+    transitions; propagate n; inter mn + m, for every chunk but the first
+    unless carry_in (a state h0 is passed).  These are the counts of the
+    unfaulted kernel: a fault mode changes what a stage computes, not this.
+    """
+    plan = ChunkPlan.for_sequence(t, chunk_size)
+    k, tail = plan.num_chunks, plan.last_chunk_len
+
+    def over_chunks(per_chunk):  # k - 1 full chunks and the tail
+        return b * h * ((k - 1) * per_chunk(chunk_size) + per_chunk(tail))
+
+    skipped = 0 if carry_in else min(chunk_size, t)  # chunk 0 without a correction
+    inter = over_chunks(lambda m: m * n + m) - b * h * (skipped * n + skipped)
+    intra = over_chunks(lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n) + b * h * t
+    return FlopCounter(intra, b * h * n * k, inter)
+
+
 def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
-               dense_limit: int = DEFAULT_DENSE_LIMIT, probe: Probe = UNTRACKED):
+               dense_limit: int = DEFAULT_DENSE_LIMIT):
     """Single-operator evaluation: one kernel block spanning the sequence.
 
     Materializes a (length, length) block per batch/head slice, so it is
@@ -360,4 +364,4 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
     if coeffs.length > dense_limit:
         raise CapacityError(
             f"sequence length {coeffs.length} exceeds dense limit {dense_limit}")
-    return chunked_forward(coeffs, x, coeffs.length, h0, probe=probe)
+    return chunked_forward(coeffs, x, coeffs.length, h0)

@@ -161,6 +161,8 @@ def _cmd_embed(args) -> int:
     if not args.vertical and (args.v is not None or args.memory_cap):
         raise ValidationError("--v and --memory-cap apply to the vertical schedule; "
                               "add --vertical")
+    if args.v is not None and args.memory_cap:
+        raise ValidationError("--memory-cap and --v both set the block length; give one")
     model = _load_model_arg(args)
     if args.input == "-":
         text = sys.stdin.read()

@@ -11,17 +11,17 @@ one expression are not counted.  Only ``infer`` writes a ledger.
 
 The flop counter tallies multiply-accumulate counts per stage of the
 block-decomposed kernel (intra-chunk, state propagation, cross-chunk
-correction).  They depend on the data (a zero carried-in state skips the
-first chunk's correction), so each stage counts its own from closed-form
-per-chunk formulas where the work happens: exact, deterministic, and
-platform independent.
+correction), also in closed form: ``chunked.stage_flops`` of each kernel
+call's shape and of whether a state was passed in (stage 3 then reads out
+the first chunk, even a zero state).  Only ``infer`` counts; the kernels
+do not, so counting costs them nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FlopCounter", "MemoryLedger", "Probe", "UNTRACKED"]
+__all__ = ["FlopCounter", "MemoryLedger"]
 
 
 @dataclass
@@ -48,24 +48,3 @@ class MemoryLedger:
     peak_elements: int = 0
     per_layer_state_elements: int = 0
 
-
-class Probe:
-    """The flop counter of one instrumented call.
-
-    ``count`` adds stage flops.  A probe built with tracking=False writes
-    nothing: UNTRACKED is the shared default, so library entry points work
-    without instrumentation.
-    """
-
-    def __init__(self, *, tracking: bool = True):
-        self.flops = FlopCounter()
-        self.tracking = tracking
-
-    def count(self, *, intra: int = 0, propagate: int = 0, inter: int = 0) -> None:
-        if self.tracking:
-            self.flops.intra += intra
-            self.flops.propagate += propagate
-            self.flops.inter += inter
-
-
-UNTRACKED = Probe(tracking=False)

@@ -17,9 +17,9 @@ layer across blocks.  The two schedules are two block lengths:
                length; a sequence within one block is the horizontal case.
 
 Both return an InferenceResult with the final block's hidden states, the
-memory ledger (closed form of the block shapes, see ``_block_elements``),
-the flop counter, and the final per-layer states (resumable via the
-snapshot helpers at the bottom of this module).
+memory ledger and the flop counter (closed forms of the block shapes, see
+``_block_elements`` and ``chunked.stage_flops``), and the final per-layer
+states (resumable via the snapshot helpers at the bottom of this module).
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, workspace_elements
+from .chunked import (DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, stage_flops,
+                      workspace_elements)
 from .core import SsmCoefficients, _as_f64, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
-from .instrumentation import UNTRACKED, FlopCounter, MemoryLedger, Probe
+from .instrumentation import FlopCounter, MemoryLedger
 
 __all__ = [
     "RMS_EPS",
@@ -194,6 +195,8 @@ class InferenceResult:
             or fewer for the vertical one.
     states: final per-layer kernel states (L, batch, H, N), usable as
             initial_states of a continuation call.
+    flops:  per-stage kernel flops: ``chunked.stage_flops`` of each block's
+            kernel call, summed over layers; zero for the recurrent kernel.
     """
 
     hidden: np.ndarray
@@ -273,7 +276,7 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
 
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
                   kernel: str = "chunked", dense_limit: int = DEFAULT_DENSE_LIMIT,
-                  fault=None, probe: Probe = UNTRACKED):
+                  fault=None):
     """One residual layer: v = u + head outputs mapped back to channels.
 
     Args:
@@ -297,11 +300,11 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if kernel == "chunked":
         if chunk_size is None:
             raise ValidationError("chunk_size is required for the chunked kernel")
-        y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault, probe=probe)
+        y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault)
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
     else:
-        y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit, probe=probe)
+        y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
 
     v = np.einsum("bth,hd->btd", y, params.W_out)
     v += u
@@ -376,7 +379,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     tok = _check_tokens(tokens, spec.vocab_size)
     batch, t = tok.shape
     step = block_len if block_len is not None else t
-    probe = Probe()
+    flops = FlopCounter()
 
     states = np.zeros((spec.L, batch, spec.H, spec.N))
     if initial_states is not None:
@@ -388,23 +391,28 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         states[:] = initial_states
 
     for start in range(0, t, step):
-        # the states entering the first block are zero unless carried in;
-        # passing None for them skips the kernels' state checks
+        # the states entering the first block are zero unless carried in; None
+        # skips the kernels' state checks and the first chunk's correction
         fresh = start == 0 and initial_states is None
         u = model.embedding[tok[:, start:start + step]]
+        if kernel != "recurrent":
+            f = stage_flops(batch, u.shape[1], spec.H, spec.N,
+                            u.shape[1] if kernel == "dense" else q, carry_in=not fresh)
+            flops.intra += spec.L * f.intra
+            flops.propagate += spec.L * f.propagate
+            flops.inter += spec.L * f.inter
         # u is the only name on a block's activations, so each layer's input
         # and the last block's output are freed as soon as they are replaced
         for li, layer in enumerate(model.layers):
             u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                          kernel=kernel, dense_limit=limit, fault=fault,
-                                          probe=probe)
+                                          kernel=kernel, dense_limit=limit, fault=fault)
         if sink is not None:
             sink(start, u.copy())
     peak = max(_block_elements(spec, batch, n, q, kernel)
                for n in {min(step, t), (t - 1) % step + 1})
     ledger = MemoryLedger(peak_elements=states.size + peak,
                           per_layer_state_elements=states.size)
-    return InferenceResult(u, ledger, probe.flops, states)
+    return InferenceResult(u, ledger, flops, states)
 
 
 def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,

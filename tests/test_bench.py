@@ -196,6 +196,12 @@ class TestSweep:
         with pytest.raises(ValidationError):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("limit", [0, -8])
+    def test_config_rejects_non_positive_dense_limit(self, limit):
+        with pytest.raises(ValidationError, match="dense_limit"):
+            SweepConfig(dense_limit=limit)
+        assert SweepConfig(dense_limit=None).dense_limit is None
+
 
 class TestRecordsCsv:
     RECORDS = [
@@ -237,6 +243,20 @@ class TestRecordsCsv:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("vertical,32\n")
         with pytest.raises(ValidationError):
+            read_records(path)
+
+    @pytest.mark.parametrize("column,value", [(1, "abc"), (3, "4.5"), (6, "fast"),
+                                              (6, "nan"), (6, "-inf"), (6, "-1e-3"),
+                                              (10, "")])
+    def test_unparsable_or_bad_cell_rejected(self, tmp_path, column, value):
+        path = tmp_path / "sweep.csv"
+        write_records(path, self.RECORDS)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="CSV row"):
             read_records(path)
 
     def test_comment_lines_are_skipped(self, tmp_path):

@@ -14,7 +14,6 @@ from ssdkit import (
     CapacityError,
     ChunkPlan,
     FAULT_MODES,
-    Probe,
     SsmCoefficients,
     ValidationError,
     chunk_major,
@@ -25,8 +24,8 @@ from ssdkit import (
     propagate_states,
     random_coefficients,
     recurrent_scan,
+    stage_flops,
 )
-from ssdkit.instrumentation import UNTRACKED, FlopCounter
 
 
 def rel_err(got, ref):
@@ -152,18 +151,17 @@ class TestIntraChunk:
 
     def test_flop_count_is_the_closed_form(self):
         # b*h * (q(q-1)/2 mask products + q^2 n for M @ B + q n for the C . Z
-        #        readout + q n for the boundary matvec), per chunk of its real length
-        coeffs, x, _ = random_problem(4, 2, 11, 3, 5)
-        probe = Probe()
-        intra_chunk(*chunk_major(coeffs, x, 4)[1:], tail=3, probe=probe)
+        #        readout + q n for the boundary matvec), per chunk of its real
+        #        length, plus one product per position for the running product
         n = 5
 
         def per_slice(q):
             return q * (q - 1) // 2 + q * q * n + 2 * q * n
 
-        assert probe.flops.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3))
-        assert probe.flops.propagate == 0
-        assert probe.flops.inter == 0
+        flops = stage_flops(2, 11, 3, n, 4, carry_in=False)
+        assert flops.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3) + 11)
+        assert flops.propagate == 2 * 3 * n * 3
+        assert flops.inter == 2 * 3 * (4 * n + 4 + 3 * n + 3)  # chunks 1 and 2
 
 
 class TestPropagateStates:
@@ -183,11 +181,9 @@ class TestPropagateStates:
         assert np.array_equal(states[0, :, 0, 0], [1.0, 2.0, 3.0])
 
     def test_flop_count(self):
-        probe = Probe()
-        propagate_states(np.ones((2, 4, 3, 5)), np.ones((2, 4, 3)),
-                         np.zeros((2, 3, 5)), probe=probe)
-        assert probe.flops.propagate == 2 * 3 * 5 * 4
-        assert probe.flops.intra == 0
+        # one multiply-add of a state per chunk, ragged tail included
+        for t, carry_in in ((16, False), (14, True)):
+            assert stage_flops(2, t, 3, 5, 4, carry_in=carry_in).propagate == 2 * 3 * 5 * 4
 
     def test_rejects_mismatched_shapes(self):
         from ssdkit import DimensionError
@@ -252,22 +248,39 @@ class TestChunkedForward:
         assert rel_err(hT, h_ref) <= 1e-12
 
     def test_zero_state_argument_matches_omitted_state(self):
-        # an explicit zero state must not change outputs or the flop count
+        # an explicit zero state must not change the outputs
         coeffs, x, _ = random_problem(15, 2, 16, 2, 3)
-        p_none, p_zero = Probe(), Probe()
-        y1, h1 = chunked_forward(coeffs, x, 4, None, probe=p_none)
-        y2, h2 = chunked_forward(coeffs, x, 4, np.zeros((2, 2, 3)), probe=p_zero)
+        y1, h1 = chunked_forward(coeffs, x, 4, None)
+        y2, h2 = chunked_forward(coeffs, x, 4, np.zeros((2, 2, 3)))
         assert np.array_equal(y1, y2)
         assert np.array_equal(h1, h2)
-        assert p_none.flops == p_zero.flops
 
     def test_nonzero_state_charges_first_chunk_correction(self):
-        coeffs, x, h0 = random_problem(15, 2, 16, 2, 3)
-        p_zero, p_carry = Probe(), Probe()
-        chunked_forward(coeffs, x, 4, None, probe=p_zero)
-        chunked_forward(coeffs, x, 4, h0, probe=p_carry)
+        # a state passed in, zero or not, is read out through the first chunk
         q, n = 4, 3
-        assert p_carry.flops.inter - p_zero.flops.inter == 2 * 2 * (q * n + q)
+        fresh = stage_flops(2, 16, 2, n, q, carry_in=False)
+        carried = stage_flops(2, 16, 2, n, q, carry_in=True)
+        assert carried.inter - fresh.inter == 2 * 2 * (q * n + q)
+        assert (carried.intra, carried.propagate) == (fresh.intra, fresh.propagate)
+
+    @pytest.mark.parametrize("t,q", [(16, 4), (13, 5), (3, 8)])
+    def test_stage_three_runs_the_chunks_the_count_charges(self, monkeypatch, t, q):
+        # the skip rule is a shape rule: only h0 is None skips chunk 0
+        import ssdkit.chunked as chunked
+        seen = []
+        original = chunked.inter_chunk_correction
+
+        def recorded(entry, *args, **kwargs):
+            seen.append(entry.shape[1])
+            return original(entry, *args, **kwargs)
+
+        monkeypatch.setattr(chunked, "inter_chunk_correction", recorded)
+        coeffs, x, h0 = random_problem(16, 2, t, 2, 3)
+        num_chunks = -(-t // q)
+        for state in (None, np.zeros_like(h0), h0):
+            seen.clear()
+            chunked_forward(coeffs, x, q, state)
+            assert sum(seen) == num_chunks - (state is None)
 
     def test_dense_guard_trips_above_the_limit(self):
         coeffs, x, _ = random_problem(16, 1, 8, 1, 2)
@@ -369,8 +382,7 @@ class TestChunkMajorEvaluation:
         # padding by hand to a whole chunk gives the same bits; the flop
         # count is that of the real positions, chunk by chunk
         coeffs, x, h0 = random_problem(32, 2, 13, 2, 3)
-        probe = Probe()
-        y, hT = chunked_forward(coeffs, x, 5, h0, probe=probe)
+        y, hT = chunked_forward(coeffs, x, 5, h0)
 
         def pad(arr, value):  # two positions fill the last chunk of five
             return np.concatenate([arr, np.full((2, 2) + arr.shape[2:], value)], axis=1)
@@ -381,11 +393,11 @@ class TestChunkMajorEvaluation:
         assert np.array_equal(y_pad[:, :13], y)
         assert np.array_equal(h_pad, hT)
 
-        by_chunk, h = Probe(), h0
-        for start, stop in ((0, 5), (5, 10), (10, 13)):  # each one unpadded chunk
-            _, h = chunked_forward(coeffs.slice_time(start, stop), x[:, start:stop],
-                                   stop - start, h, probe=by_chunk)
-        assert probe.flops == by_chunk.flops
+        whole = stage_flops(2, 13, 2, 3, 5, carry_in=True)
+        by_chunk = [stage_flops(2, m, 2, 3, m, carry_in=True)  # each one unpadded chunk
+                    for m in (5, 5, 3)]
+        for stage in ("intra", "propagate", "inter"):
+            assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_chunk)
 
     def test_stages_run_once_per_call(self, monkeypatch):
         import ssdkit.chunked as chunked
@@ -448,14 +460,12 @@ class TestKernelProperties:
         x = rng.standard_normal((batch, t, h))
         h0 = rng.standard_normal((batch, h, n))
         y_ref, h_ref = recurrent_scan(coeffs, x, h0)
-        for run in (lambda **kw: chunked_forward(coeffs, x, q, h0, **kw),
-                    lambda **kw: dense_dual(coeffs, x, h0, **kw)):
-            probe = Probe()
-            y, hT = run(probe=probe)
+        for run in (lambda: chunked_forward(coeffs, x, q, h0),
+                    lambda: dense_dual(coeffs, x, h0)):
+            y, hT = run()
             assert rel_err(y, y_ref) <= 1e-9
             assert rel_err(hT, h_ref) <= 1e-9
-            assert np.array_equal(run()[0], y)  # the shared default probe
-        assert UNTRACKED.flops == FlopCounter()
+            assert np.array_equal(run()[0], y)  # a second call gives the same bits
 
 
 class TestNearOneGatesAtLength:
@@ -491,13 +501,6 @@ class TestNearOneGatesAtLength:
 
 class TestFlopScaling:
     def test_doubling_length_doubles_total_within_two_percent(self):
-        rng = np.random.default_rng(24)
-        totals = []
-        for t in (64, 128, 256):
-            coeffs = random_coefficients(rng, 1, t, 2, 4)
-            x = rng.standard_normal((1, t, 2))
-            probe = Probe()
-            chunked_forward(coeffs, x, 8, probe=probe)
-            totals.append(probe.flops.total)
+        totals = [stage_flops(1, t, 2, 4, 8, carry_in=False).total for t in (64, 128, 256)]
         assert abs(totals[1] / totals[0] - 2.0) <= 0.02 * 2.0
         assert abs(totals[2] / totals[1] - 2.0) <= 0.02 * 2.0

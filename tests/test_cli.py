@@ -168,6 +168,32 @@ class TestSweepAndReportCommands:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("row", [
+        "vertical,abc,1,4,8,0,0.5,1760,14720,128,768",   # T does not parse
+        "vertical,32,1,4,8,0,fast,1760,14720,128,768",  # wall time does not parse
+        "vertical,32,1,4,8,0,nan,1760,14720,128,768",
+        "vertical,32,1,4,8,0,inf,1760,14720,128,768",
+        "vertical,32,1,4,8,0,-0.5,1760,14720,128,768",
+    ])
+    def test_report_on_malformed_csv_is_an_input_error(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(CSV_HEADER + "\n" + row + "\n")
+        rc = main(["report", str(csv_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err and str(row.split(",")) in captured.err
+        assert captured.out == ""
+
+    def test_zero_dense_limit_env_var_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a zero limit would prune every dense cell without a word
+        monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "0")
+        rc = main(["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
+                   "--grid-batch", "1", "--strategy", "dense", "--out",
+                   str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert "dense_limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEmbedCommand:
     TEXT = "the quick brown fox jumps over the lazy dog\n"
@@ -212,6 +238,16 @@ class TestEmbedCommand:
         captured = capsys.readouterr()
         assert rc == 2
         assert "--vertical" in captured.err
+        assert captured.out == ""
+
+    def test_memory_cap_with_a_block_length_is_a_usage_error(self, tmp_path, capsys):
+        # --memory-cap sets the block length, so it cannot sit beside --v
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        rc = main(["embed", str(src), "--vertical", "--v", "64", "--memory-cap"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--memory-cap" in captured.err and "--v" in captured.err
         assert captured.out == ""
 
     def test_zero_chunk_size_is_an_input_error(self, tmp_path, capsys):

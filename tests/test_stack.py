@@ -440,6 +440,52 @@ class TestLedgerPeaks:
         assert result.ledger.per_layer_state_elements == spec.L * batch * spec.H * spec.N
 
 
+class TestFlopCounts:
+    # Literal per-stage flops of the run-time counter that the closed form
+    # replaced; random initial states give chunk 0 a correction (inter rises).
+    SPEC = ModelSpec(seed=5, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+    MODEL = generate_model(SPEC)
+
+    @staticmethod
+    def run(model, kernel, batch, t, q, v, carried):
+        spec = model.spec
+        rng = np.random.default_rng(t)
+        tok = rng.integers(0, spec.vocab_size - 1, size=(batch, t))
+        states = rng.standard_normal((spec.L, batch, spec.H, spec.N)) if carried else None
+        return infer(model, tok, v, q, kernel=kernel, initial_states=states)
+
+    @pytest.mark.parametrize("kernel,batch,t,q,v,carried,flops", [
+        ("chunked", 2, 50, 4, None, False, (8088, 312, 1472)),
+        ("dense", 1, 37, 4, None, False, (20128, 12, 0)),
+        ("recurrent", 2, 40, 4, None, False, (0, 0, 0)),
+        ("chunked", 1, 70, 4, 16, False, (5684, 216, 1056)),
+        ("chunked", 3, 47, 3, None, False, (9504, 576, 2112)),
+        ("chunked", 3, 47, 3, 12, False, (9504, 576, 2112)),
+        ("chunked", 2, 50, 4, None, True, (8088, 312, 1600)),
+        ("dense", 1, 37, 4, None, True, (20128, 12, 592)),
+        ("chunked", 1, 70, 4, 16, True, (5684, 216, 1120)),
+        ("chunked", 3, 47, 3, 12, True, (9504, 576, 2256)),
+    ])
+    def test_flops_are_pinned(self, kernel, batch, t, q, v, carried, flops):
+        f = self.run(self.MODEL, kernel, batch, t, q, v, carried).flops
+        assert (f.intra, f.propagate, f.inter) == flops
+        assert f.total == sum(flops)
+
+    @pytest.mark.parametrize("kernel,v", [("chunked", None), ("chunked", 16), ("dense", None)])
+    def test_zero_initial_states_count_like_random_ones(self, kernel, v):
+        # a state that is passed in is read out, zero or not; the zeros add
+        # exact zeros, so the outputs are those of a fresh call
+        spec = self.SPEC
+        tok = np.random.default_rng(1).integers(0, spec.vocab_size - 1, size=(2, 37))
+        states = np.random.default_rng(2).standard_normal((spec.L, 2, spec.H, spec.N))
+        fresh = infer(self.MODEL, tok, v, 4, kernel=kernel)
+        zero = infer(self.MODEL, tok, v, 4, kernel=kernel, initial_states=np.zeros_like(states))
+        carried = infer(self.MODEL, tok, v, 4, kernel=kernel, initial_states=states)
+        assert zero.flops == carried.flops
+        assert np.array_equal(zero.hidden, fresh.hidden)
+        assert np.array_equal(zero.states, fresh.states)
+
+
 class TestLedgerAgainstTracedMemory:
     # The ledger charges every buffer the schedules keep alive and skips
     # transient temporaries, so it should sit just under the measured peak.
