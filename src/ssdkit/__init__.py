@@ -14,9 +14,9 @@ from .errors import (CapacityError, DimensionError, FormatError, IntegrityError,
                      SsdError, ValidationError)
 from .core import (SsmCoefficients, build_kernel_matrix, cumulative_transition,
                    random_coefficients, recurrent_scan)
-from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, ChunkPlan, ChunkStageOutputs,
-                      chunk_major, chunked_forward, dense_dual, inter_chunk_correction,
-                      intra_chunk, propagate_states, stage_flops, workspace_elements)
+from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, chunk_major, chunked_forward,
+                      dense_dual, inter_chunk_correction, intra_chunk, propagate_states,
+                      stage_flops, workspace_elements)
 from .instrumentation import FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer, infer,
@@ -37,9 +37,9 @@ __all__ = [
     "FormatError", "IntegrityError",
     "SsmCoefficients", "random_coefficients", "cumulative_transition",
     "build_kernel_matrix", "recurrent_scan",
-    "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "ChunkPlan", "ChunkStageOutputs",
-    "chunk_major", "intra_chunk", "propagate_states", "inter_chunk_correction",
-    "chunked_forward", "dense_dual", "workspace_elements", "stage_flops",
+    "DEFAULT_DENSE_LIMIT", "FAULT_MODES", "chunk_major", "intra_chunk",
+    "propagate_states", "inter_chunk_correction", "chunked_forward", "dense_dual",
+    "workspace_elements", "stage_flops",
     "FlopCounter", "MemoryLedger",
     "ModelSpec", "LayerParams", "StackedModel", "InferenceResult",
     "layer_shapes", "generate_coefficients", "layer_forward", "infer",

@@ -3,11 +3,13 @@
 The equivalence suite checks, on seeded instances, that every evaluation
 route agrees with the sequential recurrence: the dense single-operator form,
 the block-decomposed form at several chunk sizes (outputs and final states),
-each decomposition stage against its own independent oracle, and the
-model-level schedules (chunked/dense kernels and the vertical scheduler
-against a recurrent-kernel reference).  A fault injected into one stage must
-surface here on every instance whose decomposition actually exercises that
-stage; single-chunk instances are expected to stay green.
+each decomposition stage (the stage functions called one by one on the
+chunk-major layout, with a state carried in) against its own independent
+oracle, and the model-level schedules (chunked/dense kernels and the
+vertical scheduler against a recurrent-kernel reference).  A fault injected
+into one stage must surface here on every instance whose decomposition
+actually exercises that stage; single-chunk instances are expected to stay
+green.
 
 Sweeps time full forward passes (coefficient generation included) over a
 grid of sequence lengths, batch sizes, chunk sizes, and vertical block
@@ -20,11 +22,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .chunked import DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual
+from .chunked import (DEFAULT_DENSE_LIMIT, chunk_major, chunked_forward, dense_dual,
+                      inter_chunk_correction, intra_chunk, propagate_states)
 from .core import random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
@@ -46,7 +49,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("recurrent", "dense", "chunked-horizontal", "vertical")
-CSV_HEADER = "strategy,T,batch,Q,V,rep,wall_time_s,peak_elems,flops_intra,flops_prop,flops_inter"
 
 
 def _check_grids(config, names) -> None:
@@ -145,40 +147,47 @@ def _pair_err(got_pair, ref_pair) -> float:
 
 
 def _stage_checks(report, instance, coeffs, x, h0, q, config):
-    """Check each decomposition stage against an independent oracle."""
+    """Check each decomposition stage against an independent oracle.
+
+    The stage functions run directly on chunk_major's layout, with the state
+    h0 carried in, so stage 3 corrects every chunk.
+    """
     add = report.checks.append
-    tol = config.tolerance
-    stages = chunked_forward(coeffs, x, q, h0, keep_stages=True, fault=config.fault)
-    plan = stages.plan
-    multi = plan.num_chunks > 1
-    chunks = [(plan.bounds(c), coeffs.slice_time(*plan.bounds(c)))
-              for c in range(plan.num_chunks)]
+    tol, fault = config.tolerance, config.fault
+    a, Bm, Cm, xs = chunk_major(coeffs, x, q)
+    y_intra, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
+    entry = np.cumprod(a, axis=-1)
+    states = propagate_states(b_intra, entry[..., -1], h0, fault=fault)
+    y_inter = inter_chunk_correction(entry, Cm, states[:, :-1], fault=fault)
+    t = coeffs.length
+    multi = t > q
+    chunks = [(c, coeffs.slice_time(start, min(start + q, t)), x[:, start:start + q])
+              for c, start in enumerate(range(0, t, q))]
+
+    def at(out, c, part):  # chunk c of a chunk-major (b, k, h, Q) output, time-major
+        return out[:, c, :, :part.length].swapaxes(1, 2)
 
     # Stage 1: each chunk against the dense operator with zero incoming state.
     err = 0.0
-    for c, ((start, stop), part) in enumerate(chunks):
-        y_ref, h_ref = dense_dual(part, x[:, start:stop])
-        err = max(err, relative_error(stages.y_intra[:, start:stop], y_ref),
-                  relative_error(stages.b_intra[:, c], h_ref))
+    for c, part, x_part in chunks:
+        y_ref, h_ref = dense_dual(part, x_part)
+        err = max(err, relative_error(at(y_intra, c, part), y_ref),
+                  relative_error(b_intra[:, c], h_ref))
     add(CheckResult(instance, f"stage-intra-q{q}", multi, err, tol, err <= tol))
 
     # Stage 2: boundary states against the recurrence run chunk by chunk.
-    err = 0.0
-    h = h0 if h0 is not None else np.zeros((coeffs.batch, coeffs.heads, coeffs.state_dim))
-    err = max(err, relative_error(stages.boundary_states[:, 0], h))
-    for c, ((start, stop), part) in enumerate(chunks):
-        _, h = recurrent_scan(part, x[:, start:stop], h)
-        err = max(err, relative_error(stages.boundary_states[:, c + 1], h))
+    err, h = relative_error(states[:, 0], h0), h0
+    for c, part, x_part in chunks:
+        _, h = recurrent_scan(part, x_part, h)
+        err = max(err, relative_error(states[:, c + 1], h))
     add(CheckResult(instance, f"stage-boundary-q{q}", multi, err, tol, err <= tol))
 
     # Stage 3: each correction equals reading the carried state out through
     # the chunk with its own inputs silenced (superposition of the two parts).
     err = 0.0
-    for c, ((start, stop), part) in enumerate(chunks):
-        carried = stages.boundary_states[:, c] if c > 0 else (
-            h0 if h0 is not None else np.zeros_like(stages.boundary_states[:, 0]))
-        y_ref, _ = recurrent_scan(part, np.zeros_like(x[:, start:stop]), carried)
-        err = max(err, relative_error(stages.y_inter[:, start:stop], y_ref))
+    for c, part, x_part in chunks:
+        y_ref, _ = recurrent_scan(part, np.zeros_like(x_part), states[:, c])
+        err = max(err, relative_error(at(y_inter, c, part), y_ref))
     add(CheckResult(instance, f"stage-correction-q{q}", multi, err, tol, err <= tol))
 
 
@@ -291,6 +300,9 @@ class BenchRecord:
         return (self.strategy, self.T, self.batch, self.Q, self.V, self.rep)
 
 
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+
+
 def _cell_list(config: SweepConfig, dense_limit: int, log) -> list[tuple]:
     """Expand the grids into (strategy, T, batch, Q, V) cells, pruned."""
     cells = []
@@ -361,28 +373,32 @@ def write_records(path, records: list[BenchRecord]) -> None:
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
-        for rec in records:
-            writer.writerow([rec.strategy, rec.T, rec.batch, rec.Q, rec.V, rec.rep,
-                             repr(rec.wall_time_s), rec.peak_elems, rec.flops_intra,
-                             rec.flops_prop, rec.flops_inter])
+        writer.writerows(astuple(rec) for rec in records)  # csv writes floats by repr()
 
 
 def read_records(path) -> list[BenchRecord]:
+    header = CSV_HEADER.split(",")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows or rows[0] != CSV_HEADER.split(","):
+    if not rows or rows[0] != header:
         raise ValidationError(f"unexpected CSV header in {path}")
     records = []
     for row in rows[1:]:
-        if len(row) != 11:
+        if len(row) != len(header):
             raise ValidationError(f"malformed CSV row: {row}")
         try:
-            rec = BenchRecord(row[0], *map(int, row[1:6]), float(row[6]), *map(int, row[7:]))
+            counts = [int(cell) for cell in row[1:6] + row[7:]]  # all but strategy, wall_time_s
+            wall = float(row[6])
         except ValueError as exc:
             raise ValidationError(f"malformed CSV row {row}: {exc}") from exc
-        if not 0.0 <= rec.wall_time_s < math.inf:  # false for NaN too
+        if row[0] not in STRATEGIES:
+            raise ValidationError(f"strategy must be one of {STRATEGIES} in CSV row {row}")
+        if min(counts[:2]) < 1 or min(counts) < 0:  # T and batch, then the rest
+            raise ValidationError(f"T and batch must be >= 1 and every other count >= 0 "
+                                  f"in CSV row {row}")
+        if not 0.0 <= wall < math.inf:  # false for NaN too
             raise ValidationError(f"wall_time_s must be finite and >= 0 in CSV row {row}")
-        records.append(rec)
+        records.append(BenchRecord(row[0], *counts[:5], wall, *counts[5:]))
     return records
 
 

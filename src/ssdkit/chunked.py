@@ -28,7 +28,13 @@ chunks.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
-(``stage_flops``), as its workspace is (``workspace_elements``).
+(``stage_flops``), as its workspace is (``workspace_elements``).  Stage 3
+adds each correction into the stage-1 output buffer in place.
+
+``chunked_forward`` returns only (y, hT).  Each stage is a public function
+of the chunk-major arrays that ``chunk_major`` lays out, so a harness that
+inspects one stage (``ssdkit.bench``'s equivalence suite) calls the stages
+itself.
 
 A ragged tail (length not a multiple of chunk_size) is padded to a full
 chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
@@ -47,8 +53,6 @@ prove each ingredient is load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SsmCoefficients, _check_inputs, _check_state
@@ -58,8 +62,6 @@ from .instrumentation import FlopCounter
 __all__ = [
     "DEFAULT_DENSE_LIMIT",
     "FAULT_MODES",
-    "ChunkPlan",
-    "ChunkStageOutputs",
     "chunk_major",
     "intra_chunk",
     "propagate_states",
@@ -86,48 +88,29 @@ def _check_fault(fault):
     return fault
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
-    """Partition of a sequence into fixed-size chunks with a ragged tail."""
-
-    seq_len: int
-    chunk_size: int
-    num_chunks: int
-    last_chunk_len: int
-
-    @classmethod
-    def for_sequence(cls, seq_len: int, chunk_size: int) -> "ChunkPlan":
-        if seq_len < 1:
-            raise ValidationError(f"sequence length must be >= 1, got {seq_len}")
-        if chunk_size < 1:
-            raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
-        num = -(-seq_len // chunk_size)
-        last = seq_len - (num - 1) * chunk_size
-        return cls(seq_len, chunk_size, num, last)
-
-    def chunk_len(self, c: int) -> int:
-        return self.last_chunk_len if c == self.num_chunks - 1 else self.chunk_size
-
-    def bounds(self, c: int) -> tuple[int, int]:
-        if not (0 <= c < self.num_chunks):
-            raise IndexError(f"chunk index {c} out of range for {self.num_chunks} chunks")
-        start = c * self.chunk_size
-        return start, start + self.chunk_len(c)
+def _partition(t: int, chunk_size: int) -> tuple[int, int]:
+    """Chunk count and last chunk length of t positions in chunks of chunk_size."""
+    if t < 1:
+        raise ValidationError(f"sequence length must be >= 1, got {t}")
+    if chunk_size < 1:
+        raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
+    k = -(-t // chunk_size)
+    return k, t - (k - 1) * chunk_size
 
 
 def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     """Lay coefficients and inputs out chunk-major for the stage functions.
 
-    Returns (plan, a, Bmat, Cmat, x) with a and x (batch, chunks, heads, Q)
+    Returns (a, Bmat, Cmat, x) with a and x (batch, chunks, heads, Q)
     and Bmat/Cmat (batch, chunks, heads, Q, state).  When the length is a
     multiple of Q these are zero-copy views of the inputs; otherwise they are
     copies with the tail padded by a = 1 and B = C = x = 0.
     """
     x = _check_inputs(coeffs, x)
-    plan = ChunkPlan.for_sequence(coeffs.length, chunk_size)
     b, t, h = x.shape
     n = coeffs.state_dim
-    k, q = plan.num_chunks, chunk_size
+    k, _ = _partition(t, chunk_size)
+    q = chunk_size
     a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
     pad = k * q - t
     if pad:
@@ -135,19 +118,18 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
         Bm = np.concatenate([Bm, np.zeros((b, pad, h, n))], axis=1)
         Cm = np.concatenate([Cm, np.zeros((b, pad, h, n))], axis=1)
         x = np.concatenate([x, np.zeros((b, pad, h))], axis=1)
-    return (plan,
-            a.reshape(b, k, q, h).transpose(0, 1, 3, 2),
+    return (a.reshape(b, k, q, h).transpose(0, 1, 3, 2),
             Bm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
             Cm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
             x.reshape(b, k, q, h).transpose(0, 1, 3, 2))
 
 
-def _time_major(plan: ChunkPlan, arr: np.ndarray) -> np.ndarray:
+def _time_major(arr: np.ndarray, t: int) -> np.ndarray:
     """Inverse of the chunk-major layout: (b, k, h, Q) -> (b, t, h), tail trimmed."""
     b, k, h, q = arr.shape
     out = np.empty((b, k * q, h), dtype=np.float64)
     out.reshape(b, k, q, h)[:] = arr.swapaxes(-1, -2)  # a fresh buffer, never a view
-    return np.ascontiguousarray(out[:, :plan.seq_len])
+    return np.ascontiguousarray(out[:, :t])
 
 
 def intra_chunk(a, Bm, Cm, x, *, fault=None):
@@ -254,39 +236,22 @@ def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
     return entry * (Cm @ b_prev[..., None])[..., 0]
 
 
-@dataclass
-class ChunkStageOutputs:
-    """All intermediate stage products, assembled for inspection."""
-
-    plan: ChunkPlan
-    y_intra: np.ndarray          # (b, t, h)
-    b_intra: np.ndarray          # (b, k, h, n)
-    boundary_states: np.ndarray  # (b, k + 1, h, n); index 0 is b0
-    y_inter: np.ndarray          # (b, t, h)
-    y: np.ndarray                # (b, t, h)
-    hT: np.ndarray               # (b, h, n)
-
-
-def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
-                    keep_stages: bool = False, fault=None):
+def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fault=None):
     """Full block-decomposed forward pass.
 
     Args:
-        coeffs:      per-position coefficients.
-        x:           (batch, length, heads) input channels.
-        chunk_size:  chunk length; a ragged final chunk is padded (see module).
-        h0:          optional (batch, heads, state) initial state; when given,
-                     stage 3 reads it out through the first chunk.
-        keep_stages: return every intermediate stage product as a
-                     ChunkStageOutputs (for tests and equivalence harnesses)
-                     instead of (y, hT); y and hT are the same bits either way.
+        coeffs:     per-position coefficients.
+        x:          (batch, length, heads) input channels.
+        chunk_size: chunk length; a ragged final chunk is padded (see module).
+        h0:         optional (batch, heads, state) initial state; when given,
+                    stage 3 reads it out through the first chunk.
 
     Returns:
         (y, hT) matching recurrent_scan.  The float64 elements held beyond
         the inputs, y included, peak at workspace_elements(...) of the shape.
     """
     _check_fault(fault)
-    plan, a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
+    a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
     b, k, h, q = xs.shape
     n = coeffs.state_dim
     b0 = np.zeros((b, h, n)) if h0 is None else _check_state(h0, b, h, n)
@@ -295,21 +260,14 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *,
     entry = np.empty((b, k, h, q))
     np.cumprod(a, axis=-1, out=entry)
     states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
-    y_intra = _time_major(plan, y_c) if keep_stages else None
 
     # without a state passed in, the state entering the first chunk is zero,
     # and so is its correction: stage 3 then reads out chunks 1.. only
     first = 0 if h0 is not None else 1
-    y_inter = np.zeros(y_c.shape)
     if first < k:
-        y_inter[:, first:] = inter_chunk_correction(
+        y_c[:, first:] += inter_chunk_correction(
             entry[:, first:], Cm[:, first:], states[:, first:k], fault=fault)
-    y_c += y_inter
-    hT = states[:, k].copy()
-    y = _time_major(plan, y_c)
-    if not keep_stages:
-        return y, hT
-    return ChunkStageOutputs(plan, y_intra, b_intra, states, _time_major(plan, y_inter), y, hT)
+    return _time_major(y_c, coeffs.length), states[:, k].copy()
 
 
 def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
@@ -320,14 +278,14 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     time-major y is smaller); a ragged tail adds the padded copies of a, B, C
     and x throughout.  Temporaries inside one expression are not counted.
     """
-    k = -(-t // chunk_size)
+    k, last = _partition(t, chunk_size)
     c = b * k * h * chunk_size  # a chunk-major (b, k, h, Q) buffer
     s = b * k * h * n           # one state per chunk
     g = b * h * n
-    pad = 2 * c * (1 + n) if t % chunk_size else 0
+    pad = 2 * c * (1 + n) if last < chunk_size else 0
     return pad + max(c * chunk_size + c * n + s,  # stage 1: M, Z, b_intra
                      2 * c + 2 * s + g,            # y_intra, entry, b_intra, states
-                     3 * c + s + g)                # stage 3: y_intra, entry, y_inter, states
+                     3 * c + s + g)                # stage 3: y_intra, entry, correction, states
 
 
 def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
@@ -341,8 +299,7 @@ def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
     unless carry_in (a state h0 is passed).  These are the counts of the
     unfaulted kernel: a fault mode changes what a stage computes, not this.
     """
-    plan = ChunkPlan.for_sequence(t, chunk_size)
-    k, tail = plan.num_chunks, plan.last_chunk_len
+    k, tail = _partition(t, chunk_size)
 
     def over_chunks(per_chunk):  # k - 1 full chunks and the tail
         return b * h * ((k - 1) * per_chunk(chunk_size) + per_chunk(tail))

@@ -41,7 +41,7 @@ def format_query(prompt: str, query: str) -> str:
     """
     if not isinstance(prompt, str) or not isinstance(query, str):
         raise ValidationError("prompt and query must be strings")
-    return f"Instruction: {prompt}\nQuery: {query}"
+    return QUERY_TEMPLATE.format(prompt=prompt, query=query)
 
 
 def tokenize_words(text: str, vocab_size: int) -> list[int]:
@@ -72,8 +72,8 @@ class LossConfig:
 
 
 def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
-                   chunk_size: int | None = None, block_len: int | None = None,
-                   fault=None) -> EmbeddingOutput:
+                   chunk_size: int | None = None,
+                   block_len: int | None = None) -> EmbeddingOutput:
     """Embed one token sequence: append the terminal id, pool its hidden state.
 
     Args:
@@ -90,9 +90,9 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     full = np.concatenate([tokens.astype(np.int64), [model.spec.eos_id]])
 
     if strategy == "horizontal":
-        result = horizontal_infer(model, full, chunk_size, fault=fault)
+        result = horizontal_infer(model, full, chunk_size)
     elif strategy == "vertical":
-        result = vertical_infer(model, full, block_len, chunk_size, fault=fault)
+        result = vertical_infer(model, full, block_len, chunk_size)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
     return EmbeddingOutput(result.hidden[0, -1].copy(), int(full.size))

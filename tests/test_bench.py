@@ -259,6 +259,23 @@ class TestRecordsCsv:
         with pytest.raises(ValidationError, match="CSV row"):
             read_records(path)
 
+    @pytest.mark.parametrize("column,value", [(0, "warp"), (0, "Vertical"), (1, "0"),
+                                              (2, "0"), (2, "-5"), (3, "-1"), (4, "-8"),
+                                              (5, "-1"), (7, "-1"), (8, "-1"), (9, "-2"),
+                                              (10, "-3")])
+    def test_impossible_row_rejected(self, tmp_path, column, value):
+        # a strategy outside STRATEGIES, T or batch below 1, a negative count
+        path = tmp_path / "sweep.csv"
+        write_records(path, self.RECORDS)
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column] = value
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="CSV row") as info:
+            read_records(path)
+        assert str(cells) in str(info.value)
+
     def test_comment_lines_are_skipped(self, tmp_path):
         path = tmp_path / "sweep.csv"
         write_records(path, self.RECORDS)

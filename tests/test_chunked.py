@@ -1,5 +1,5 @@
-"""Chunk plans, the chunk-major layout, the three evaluation stages, fault
-modes, and cost counting.
+"""The chunk-major layout, the three evaluation stages, fault modes, and
+cost counting.
 
 Stage oracles are the sequential scan run over the corresponding span, which
 exercises none of the blockwise code.
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ssdkit import (
     CapacityError,
-    ChunkPlan,
     FAULT_MODES,
     SsmCoefficients,
     ValidationError,
@@ -25,6 +24,7 @@ from ssdkit import (
     random_coefficients,
     recurrent_scan,
     stage_flops,
+    workspace_elements,
 )
 
 
@@ -40,40 +40,30 @@ def random_problem(seed, batch, t, heads, n, with_state=True):
     return coeffs, x, h0
 
 
-class TestChunkPlan:
-    def test_even_partition(self):
-        plan = ChunkPlan.for_sequence(12, 4)
-        assert (plan.num_chunks, plan.last_chunk_len) == (3, 4)
-        assert [plan.bounds(c) for c in range(3)] == [(0, 4), (4, 8), (8, 12)]
+class TestChunkCount:
+    @pytest.mark.parametrize("t,q,chunks", [
+        (12, 4, 3),  # even
+        (10, 4, 3),  # ragged tail
+        (5, 8, 1),   # chunk larger than the sequence
+        (8, 8, 1),   # exactly one chunk
+    ])
+    def test_chunk_major_chunk_count(self, t, q, chunks):
+        coeffs, x, _ = random_problem(1, 1, t, 1, 2)
+        a, Bm, Cm, xs = chunk_major(coeffs, x, q)
+        assert a.shape == xs.shape == (1, chunks, 1, q)
+        assert Bm.shape == Cm.shape == (1, chunks, 1, q, 2)
 
-    def test_ragged_tail(self):
-        plan = ChunkPlan.for_sequence(10, 4)
-        assert (plan.num_chunks, plan.last_chunk_len) == (3, 2)
-        assert plan.chunk_len(0) == 4
-        assert plan.chunk_len(2) == 2
-        assert plan.bounds(2) == (8, 10)
-
-    def test_chunk_larger_than_sequence(self):
-        plan = ChunkPlan.for_sequence(5, 8)
-        assert (plan.num_chunks, plan.last_chunk_len) == (1, 5)
-        assert plan.bounds(0) == (0, 5)
-
-    def test_exact_single_chunk(self):
-        plan = ChunkPlan.for_sequence(8, 8)
-        assert (plan.num_chunks, plan.last_chunk_len) == (1, 8)
-
-    def test_rejects_bad_arguments(self):
+    def test_chunk_major_rejects_a_zero_chunk_size(self):
+        coeffs, x, _ = random_problem(1, 1, 4, 1, 2)
         with pytest.raises(ValidationError):
-            ChunkPlan.for_sequence(0, 4)
-        with pytest.raises(ValidationError):
-            ChunkPlan.for_sequence(4, 0)
+            chunk_major(coeffs, x, 0)
 
-    def test_out_of_range_chunk_index(self):
-        plan = ChunkPlan.for_sequence(10, 4)
-        with pytest.raises(IndexError):
-            plan.bounds(3)
-        with pytest.raises(IndexError):
-            plan.bounds(-1)
+    @pytest.mark.parametrize("t,q", [(0, 4), (-3, 4), (8, 0)])
+    def test_closed_forms_reject_an_empty_partition(self, t, q):
+        with pytest.raises(ValidationError):
+            stage_flops(1, t, 2, 4, q, carry_in=False)
+        with pytest.raises(ValidationError):
+            workspace_elements(1, t, 2, 4, q)
 
 
 def time_major(arr, t):
@@ -86,8 +76,7 @@ def time_major(arr, t):
 class TestPartition:
     def test_views_tile_the_sequence(self):
         coeffs, x, _ = random_problem(2, 2, 11, 2, 3)
-        plan, a, Bm, Cm, xs = chunk_major(coeffs, x, 4)
-        assert (plan.num_chunks, plan.last_chunk_len) == (3, 3)
+        a, Bm, Cm, xs = chunk_major(coeffs, x, 4)
         assert a.shape == xs.shape == (2, 3, 2, 4)
         assert Bm.shape == Cm.shape == (2, 3, 2, 4, 3)
         assert np.array_equal(time_major(xs, 11), x)
@@ -100,7 +89,7 @@ class TestPartition:
 
     def test_views_share_memory_with_the_source(self):
         coeffs, x, _ = random_problem(2, 1, 8, 1, 2)
-        _, a, Bm, _, xs = chunk_major(coeffs, x, 4)
+        a, Bm, _, xs = chunk_major(coeffs, x, 4)
         assert np.shares_memory(xs, x)
         assert np.shares_memory(Bm, coeffs.Bmat)
         assert np.array_equal(Bm[:, 1, 0], coeffs.Bmat[:, 4:8, 0])
@@ -108,11 +97,11 @@ class TestPartition:
 
     def test_boundary_transitions_are_chunk_products(self):
         coeffs, x, _ = random_problem(5, 2, 10, 3, 2)
-        plan, a, _, _, _ = chunk_major(coeffs, x, 4)
+        a, _, _, _ = chunk_major(coeffs, x, 4)
         trans = np.cumprod(a, axis=-1)[..., -1]
         assert trans.shape == (2, 3, 3)
         for c in range(3):
-            start, stop = plan.bounds(c)
+            start, stop = 4 * c, min(4 * c + 4, 10)
             # ascending running product; the padded ones leave it unchanged
             expected = np.ones((2, 3))
             for pos in range(start, stop):
@@ -123,7 +112,7 @@ class TestPartition:
 class TestIntraChunk:
     def test_zero_input_gives_zero_outputs(self):
         coeffs, _, _ = random_problem(0, 1, 6, 2, 3)
-        _, a, Bm, Cm, xs = chunk_major(coeffs, np.zeros((1, 6, 2)), 6)
+        a, Bm, Cm, xs = chunk_major(coeffs, np.zeros((1, 6, 2)), 6)
         y_intra, b_intra = intra_chunk(a, Bm, Cm, xs)
         assert np.array_equal(y_intra, np.zeros((1, 1, 2, 6)))
         assert np.array_equal(b_intra, np.zeros((1, 1, 2, 3)))
@@ -131,7 +120,7 @@ class TestIntraChunk:
     def test_single_position_chunk_closed_form(self):
         # length-1 chunk: y = (C . B) x and the boundary state is B x
         coeffs, x, _ = random_problem(1, 2, 1, 2, 4)
-        y_intra, b_intra = intra_chunk(*chunk_major(coeffs, x, 1)[1:])
+        y_intra, b_intra = intra_chunk(*chunk_major(coeffs, x, 1))
         want_y = np.einsum("bhn,bhn->bh", coeffs.Cmat[:, 0], coeffs.Bmat[:, 0]) * x[:, 0]
         want_b = coeffs.Bmat[:, 0] * x[:, 0][..., None]
         assert rel_err(y_intra[:, 0, :, 0], want_y) <= 1e-13
@@ -140,10 +129,8 @@ class TestIntraChunk:
     def test_matches_zero_state_scan_over_the_chunk(self):
         # every chunk of a ragged run, each against its own zero-state scan
         coeffs, x, _ = random_problem(3, 2, 14, 2, 3)
-        plan, *parts = chunk_major(coeffs, x, 6)
-        y_intra, b_intra = intra_chunk(*parts)
-        for c in range(plan.num_chunks):
-            start, stop = plan.bounds(c)
+        y_intra, b_intra = intra_chunk(*chunk_major(coeffs, x, 6))
+        for c, (start, stop) in enumerate([(0, 6), (6, 12), (12, 14)]):
             y_ref, h_ref = recurrent_scan(coeffs.slice_time(start, stop), x[:, start:stop])
             got = y_intra[:, c, :, :stop - start].transpose(0, 2, 1)
             assert rel_err(got, y_ref) <= 1e-12
@@ -196,21 +183,21 @@ class TestPropagateStates:
 class TestInterChunkCorrection:
     def test_zero_carry_gives_zero_correction(self):
         coeffs, x, _ = random_problem(6, 1, 8, 2, 3)
-        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        a, _, Cm, _ = chunk_major(coeffs, x, 4)
         y_inter = inter_chunk_correction(np.cumprod(a, axis=-1), Cm, np.zeros((1, 2, 2, 3)))
         assert np.array_equal(y_inter, np.zeros((1, 2, 2, 4)))
 
     def test_matches_silenced_input_scan(self):
         # carried state read out with the chunk's own inputs silenced
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        a, _, Cm, _ = chunk_major(coeffs, x, 4)
         y_inter = inter_chunk_correction(np.cumprod(a[:, 1:], axis=-1), Cm[:, 1:], h0[:, None])
         y_ref, _ = recurrent_scan(coeffs.slice_time(4, 8), np.zeros((2, 4, 2)), h0)
         assert rel_err(y_inter[:, 0].transpose(0, 2, 1), y_ref) <= 1e-12
 
     def test_correction_fault_silences_the_stage(self):
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
-        _, a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        a, _, Cm, _ = chunk_major(coeffs, x, 4)
         y_inter = inter_chunk_correction(np.cumprod(a, axis=-1), Cm, np.stack([h0, h0], axis=1),
                                          fault="output-correction")
         assert np.array_equal(y_inter, np.zeros((2, 2, 2, 4)))
@@ -319,43 +306,6 @@ class TestFaultModes:
             y, hT = chunked_forward(coeffs, x, 4, fault=mode)
             assert np.array_equal(y, y_ref), mode
             assert np.array_equal(hT, h_ref), mode
-
-
-class TestCollectStageOutputs:
-    """chunked_forward(..., keep_stages=True) keeps every stage product."""
-
-    def test_stage_sum_reproduces_the_answer(self):
-        # one head and no ragged tail make the chunk-major -> time-major
-        # reshape a possible view of the stage buffer
-        for heads, t in ((2, 20), (1, 18)):
-            coeffs, x, h0 = random_problem(21, 2, t, heads, 3)
-            stages = chunked_forward(coeffs, x, 6, h0, keep_stages=True)
-            y_ref, h_ref = recurrent_scan(coeffs, x, h0)
-            assert np.array_equal(stages.y, stages.y_intra + stages.y_inter)
-            assert rel_err(stages.y, y_ref) <= 1e-12
-            assert rel_err(stages.hT, h_ref) <= 1e-12
-
-    def test_boundary_states_start_at_the_initial_state(self):
-        coeffs, x, h0 = random_problem(21, 2, 20, 2, 3)
-        stages = chunked_forward(coeffs, x, 6, h0, keep_stages=True)
-        assert stages.boundary_states.shape == (2, stages.plan.num_chunks + 1, 2, 3)
-        assert np.array_equal(stages.boundary_states[:, 0], h0)
-        assert np.array_equal(stages.boundary_states[:, -1], stages.hT)
-
-    def test_first_chunk_has_no_correction_without_carry(self):
-        coeffs, x, _ = random_problem(22, 1, 12, 1, 2)
-        stages = chunked_forward(coeffs, x, 4, keep_stages=True)
-        assert np.array_equal(stages.y_inter[:, :4], np.zeros((1, 4, 1)))
-        assert not np.array_equal(stages.y_inter[:, 4:8], np.zeros((1, 4, 1)))
-
-    def test_agrees_with_chunked_forward(self):
-        # same bits as the plain call, ragged tail included
-        coeffs, x, h0 = random_problem(23, 2, 17, 2, 4)
-        for state in (h0, None):
-            stages = chunked_forward(coeffs, x, 5, state, keep_stages=True)
-            y, hT = chunked_forward(coeffs, x, 5, state)
-            assert np.array_equal(stages.y, y)
-            assert np.array_equal(stages.hT, hT)
 
 
 class TestChunkMajorEvaluation:

@@ -184,6 +184,21 @@ class TestSweepAndReportCommands:
         assert "error:" in captured.err and str(row.split(",")) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("row", [
+        "warp,-5,0,4,8,0,0.5,-1,1,2,3",                 # no such strategy, negative counts
+        "vertical,0,1,4,8,0,0.5,1760,14720,128,768",    # T below 1
+        "vertical,32,0,4,8,0,0.5,1760,14720,128,768",   # batch below 1
+        "vertical,32,1,4,8,0,0.5,1760,-14720,128,768",  # negative flop count
+    ])
+    def test_report_on_impossible_rows_is_an_input_error(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(CSV_HEADER + "\n" + row + "\n")
+        rc = main(["report", str(csv_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err and str(row.split(",")) in captured.err
+        assert captured.out == ""
+
     def test_zero_dense_limit_env_var_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
         # a zero limit would prune every dense cell without a word
         monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "0")
