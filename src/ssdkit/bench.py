@@ -398,6 +398,14 @@ def read_records(path) -> list[BenchRecord]:
                                   f"in CSV row {row}")
         if not 0.0 <= wall < math.inf:  # false for NaN too
             raise ValidationError(f"wall_time_s must be finite and >= 0 in CSV row {row}")
+        # the grid _cell_list writes: Q >= 1 exactly for the chunked strategies,
+        # V >= 1, a multiple of Q, exactly for vertical
+        q, v = counts[2], counts[3]
+        vertical = row[0] == "vertical"
+        if ((q >= 1) != (row[0] in ("chunked-horizontal", "vertical"))
+                or (v >= 1) != vertical or (vertical and v % q)):
+            raise ValidationError(f"Q={q} and V={v} contradict strategy {row[0]} "
+                                  f"in CSV row {row}")
         records.append(BenchRecord(row[0], *counts[:5], wall, *counts[5:]))
     return records
 

@@ -10,7 +10,8 @@ stage runs once per call over all chunks at once, on chunk-major arrays
                (C . Z), and B^T @ M[last row] is the state contribution of
                the chunk's inputs at its right boundary;
   2. propagate - boundary states are carried across chunks by one
-               multiply-add per chunk (the only sequential stage);
+               multiply-add per chunk (the only sequential stage), on a
+               chunk-first buffer so each step is a contiguous block;
   3. correct - each chunk's output is completed by reading out the state
                carried in from everything before it (one batched C @ state),
                weighted by the decay from the previous boundary to each
@@ -189,8 +190,9 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
         b0:          (batch, heads, state) state entering the first chunk.
 
     Returns:
-        (batch, num_chunks + 1, heads, state); index 0 is b0, index c is the
-        state at chunk c's left boundary for c >= 1.
+        (batch, num_chunks + 1, heads, state), a view of a chunk-first
+        buffer; index 0 is b0, index c is the state at chunk c's left
+        boundary for c >= 1.
     """
     _check_fault(fault)
     b_intra = np.asarray(b_intra, dtype=np.float64)
@@ -205,14 +207,16 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
     if b0.shape != (b, h, n):
         raise DimensionError(f"b0 shape {b0.shape} does not match {(b, h, n)}")
 
-    states = np.empty((b, k + 1, h, n))
-    states[:, 0] = b0
-    for c in range(k):
-        if fault == FAULT_TRANSITION:
-            states[:, c + 1] = states[:, c] + b_intra[:, c]
-        else:
-            states[:, c + 1] = transitions[:, c, :, None] * states[:, c] + b_intra[:, c]
-    return states
+    # chunk-first, so each step works on one contiguous (b, h, n) block; the
+    # blocks are filled with their chunk's transition at once, so the loop
+    # multiplies in place without a broadcast (1 * s is s exactly)
+    states = np.empty((k + 1, b, h, n))
+    states[0] = b0
+    states[1:] = 1.0 if fault == FAULT_TRANSITION else transitions.swapaxes(0, 1)[..., None]
+    for s_c, s_next, b_c in zip(states[:-1], states[1:], b_intra.swapaxes(0, 1)):
+        s_next *= s_c
+        s_next += b_c
+    return states.swapaxes(0, 1)
 
 
 def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:

@@ -36,7 +36,7 @@ __all__ = [
 
 def _as_f64(arr, name: str) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValidationError(f"{name} contains non-finite values")
     return out
 

@@ -11,6 +11,7 @@ log-sum-exp so small temperatures cannot overflow.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -98,19 +99,30 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     return EmbeddingOutput(result.hidden[0, -1].copy(), int(full.size))
 
 
+def _checked(e, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """e as a float64 vector with its norm: 1-D of the query's shape, finite
+    and nonzero."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.ndim != 1 or e.shape != shape:
+        raise DimensionError(f"embeddings must be matching 1-D vectors, got {shape}, {e.shape}")
+    if not np.isfinite(e).all():
+        raise ValidationError("embeddings contain non-finite values")
+    norm = math.sqrt(e @ e)  # the bits of np.linalg.norm on a 1-D float64 vector
+    if norm == 0.0:
+        raise ValidationError("cosine similarity is undefined for zero vectors")
+    return e, norm
+
+
+def _cosine(q: np.ndarray, q_norm: float, e: np.ndarray, e_norm: float) -> float:
+    # value first, so a NaN (an overflowed dot product) passes through as np.clip's does
+    return min(max(float(q @ e) / (q_norm * e_norm), -1.0), 1.0)
+
+
 def cosine_similarity(e1, e2) -> float:
     """Cosine of the angle between two embeddings, clipped to [-1, 1]."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.ndim != 1 or e2.ndim != 1 or e1.shape != e2.shape:
-        raise DimensionError(f"embeddings must be matching 1-D vectors, got {e1.shape}, {e2.shape}")
-    if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
-        raise ValidationError("embeddings contain non-finite values")
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValidationError("cosine similarity is undefined for zero vectors")
-    return float(np.clip(np.dot(e1, e2) / (n1 * n2), -1.0, 1.0))
+    q = np.asarray(e1, dtype=np.float64)
+    e = _checked(e2, q.shape)  # a 1-D vector of q's shape: q is 1-D if this passes
+    return _cosine(*_checked(q, q.shape), *e)
 
 
 def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -> float:
@@ -118,11 +130,13 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
 
     Evaluated as logsumexp(s / T) - s_p / T with the max subtracted first, so
     arbitrarily small temperatures stay finite.  With no negatives the loss is
-    exactly zero.
+    exactly zero.  The query is checked and normed once, not per candidate.
     """
     config = LossConfig(temperature)  # validates the temperature
-    sims = [cosine_similarity(query, positive)]
-    sims.extend(cosine_similarity(query, neg) for neg in negatives)
+    q = np.asarray(query, dtype=np.float64)
+    candidates = [_checked(e, q.shape) for e in (positive, *negatives)]
+    q, q_norm = _checked(q, q.shape)
+    sims = [_cosine(q, q_norm, e, e_norm) for e, e_norm in candidates]
     scaled = np.asarray(sims, dtype=np.float64) / config.temperature
     shift = np.max(scaled)
     return float(shift + np.log(np.sum(np.exp(scaled - shift))) - scaled[0])

@@ -126,9 +126,13 @@ class LayerParams:
     per head; W_out maps head outputs back to the residual channels; gamma is
     the normalization scale.
 
-    W_in, (H(2N+1), d), stacks the rows of W_B, W_C and W_x so that one
-    product per chunk gives B, C and x (see ``generate_coefficients``).  It is
-    built from the stored tensors on construction and never serialized.
+    The projections use two derived operands with gamma folded in, so the
+    normalized input is never scaled on its own: W_in, (H(2N+1), d), stacks
+    the rows of W_B, W_C and W_x times gamma, so that one product per chunk
+    gives B, C and x, and w_gate is w_a times gamma (see
+    ``generate_coefficients``).  Both are built once, on construction, from
+    the stored tensors and never serialized; nothing assigns a layer tensor
+    after construction, so they stay in step with it.
     """
 
     w_a: np.ndarray    # (H, d)
@@ -139,6 +143,7 @@ class LayerParams:
     W_out: np.ndarray  # (H, d)
     gamma: np.ndarray  # (d,)
     W_in: np.ndarray = field(init=False, repr=False, compare=False)
+    w_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h, d = np.shape(self.w_a)
@@ -147,11 +152,12 @@ class LayerParams:
             if arr.shape != shape:
                 raise DimensionError(f"LayerParams.{name} shape {arr.shape}, expected {shape}")
             setattr(self, name, arr)
-        # column-major, so the products' operands w_a.T and W_in.T are
+        # column-major, so the products' operands w_gate.T and W_in.T are
         # row-major (twice as fast per chunk as the transposed views)
-        self.w_a = np.asfortranarray(self.w_a)
+        self.w_gate = np.asfortranarray(self.w_a * self.gamma)
         self.W_in = np.asfortranarray(
-            np.concatenate([self.W_B.reshape(-1, d), self.W_C.reshape(-1, d), self.W_x]))
+            np.concatenate([self.W_B.reshape(-1, d), self.W_C.reshape(-1, d), self.W_x])
+            * self.gamma)
 
     @property
     def heads(self) -> int:
@@ -216,10 +222,33 @@ def _check_channels(params: LayerParams, u) -> np.ndarray:
 
 
 def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
+    """u / rms(u) per position; gamma is folded into the projection operands."""
     rms = np.sqrt(np.einsum("btd,btd->bt", u, u) / params.d + RMS_EPS)
-    un = u / rms[..., None]
-    un *= params.gamma
-    return un
+    return u / rms[..., None]
+
+
+def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
+                  chunk_size: int | None) -> np.ndarray:
+    """out[:, i] = x[:, i] @ w, one batched product per chunk of positions.
+
+    x is (batch, length, k) and out (batch, length, m), written in place: one
+    np.matmul over the full chunks of chunk_size positions (one chunk
+    spanning the call when None) and one more for a ragged tail, as one
+    chunk of its own length.  A single product over all rows is not used
+    because it is not row-slice invariant: the bits of a row can depend on
+    how many rows share the call.  Fixing every product's shape to its chunk
+    gives a position the same bits in any call whose chunks start where its
+    own do.
+    """
+    b, t, k = x.shape
+    m = out.shape[-1]
+    q = t if chunk_size is None else min(chunk_size, t)
+    full = t - t % q
+    for lo, hi, rows in ((0, full, q), (full, t, t - full)):
+        if hi > lo:
+            np.matmul(x[:, lo:hi].reshape(b, -1, rows, k), w,
+                      out=out[:, lo:hi].reshape(b, -1, rows, m))
+    return out
 
 
 def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None):
@@ -231,15 +260,10 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     a = 0.5, and logits beyond the float range saturate to exactly 0 or 1.
 
     The projections are one BLAS product per chunk of ``chunk_size``
-    positions (one chunk spanning the call when None): a batched matmul over
-    the full chunks with w_a for the gate logits and one with the stacked
-    W_in for B, C and x, and one more pair for a ragged tail.  A single
-    product over all rows is not used because it is not row-slice
-    invariant: the bits of a row can depend on how many rows share the call.
-    Fixing every product's shape to its chunk gives a position the same bits
-    in any call whose chunks start where its own do, so chunk-aligned
-    vertical blocks and split calls reproduce one whole-sequence call
-    exactly.
+    positions (one chunk spanning the call when None, see ``_chunk_matmul``):
+    one with w_gate for the gate logits and one with the stacked W_in for B,
+    C and x, both with gamma folded in.  Chunk-aligned vertical blocks and
+    split calls therefore reproduce one whole-sequence call exactly.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
     channel; B, C and x are views of one (batch, length, H(2N+1)) buffer.
@@ -248,19 +272,11 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
     un = _normalize(params, u)
-    b, t, d = un.shape
+    b, t, _ = un.shape
     h, n = params.heads, params.state_dim
-    k = params.W_in.shape[0]
-    q = t if chunk_size is None else min(chunk_size, t)
-    full = t - t % q
-    a = np.empty((b, t, h))
-    proj = np.empty((b, t, k))
-    # the full chunks, then the ragged tail as one chunk of its own length
-    for lo, hi, rows in ((0, full, q), (full, t, t - full)):
-        if hi > lo:
-            span = un[:, lo:hi].reshape(b, -1, rows, d)
-            np.matmul(span, params.w_a.T, out=a[:, lo:hi].reshape(b, -1, rows, h))
-            np.matmul(span, params.W_in.T, out=proj[:, lo:hi].reshape(b, -1, rows, k))
+    a = _chunk_matmul(un, params.w_gate.T, np.empty((b, t, h)), chunk_size)
+    proj = _chunk_matmul(un, params.W_in.T, np.empty((b, t, params.W_in.shape[0])),
+                         chunk_size)
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0
     a += params.b_a
     with np.errstate(over="ignore"):
@@ -284,7 +300,8 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         u:          (batch, length, d) input channels.
         state:      optional (batch, H, N) kernel state entering the layer.
         chunk_size: chunk length for the chunked kernel and for the input
-                    projections of every kernel (see generate_coefficients).
+                    and output projections of every kernel: each is one
+                    product per chunk (see generate_coefficients).
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
 
@@ -306,7 +323,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     else:
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
 
-    v = np.einsum("bth,hd->btd", y, params.W_out)
+    v = _chunk_matmul(y, params.W_out, np.empty(u.shape), chunk_size)
     v += u
     return v, hT
 

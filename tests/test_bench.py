@@ -262,9 +262,12 @@ class TestRecordsCsv:
     @pytest.mark.parametrize("column,value", [(0, "warp"), (0, "Vertical"), (1, "0"),
                                               (2, "0"), (2, "-5"), (3, "-1"), (4, "-8"),
                                               (5, "-1"), (7, "-1"), (8, "-1"), (9, "-2"),
-                                              (10, "-3")])
+                                              (10, "-3"), (0, "recurrent"), (0, "dense"),
+                                              (0, "chunked-horizontal"), (3, "0"),
+                                              (4, "0"), (4, "6")])
     def test_impossible_row_rejected(self, tmp_path, column, value):
-        # a strategy outside STRATEGIES, T or batch below 1, a negative count
+        # a strategy outside STRATEGIES, T or batch below 1, a negative count,
+        # Q or V contradicting the strategy (the row is vertical, Q = 4, V = 8)
         path = tmp_path / "sweep.csv"
         write_records(path, self.RECORDS)
         lines = path.read_text().splitlines()

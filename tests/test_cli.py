@@ -189,6 +189,9 @@ class TestSweepAndReportCommands:
         "vertical,0,1,4,8,0,0.5,1760,14720,128,768",    # T below 1
         "vertical,32,0,4,8,0,0.5,1760,14720,128,768",   # batch below 1
         "vertical,32,1,4,8,0,0.5,1760,-14720,128,768",  # negative flop count
+        "vertical,32,1,0,0,0,0.5,1760,14720,128,768",   # vertical without Q and V
+        "recurrent,32,1,4,8,0,0.5,320,0,0,0",           # unchunked with Q and V
+        "chunked-horizontal,32,1,4,8,0,0.5,912,7360,64,320",  # horizontal with V
     ])
     def test_report_on_impossible_rows_is_an_input_error(self, tmp_path, capsys, row):
         csv_path = tmp_path / "sweep.csv"

@@ -212,6 +212,25 @@ class TestInfoNceLoss:
         with pytest.raises(ValidationError):
             LossConfig(temperature=math.inf)
 
+    @pytest.mark.parametrize("query,negative", [
+        (Q, np.array([1.0, 0.0])),           # a negative of the wrong length
+        (Q, np.ones((1, 3))),                # a 2-D negative
+        (np.ones((1, 3)), N1),               # a 2-D query
+    ])
+    def test_shape_faults_rejected(self, query, negative):
+        with pytest.raises(DimensionError, match="matching 1-D vectors"):
+            info_nce_loss(query, self.P, [self.N1, negative])
+
+    @pytest.mark.parametrize("query,negative,message", [
+        (np.array([np.inf, 0.0, 0.0]), N1, "non-finite"),
+        (Q, np.array([0.0, np.nan, 0.0]), "non-finite"),
+        (np.zeros(3), N1, "zero vectors"),
+        (Q, np.zeros(3), "zero vectors"),
+    ])
+    def test_value_faults_rejected(self, query, negative, message):
+        with pytest.raises(ValidationError, match=message):
+            info_nce_loss(query, self.P, [self.N1, negative])
+
     def test_loss_config_default(self):
         assert LossConfig().temperature == 0.02
 

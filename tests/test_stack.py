@@ -14,6 +14,7 @@ from ssdkit import (
     FormatError,
     LayerParams,
     ModelSpec,
+    StackedModel,
     ValidationError,
     export_state_snapshot,
     generate_coefficients,
@@ -22,12 +23,13 @@ from ssdkit import (
     import_state_snapshot,
     infer,
     layer_forward,
+    layer_shapes,
     load_state_snapshot,
     recurrent_scan,
     save_state_snapshot,
     vertical_infer,
 )
-from ssdkit.stack import KERNELS
+from ssdkit.stack import KERNELS, RMS_EPS
 
 
 def rel_err(got, ref):
@@ -105,6 +107,21 @@ class TestCoefficientProjection:
         coeffs, _ = generate_coefficients(p, np.zeros((1, 4, 8)))
         assert np.all(np.abs(coeffs.a - 0.5) < 1e-15)
 
+    def test_non_unit_gamma_matches_a_per_position_reference(self):
+        # generate_model and tiny_params otherwise set gamma to ones, so a
+        # projection that dropped gamma would pass every other test
+        rng = np.random.default_rng(13)
+        p = tiny_params(13, gamma=rng.uniform(0.25, 4.0, 8))
+        u = rng.standard_normal((2, 11, 8))
+        coeffs, x = generate_coefficients(p, u, 4)
+        for bi in range(2):
+            for t in range(11):
+                un = u[bi, t] / np.sqrt(np.mean(u[bi, t] ** 2) + RMS_EPS) * p.gamma
+                gate = 1.0 / (1.0 + np.exp(p.w_a @ un + p.b_a))
+                for got, ref in ((coeffs.a[bi, t], gate), (coeffs.Bmat[bi, t], p.W_B @ un),
+                                 (coeffs.Cmat[bi, t], p.W_C @ un), (x[bi, t], p.W_x @ un)):
+                    assert rel_err(got, ref) <= 1e-12
+
     def test_gates_stay_inside_the_open_unit_interval(self):
         # about a million projected gates from heavy-tailed inputs
         p = tiny_params(21, h=8, d=16, n=2)
@@ -159,6 +176,18 @@ class TestProjectionRowInvariance:
                 part, xs = generate_coefficients(self.LAYER, u[:, s:s + span], q)
                 for got, ref in zip((part.a, part.Bmat, part.Cmat, xs), whole):
                     assert np.array_equal(got, ref[:, s:s + span])
+
+    @pytest.mark.parametrize("batch,t,q", [(1, 4096, 16), (8, 4096, 16), (3, 77, 3)])
+    def test_layer_output_of_chunk_aligned_slices_matches_the_whole_call(self, batch, t, q):
+        # the output products run per chunk too; slices carry the state
+        u = np.random.default_rng(t + batch).standard_normal((batch, t, 16))
+        v, hT = layer_forward(self.LAYER, u, None, q)
+        for span in (q, 4 * q):
+            state = None
+            for s in range(0, t, span):
+                part, state = layer_forward(self.LAYER, u[:, s:s + span], state, q)
+                assert np.array_equal(part, v[:, s:s + span])
+            assert np.array_equal(state, hT)
 
 
 class TestLayerForward:
@@ -284,10 +313,9 @@ class TestHorizontalInfer:
 class TestVerticalInfer:
     SPEC = ModelSpec(seed=12, L=4, d=16, H=2, N=4, vocab_size=64, Q=8, V=32)
 
-    def test_matches_horizontal_bitwise(self):
+    def check_matches_horizontal_bitwise(self, model):
         # same chunk boundaries, same per-chunk arithmetic, different order
         # of traversal only; the numbers come out identical
-        model = generate_model(self.SPEC)
         tok = tokens_for(self.SPEC, 100)
         h = horizontal_infer(model, tok, kernel="chunked")
         got_blocks = []
@@ -296,6 +324,19 @@ class TestVerticalInfer:
         assert np.array_equal(full, h.hidden)
         assert np.array_equal(v.states, h.states)
         assert np.array_equal(v.hidden, h.hidden[:, -v.hidden.shape[1]:])
+
+    def test_matches_horizontal_bitwise(self):
+        self.check_matches_horizontal_bitwise(generate_model(self.SPEC))
+
+    def test_matches_horizontal_bitwise_with_non_unit_gamma(self):
+        # gamma is folded into the projection operands when a layer is built
+        model = generate_model(self.SPEC)
+        rng = np.random.default_rng(12)
+        names = layer_shapes(self.SPEC.H, self.SPEC.d, self.SPEC.N)
+        self.check_matches_horizontal_bitwise(StackedModel(self.SPEC, model.embedding, [
+            LayerParams(**{**{name: getattr(layer, name) for name in names},
+                           "gamma": rng.uniform(0.25, 4.0, self.SPEC.d)})
+            for layer in model.layers]))
 
     def test_flop_totals_match_horizontal_exactly(self):
         model = generate_model(self.SPEC)
