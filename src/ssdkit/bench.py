@@ -70,6 +70,11 @@ def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
 # Equivalence suite
 # ---------------------------------------------------------------------------
 
+# the suite's fixed shapes: batch, heads and state dimension of each kernel
+# instance, then the stacked model's channel count and chunk size
+EQ_BATCH, EQ_HEADS, EQ_STATE_DIM, EQ_D, EQ_MODEL_Q = 2, 2, 4, 16, 8
+
+
 @dataclass(frozen=True)
 class EquivalenceConfig:
     seed: int = 42
@@ -77,12 +82,7 @@ class EquivalenceConfig:
     t_grid: tuple[int, ...] = (4, 16, 33, 64)
     q_grid: tuple[int, ...] = (2, 4, 8)
     v_grid: tuple[int, ...] = (16, 32)
-    batch: int = 2
-    heads: int = 2
-    state_dim: int = 4
     layers: int = 3
-    d: int = 16
-    model_q: int = 8
     dense_limit: int = DEFAULT_DENSE_LIMIT
     fault: str | None = None
 
@@ -90,7 +90,7 @@ class EquivalenceConfig:
         if not 0 < self.tolerance < math.inf:  # false for NaN too
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
         _check_grids(self, ("t_grid", "q_grid", "v_grid"))
-        for name in ("batch", "heads", "state_dim", "layers", "d", "model_q", "dense_limit"):
+        for name in ("layers", "dense_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -200,9 +200,9 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
 
     for t in config.t_grid:
         instance = f"T={t}"
-        coeffs = random_coefficients(rng, config.batch, t, config.heads, config.state_dim)
-        x = rng.standard_normal((config.batch, t, config.heads))
-        h0 = rng.standard_normal((config.batch, config.heads, config.state_dim))
+        coeffs = random_coefficients(rng, EQ_BATCH, t, EQ_HEADS, EQ_STATE_DIM)
+        x = rng.standard_normal((EQ_BATCH, t, EQ_HEADS))
+        h0 = rng.standard_normal((EQ_BATCH, EQ_HEADS, EQ_STATE_DIM))
         ref = recurrent_scan(coeffs, x, h0)
 
         if t <= config.dense_limit:
@@ -222,30 +222,30 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
             _stage_checks(report, instance, coeffs, x, h0, smallest_multi_q, config)
 
     # Model-level: schedules over a stacked model, recurrent kernel as oracle.
-    spec = ModelSpec(seed=config.seed, L=config.layers, d=config.d, H=config.heads,
-                     N=config.state_dim, vocab_size=64, Q=config.model_q,
-                     V=2 * config.model_q, dense_limit=config.dense_limit)
+    spec = ModelSpec(seed=config.seed, L=config.layers, d=EQ_D, H=EQ_HEADS,
+                     N=EQ_STATE_DIM, vocab_size=64, Q=EQ_MODEL_Q, V=2 * EQ_MODEL_Q,
+                     dense_limit=config.dense_limit)
     model = generate_model(spec)
     for t in config.t_grid:
         instance = f"T={t}"
         tokens = rng.integers(0, spec.vocab_size - 1, size=(1, t))
-        ref = horizontal_infer(model, tokens, config.model_q, kernel="recurrent")
-        multi = math.ceil(t / config.model_q) > 1
+        ref = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="recurrent")
+        multi = math.ceil(t / EQ_MODEL_Q) > 1
 
-        got = horizontal_infer(model, tokens, config.model_q, fault=config.fault)
+        got = horizontal_infer(model, tokens, EQ_MODEL_Q, fault=config.fault)
         err = relative_error(got.hidden, ref.hidden)
         add(CheckResult(instance, "model-chunked", multi, err, tol, err <= tol))
 
         if t <= config.dense_limit:
-            got = horizontal_infer(model, tokens, config.model_q, kernel="dense")
+            got = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="dense")
             err = relative_error(got.hidden, ref.hidden)
             add(CheckResult(instance, "model-dense", False, err, tol, err <= tol))
 
         for v in config.v_grid:
-            if v % config.model_q != 0:
+            if v % EQ_MODEL_Q != 0:
                 continue
             blocks: list[tuple[int, np.ndarray]] = []
-            vertical_infer(model, tokens, v, config.model_q, fault=config.fault,
+            vertical_infer(model, tokens, v, EQ_MODEL_Q, fault=config.fault,
                            sink=lambda start, h: blocks.append((start, h)))
             full = np.concatenate([h for _, h in sorted(blocks)], axis=1)
             err = relative_error(full, ref.hidden)
@@ -267,7 +267,6 @@ class SweepConfig:
     strategies: tuple[str, ...] = STRATEGIES
     reps: int = 3
     warmup: int = 1
-    dense_limit: int | None = None  # None: the model's configured limit
 
     def __post_init__(self):
         if self.reps < 1:
@@ -278,8 +277,6 @@ class SweepConfig:
             raise ValidationError(
                 f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
         _check_grids(self, ("t_grid", "batch_grid", "q_grid", "v_grid"))
-        if self.dense_limit is not None and self.dense_limit < 1:
-            raise ValidationError(f"dense_limit must be >= 1, got {self.dense_limit}")
 
 
 @dataclass(frozen=True)
@@ -303,13 +300,15 @@ class BenchRecord:
 CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
-def _cell_list(config: SweepConfig, dense_limit: int, log) -> list[tuple]:
-    """Expand the grids into (strategy, T, batch, Q, V) cells, pruned."""
+def _cell_list(model: StackedModel, config: SweepConfig, log) -> list[tuple]:
+    """Expand the grids into (strategy, T, batch, Q, V) cells, pruned; dense
+    cells by the model's dense limit."""
+    limit = model.spec.dense_limit
     cells = []
     for strategy in config.strategies:
         for t in config.t_grid:
-            if strategy == "dense" and t > dense_limit:
-                log(f"skip dense T={t}: exceeds dense limit {dense_limit}")
+            if strategy == "dense" and t > limit:
+                log(f"skip dense T={t}: exceeds dense limit {limit}")
                 continue
             for batch in config.batch_grid:
                 if strategy in ("recurrent", "dense"):
@@ -328,8 +327,7 @@ def _cell_list(config: SweepConfig, dense_limit: int, log) -> list[tuple]:
     return cells
 
 
-def _time_cell(model: StackedModel, config: SweepConfig, dense_limit: int,
-               cell: tuple) -> list[BenchRecord]:
+def _time_cell(model: StackedModel, config: SweepConfig, cell: tuple) -> list[BenchRecord]:
     strategy, t, batch, q, v = cell
     rng = np.random.default_rng([config.seed, t, batch])
     tokens = rng.integers(0, model.spec.vocab_size - 1, size=(batch, t))
@@ -341,8 +339,7 @@ def _time_cell(model: StackedModel, config: SweepConfig, dense_limit: int,
         if v:
             result = vertical_infer(model, tokens, v, chunk)
         else:
-            result = horizontal_infer(model, tokens, chunk, kernel=kernel,
-                                      dense_limit=dense_limit)
+            result = horizontal_infer(model, tokens, chunk, kernel=kernel)
         return result, time.perf_counter() - start
 
     for _ in range(config.warmup):
@@ -362,9 +359,8 @@ def run_sweep(model: StackedModel, config: SweepConfig = SweepConfig(),
     """Time every grid cell, one after another; returns records sorted by the
     CSV column order."""
     log = log if log is not None else (lambda msg: None)
-    dense_limit = config.dense_limit if config.dense_limit is not None else model.spec.dense_limit
-    records = [rec for cell in _cell_list(config, dense_limit, log)
-               for rec in _time_cell(model, config, dense_limit, cell)]
+    records = [rec for cell in _cell_list(model, config, log)
+               for rec in _time_cell(model, config, cell)]
     records.sort(key=BenchRecord.sort_key)
     return records
 

@@ -1,8 +1,9 @@
 """Command-line harness: equivalence checks, timing sweeps, text embedding.
 
 Exit codes: 0 on success, 1 when an equivalence check fails, 2 for usage or
-input errors.  The environment variable SSD_CHUNK_DENSE_LIMIT overrides the
-dense kernel's materialization limit for all subcommands.
+input errors.  The environment variable SSD_CHUNK_DENSE_LIMIT sets the dense
+kernel's materialization limit: for sweep, in the spec of the model it times
+(and so in its .meta.json); for equivalence, in its EquivalenceConfig.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 from .bench import (EquivalenceConfig, SweepConfig, read_records, run_equivalence,
                     run_sweep, summarize_records, write_records, STRATEGIES)
@@ -18,30 +20,41 @@ from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
 from .errors import SsdError, ValidationError
 from .model_io import generate_model, load_model, load_model_spec, spec_to_config
-from .stack import ModelSpec, atomic_write
+from .stack import ModelSpec, StackedModel, atomic_write
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in _name_list(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
-def _load_model_arg(args) -> "StackedModel":
+def _given(args, cls, **extra):
+    """cls built from the flags given for its fields, plus extra."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)}, **extra)
+
+
+def _load_model_arg(args) -> StackedModel:
     if args.model:
         if str(args.model).endswith(".json"):
             return generate_model(load_model_spec(args.model))
         return load_model(args.model)
-    return generate_model(ModelSpec(seed=args.seed))
+    return generate_model(_given(args, ModelSpec))
 
 
-def _dense_limit_env() -> int | None:
+def _dense_limit_env() -> dict:
+    """{"dense_limit": n} from SSD_CHUNK_DENSE_LIMIT, or {} when it is unset."""
     raw = os.environ.get("SSD_CHUNK_DENSE_LIMIT")
     if raw is None:
-        return None
+        return {}
     try:
-        return int(raw)
+        return {"dense_limit": int(raw)}
     except ValueError:
         raise SsdError(f"SSD_CHUNK_DENSE_LIMIT must be an integer, got {raw!r}")
 
@@ -52,37 +65,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equivalence checks, sweeps, and embeddings for chunked "
                     "state-space inference.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    eq = sub.add_parser("equivalence", help="cross-check all evaluation routes")
-    eq.add_argument("--model", help="model file (.ssdm) or model spec (.json)")
-    eq.add_argument("--seed", type=int, default=42)
-    eq.add_argument("--tolerance", type=float, default=1e-9)
-    eq.add_argument("--grid-t", type=_int_list, default=None, help="sequence lengths")
-    eq.add_argument("--grid-q", type=_int_list, default=None, help="chunk sizes")
-    eq.add_argument("--grid-v", type=_int_list, default=None, help="vertical block lengths")
-    eq.add_argument("--inject-fault", choices=FAULT_MODES, default=None,
+    # equivalence and sweep: a flag absent from the command line is absent
+    # from the namespace, so its config field keeps the config's default
+    eq = sub.add_parser("equivalence", argument_default=argparse.SUPPRESS,
+                        help="cross-check all evaluation routes")
+    eq.add_argument("--seed", type=int)
+    eq.add_argument("--tolerance", type=float)
+    eq.add_argument("--grid-t", dest="t_grid", type=_int_list, help="sequence lengths")
+    eq.add_argument("--grid-q", dest="q_grid", type=_int_list, help="chunk sizes")
+    eq.add_argument("--grid-v", dest="v_grid", type=_int_list,
+                    help="vertical block lengths")
+    eq.add_argument("--inject-fault", dest="fault", choices=FAULT_MODES,
                     help="disable one kernel ingredient; the suite must then fail "
                          "on every multi-chunk instance")
-    eq.add_argument("--out", help="write the full report as JSON")
+    eq.add_argument("--out", default=None, help="write the full report as JSON")
 
-    sw = sub.add_parser("sweep", help="time forward passes over a grid")
-    sw.add_argument("--model", help="model file (.ssdm) or model spec (.json)")
-    sw.add_argument("--seed", type=int, default=42)
-    sw.add_argument("--grid-t", type=_int_list, default=None)
-    sw.add_argument("--grid-q", type=_int_list, default=None)
-    sw.add_argument("--grid-v", type=_int_list, default=None,
+    sw = sub.add_parser("sweep", argument_default=argparse.SUPPRESS,
+                        help="time forward passes over a grid")
+    sw.add_argument("--model", default=None, help="model file (.ssdm) or model spec (.json)")
+    sw.add_argument("--seed", type=int)
+    sw.add_argument("--grid-t", dest="t_grid", type=_int_list)
+    sw.add_argument("--grid-q", dest="q_grid", type=_int_list)
+    sw.add_argument("--grid-v", dest="v_grid", type=_int_list,
                     help="absolute vertical block lengths (default: Q, 2Q, 4Q per Q)")
-    sw.add_argument("--grid-batch", type=_int_list, default=None)
-    sw.add_argument("--strategy", default=None,
+    sw.add_argument("--grid-batch", dest="batch_grid", type=_int_list)
+    sw.add_argument("--strategy", dest="strategies", type=_name_list,
                     help=f"comma-separated subset of {','.join(STRATEGIES)}")
-    sw.add_argument("--reps", type=int, default=3)
-    sw.add_argument("--warmup", type=int, default=1)
+    sw.add_argument("--reps", type=int)
+    sw.add_argument("--warmup", type=int)
     sw.add_argument("--out", required=True, help="output CSV path")
 
     em = sub.add_parser("embed", help="embed a text file")
     em.add_argument("input", help="text file to embed, or - for stdin")
     em.add_argument("--model", help="model file (.ssdm) or model spec (.json)")
-    em.add_argument("--seed", type=int, default=42)
+    em.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     em.add_argument("--vertical", action="store_true",
                     help="use the vertical (bounded-memory) schedule")
     em.add_argument("--q", type=int, default=None, help="chunk size override")
@@ -101,19 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_equivalence(args) -> int:
-    overrides = {"seed": args.seed, "tolerance": args.tolerance}
-    if args.grid_t is not None:
-        overrides["t_grid"] = args.grid_t
-    if args.grid_q is not None:
-        overrides["q_grid"] = args.grid_q
-    if args.grid_v is not None:
-        overrides["v_grid"] = args.grid_v
-    if args.inject_fault is not None:
-        overrides["fault"] = args.inject_fault
-    env_limit = _dense_limit_env()
-    if env_limit is not None:
-        overrides["dense_limit"] = env_limit
-    report = run_equivalence(EquivalenceConfig(**overrides))
+    config = _given(args, EquivalenceConfig, **_dense_limit_env())
+    report = run_equivalence(config)
     for check in report.checks:
         print(check.line())
     status = "PASS" if report.passed else "FAIL"
@@ -127,21 +132,11 @@ def _cmd_equivalence(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _load_model_arg(args)
-    overrides = {"seed": args.seed, "reps": args.reps, "warmup": args.warmup}
-    if args.grid_t is not None:
-        overrides["t_grid"] = args.grid_t
-    if args.grid_q is not None:
-        overrides["q_grid"] = args.grid_q
-    if args.grid_v is not None:
-        overrides["v_grid"] = args.grid_v
-    if args.grid_batch is not None:
-        overrides["batch_grid"] = args.grid_batch
-    if args.strategy is not None:
-        overrides["strategies"] = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
-    env_limit = _dense_limit_env()
-    if env_limit is not None:
-        overrides["dense_limit"] = env_limit
-    config = SweepConfig(**overrides)
+    # the limit goes into the timed model's spec, so the sidecar records it
+    limit = _dense_limit_env()
+    if limit:
+        model = StackedModel(replace(model.spec, **limit), model.embedding, model.layers)
+    config = _given(args, SweepConfig)
     records = run_sweep(model, config, log=lambda msg: print(msg, file=sys.stderr))
     write_records(args.out, records)
     meta = {

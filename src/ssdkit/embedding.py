@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 QUERY_TEMPLATE = "Instruction: {prompt}\nQuery: {query}"
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 def format_query(prompt: str, query: str) -> str:
@@ -101,16 +102,25 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
 
 def _checked(e, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
     """e as a float64 vector with its norm: 1-D of the query's shape, finite
-    and nonzero."""
+    and nonzero.
+
+    When e @ e overflows or falls below the smallest normal float, e is
+    returned scaled by a power of two (exact, and the cosine is scale-free)
+    to a max-abs in [0.5, 1), whose squared norm is normal.
+    """
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.shape != shape:
         raise DimensionError(f"embeddings must be matching 1-D vectors, got {shape}, {e.shape}")
     if not np.isfinite(e).all():
         raise ValidationError("embeddings contain non-finite values")
-    norm = math.sqrt(e @ e)  # the bits of np.linalg.norm on a 1-D float64 vector
-    if norm == 0.0:
-        raise ValidationError("cosine similarity is undefined for zero vectors")
-    return e, norm
+    square = np.vdot(e, e)  # the bits of e @ e, without a warning when it overflows
+    if not _SMALLEST_NORMAL <= square < math.inf:
+        top = float(np.max(np.abs(e)))
+        if top == 0.0:
+            raise ValidationError("cosine similarity is undefined for zero vectors")
+        e = np.ldexp(e, -math.frexp(top)[1])
+        square = e @ e
+    return e, math.sqrt(square)  # the bits of np.linalg.norm on a 1-D float64 vector
 
 
 def _cosine(q: np.ndarray, q_norm: float, e: np.ndarray, e_norm: float) -> float:

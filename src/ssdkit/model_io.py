@@ -65,14 +65,11 @@ def _uniform_signed(seed: int, start: int, count: int) -> np.ndarray:
     return u * (2.0 / 9007199254740992.0) - 1.0  # [0, 2^53) -> [-1, 1)
 
 
-def generate_model(spec: ModelSpec | None = None, **kwargs) -> StackedModel:
+def generate_model(spec: ModelSpec) -> StackedModel:
     """Build a model whose parameters are fully determined by spec.seed.
 
-    Accepts either a ModelSpec or its keyword fields.  Calling twice with the
-    same spec yields bit-identical parameters.
+    Calling twice with the same spec yields bit-identical parameters.
     """
-    if spec is None:
-        spec = ModelSpec(**kwargs)
     offset = 0
 
     def draw(shape, fan_in):

@@ -363,15 +363,15 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
 
 def infer(model: StackedModel, tokens, block_len: int | None = None,
           chunk_size: int | None = None, *, kernel: str = "chunked",
-          dense_limit: int | None = None, initial_states=None, sink=None,
-          fault=None) -> InferenceResult:
+          initial_states=None, sink=None, fault=None) -> InferenceResult:
     """Block-at-a-time inference through all layers, states carried across.
 
     Args:
         block_len:      positions per block, a multiple of the chunk size;
                         None runs one block spanning the whole sequence.
         chunk_size:     chunk length (default model.spec.Q).
-        kernel:         "chunked", "recurrent", or "dense" (see layer_forward).
+        kernel:         "chunked", "recurrent", or "dense" (see layer_forward);
+                        the dense kernel is guarded by model.spec.dense_limit.
         initial_states: optional (L, batch, H, N) states from a previous call
                         on the preceding positions.
         sink:           optional callable(start, hidden_block) receiving every
@@ -385,7 +385,6 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     """
     spec = model.spec
     q = chunk_size if chunk_size is not None else spec.Q
-    limit = dense_limit if dense_limit is not None else spec.dense_limit
     if q < 1:
         raise ValidationError(f"chunk size must be >= 1, got {q}")
     if block_len is not None and block_len < 1:
@@ -422,7 +421,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         # and the last block's output are freed as soon as they are replaced
         for li, layer in enumerate(model.layers):
             u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                          kernel=kernel, dense_limit=limit, fault=fault)
+                                          kernel=kernel, dense_limit=spec.dense_limit,
+                                          fault=fault)
         if sink is not None:
             sink(start, u.copy())
     peak = max(_block_elements(spec, batch, n, q, kernel)
@@ -433,11 +433,9 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
 
 
 def horizontal_infer(model: StackedModel, tokens, chunk_size: int | None = None, *,
-                     kernel: str = "chunked", dense_limit: int | None = None,
-                     fault=None) -> InferenceResult:
+                     kernel: str = "chunked", fault=None) -> InferenceResult:
     """Layer-at-a-time inference: ``infer`` with one block spanning the sequence."""
-    return infer(model, tokens, None, chunk_size, kernel=kernel,
-                 dense_limit=dense_limit, fault=fault)
+    return infer(model, tokens, None, chunk_size, kernel=kernel, fault=fault)
 
 
 def vertical_infer(model: StackedModel, tokens, block_len: int | None = None,

@@ -1,5 +1,7 @@
 """Equivalence suite behavior, fault sensitivity, timing sweeps, CSV round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,7 @@ class TestEquivalenceSuite:
     @pytest.mark.parametrize("field,value", [
         ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
         ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
-        ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("batch", 0),
-        ("heads", 0), ("state_dim", 0), ("layers", 0), ("d", 0), ("model_q", 0),
+        ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("layers", 0),
         ("dense_limit", 0),
     ])
     def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
@@ -165,10 +166,10 @@ class TestSweep:
                        (r.flops_intra, r.flops_prop, r.flops_inter)
 
     def test_dense_cells_are_pruned_beyond_the_limit(self):
-        model = generate_model(SWEEP_MODEL_SPEC)
+        model = generate_model(replace(SWEEP_MODEL_SPEC, dense_limit=16))
         messages = []
         config = SweepConfig(t_grid=(16, 32), batch_grid=(1,), q_grid=(4,), v_grid=(8,),
-                             strategies=("dense",), reps=1, warmup=0, dense_limit=16)
+                             strategies=("dense",), reps=1, warmup=0)
         records = run_sweep(model, config, log=messages.append)
         assert {r.T for r in records} == {16}
         assert any("skip dense T=32" in m for m in messages)
@@ -195,12 +196,6 @@ class TestSweep:
     def test_config_rejects_empty_or_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):
             SweepConfig(**{field: value})
-
-    @pytest.mark.parametrize("limit", [0, -8])
-    def test_config_rejects_non_positive_dense_limit(self, limit):
-        with pytest.raises(ValidationError, match="dense_limit"):
-            SweepConfig(dense_limit=limit)
-        assert SweepConfig(dense_limit=None).dense_limit is None
 
 
 class TestRecordsCsv:

@@ -5,13 +5,16 @@
 
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ssdkit import (
     CSV_HEADER,
+    EquivalenceConfig,
     ModelSpec,
+    SweepConfig,
     embed_sequence,
     generate_model,
     read_records,
@@ -19,7 +22,7 @@ from ssdkit import (
     save_model_spec,
     tokenize_words,
 )
-from ssdkit.cli import main
+from ssdkit.cli import _build_parser, main
 
 EQ_ARGS = ["equivalence", "--grid-t", "4,16", "--grid-q", "2,4", "--grid-v", "16"]
 
@@ -60,6 +63,12 @@ class TestEquivalenceCommand:
         assert rc == 0
         assert "dense-vs-recurrent" not in out
         assert "model-dense" not in out
+
+    def test_model_flag_is_a_usage_error(self, tmp_path):
+        # the suite builds its own model; a --model would be read and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(EQ_ARGS + ["--model", str(tmp_path / "absent.ssdm")])
+        assert exc.value.code == 2
 
     def test_malformed_dense_limit_env_var_errors(self, capsys, monkeypatch):
         monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "lots")
@@ -202,6 +211,18 @@ class TestSweepAndReportCommands:
         assert "error:" in captured.err and str(row.split(",")) in captured.err
         assert captured.out == ""
 
+    def test_dense_limit_env_var_sets_the_timed_model_spec(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "8")
+        out_path = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--strategy", "dense", "--grid-t", "8,16", "--grid-batch", "1",
+                   "--reps", "1", "--warmup", "0", "--out", str(out_path)])
+        assert rc == 0
+        assert "skip dense T=16: exceeds dense limit 8" in capsys.readouterr().err
+        assert [r.T for r in read_records(out_path)] == [8]
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["model_spec"]["dense_limit"] == 8
+
     def test_zero_dense_limit_env_var_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
         # a zero limit would prune every dense cell without a word
         monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "0")
@@ -211,6 +232,28 @@ class TestSweepAndReportCommands:
         assert rc == 2
         assert "dense_limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigFlags:
+    # every field is set from a flag, except layers (set by the acceptance
+    # tests only) and dense_limit (set from SSD_CHUNK_DENSE_LIMIT)
+    @pytest.mark.parametrize("argv,config", [
+        (["equivalence", "--seed", "1", "--tolerance", "1e-8", "--grid-t", "4",
+          "--grid-q", "2", "--grid-v", "16", "--inject-fault", "state-transition",
+          "--out", "r.json"], EquivalenceConfig),
+        (["sweep", "--model", "m.ssdm", "--seed", "1", "--grid-t", "8", "--grid-q", "4",
+          "--grid-v", "8", "--grid-batch", "1", "--strategy", " dense, vertical,",
+          "--reps", "2", "--warmup", "0", "--out", "s.csv"], SweepConfig),
+    ])
+    def test_every_config_field_has_a_flag(self, argv, config):
+        args = vars(_build_parser().parse_args(argv))
+        names = {f.name for f in fields(config)} - {"layers", "dense_limit"}
+        assert names <= set(args)
+        config(**{name: args[name] for name in names})  # each flag parses to its field
+
+    def test_absent_flags_leave_the_config_defaults(self):
+        args = vars(_build_parser().parse_args(["equivalence"]))
+        assert set(args) == {"command", "out"}
 
 
 class TestEmbedCommand:

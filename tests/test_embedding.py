@@ -154,6 +154,19 @@ class TestCosineSimilarity:
         with pytest.raises(ValidationError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e1,e2,cosine", [
+        ([1e200] * 4, np.ones(4), 1.0),          # one squared norm overflows
+        ([1e200] * 4, [1e200] * 4, 1.0),         # both do, and the dot product too
+        ([1e-200] * 4, np.ones(4), 1.0),         # one squared norm underflows to 0
+        ([5e-324, 0.0], [1.0, 0.0], 1.0),        # a subnormal vector
+        ([3e200, 4e200], [4.0, 3.0], 0.96),
+        ([3e-170, 4e-170], [4e170, 3e170], 0.96),
+    ], ids=["overflow", "both-overflow", "underflow", "subnormal", "overflow-0.96",
+            "both-scaled-0.96"])
+    def test_extreme_magnitudes_keep_the_cosine(self, e1, e2, cosine):
+        assert cosine_similarity(e1, e2) == pytest.approx(cosine, rel=1e-15)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
@@ -191,6 +204,15 @@ class TestInfoNceLoss:
         q = np.array([1.0, 0.0])
         loss = info_nce_loss(q, q, [q], temperature=0.25)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_query_norm_keeps_the_loss(self):
+        # an infinite query norm would turn both cosines into 0 and the loss into log 2
+        q, p, negatives = np.ones(4), np.ones(4), [-np.ones(4)]
+        expected = info_nce_loss(q, p, negatives, temperature=0.5)
+        got = info_nce_loss(np.full(4, 1e200), p, negatives, temperature=0.5)
+        assert got == pytest.approx(expected, rel=1e-15)
+        assert got < 0.02  # log(1 + e^-4)
 
     def test_tiny_temperature_stays_finite(self):
         # a naive softmax would overflow exp(2/1e-6); the shifted form cannot

@@ -80,11 +80,6 @@ class TestGeneration:
         for layer in model.layers:
             assert np.array_equal(layer.gamma, np.ones(16))
 
-    def test_keyword_overrides_build_a_spec(self):
-        model = generate_model(seed=5, L=1, d=8, H=1, N=2, vocab_size=16, Q=4, V=8)
-        assert model.spec.L == 1
-        assert model.embedding.shape == (16, 8)
-
 
 class TestModelFile:
     SPEC = ModelSpec(seed=9, L=2, d=8, H=2, N=3, vocab_size=16, Q=4, V=8)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdkit import (
+    CapacityError,
     DimensionError,
     FormatError,
     LayerParams,
@@ -81,6 +82,11 @@ class TestModelSpec:
     def test_rejects_non_integer_fields(self, field, value):
         with pytest.raises(ValidationError, match=field):
             ModelSpec(**{field: value})
+
+    @pytest.mark.parametrize("limit", [0, -8])
+    def test_rejects_non_positive_dense_limit(self, limit):
+        with pytest.raises(ValidationError, match="dense_limit"):
+            ModelSpec(dense_limit=limit)
 
     def test_accepts_numpy_integers_as_python_ints(self):
         spec = ModelSpec(seed=np.uint64(3), L=np.int32(2), Q=np.int64(8), V=np.int8(16))
@@ -308,6 +314,13 @@ class TestHorizontalInfer:
             got = horizontal_infer(model, tok, kernel=kernel)
             assert rel_err(got.hidden, ref.hidden) <= 1e-9
             assert rel_err(got.states, ref.states) <= 1e-9
+
+    def test_dense_kernel_is_guarded_by_the_spec_limit(self):
+        spec = ModelSpec(seed=8, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8, dense_limit=8)
+        model = generate_model(spec)
+        horizontal_infer(model, tokens_for(spec, 8), kernel="dense")  # at the limit
+        with pytest.raises(CapacityError, match="exceeds dense limit 8"):
+            horizontal_infer(model, tokens_for(spec, 9), kernel="dense")
 
 
 class TestVerticalInfer:
