@@ -97,8 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     em = sub.add_parser("embed", help="embed a text file")
     em.add_argument("input", help="text file to embed, or - for stdin")
-    em.add_argument("--model", help="model file (.ssdm) or model spec (.json)")
-    em.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    # a model file or spec fixes the parameters, so a seed would go unread
+    source = em.add_mutually_exclusive_group()
+    source.add_argument("--model", help="model file (.ssdm) or model spec (.json)")
+    source.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="seed of a generated default model")
     em.add_argument("--vertical", action="store_true",
                     help="use the vertical (bounded-memory) schedule")
     em.add_argument("--q", type=int, default=None, help="chunk size override")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -60,6 +61,34 @@ __all__ = [
 
 RMS_EPS = 1e-8
 KERNELS = ("chunked", "recurrent", "dense")
+
+# positions per row group at least (see infer): in smaller groups, small-array
+# NumPy calls serialize on the interpreter lock
+_MIN_GROUP_POSITIONS = 8192
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _row_pool():
+    """The process's row-group thread pool, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ssdkit-rows")
+        return _pool
+
+
+def _forget_pool():
+    """After fork: the inherited pool has no threads and would hang its callers."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def layer_shapes(H: int, d: int, N: int) -> dict[str, tuple[int, ...]]:
@@ -322,6 +351,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         y, hT = recurrent_scan(coeffs, x, state)
     else:
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
+    del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
     v = _chunk_matmul(y, params.W_out, np.empty(u.shape), chunk_size)
     v += u
@@ -333,15 +363,14 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
     The buffers live in order: the input u throughout; the normalized un
     until a, B, C and x exist; then the kernel's workspace, which for the
-    recurrent kernel is its output y alone; y stays with a, B, C and x until
-    the output v is formed.
+    recurrent kernel is its output y alone; then y and the output v.
     """
     P = batch * t * spec.d  # u, un, v
     E = batch * t * spec.H  # a, x, y
     F = E * spec.N          # B, C
     W = E if kernel == "recurrent" else workspace_elements(
         batch, t, spec.H, spec.N, t if kernel == "dense" else q)
-    return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, 3 * E + 2 * F + P)
+    return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
 
 
 def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
@@ -359,6 +388,31 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
             f"token ids must lie in [0, {vocab_size}), got range "
             f"[{arr.min()}, {arr.max()}]")
     return arr
+
+
+def _block_forward(model: StackedModel, tok: np.ndarray, states: np.ndarray, fresh: bool,
+                   q: int, kernel: str, fault) -> np.ndarray:
+    """One block's token rows through every layer, updating states (L, rows, H, N)."""
+    u = model.embedding[tok]
+    for li, layer in enumerate(model.layers):
+        u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
+                                      kernel=kernel, dense_limit=model.spec.dense_limit,
+                                      fault=fault)
+    return u
+
+
+def _split_forward(groups: int, model: StackedModel, tok: np.ndarray, states: np.ndarray,
+                   *args) -> np.ndarray:
+    """``_block_forward`` on row groups at once; all finish before the first
+    group's error, in row order, is raised."""
+    batch = tok.shape[0]
+    pool = _row_pool()
+    futures = [pool.submit(_block_forward, model, tok[lo:hi], states[:, lo:hi], *args)
+               for lo, hi in ((i * batch // groups, (i + 1) * batch // groups)
+                              for i in range(groups))]
+    for future in futures:
+        future.exception()  # waits without raising
+    return np.concatenate([future.result() for future in futures])
 
 
 def infer(model: StackedModel, tokens, block_len: int | None = None,
@@ -382,6 +436,11 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     largest layer footprint of a block (``_block_elements``), over the full
     block length and the ragged last one.  The result's hidden field covers
     the final block only.
+
+    A block of n positions runs as g = min(CPUs available, batch, batch * n
+    // 8192) contiguous row groups, at once on a thread pool when g >= 2.
+    Rows never interact and every operation works per row, so the results
+    keep their bits; the ledger, linear in the batch, is unchanged.
     """
     spec = model.spec
     q = chunk_size if chunk_size is not None else spec.Q
@@ -410,19 +469,22 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         # the states entering the first block are zero unless carried in; None
         # skips the kernels' state checks and the first chunk's correction
         fresh = start == 0 and initial_states is None
-        u = model.embedding[tok[:, start:start + step]]
+        n = min(step, t - start)
         if kernel != "recurrent":
-            f = stage_flops(batch, u.shape[1], spec.H, spec.N,
-                            u.shape[1] if kernel == "dense" else q, carry_in=not fresh)
+            f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q,
+                            carry_in=not fresh)
             flops.intra += spec.L * f.intra
             flops.propagate += spec.L * f.propagate
             flops.inter += spec.L * f.inter
-        # u is the only name on a block's activations, so each layer's input
-        # and the last block's output are freed as soon as they are replaced
-        for li, layer in enumerate(model.layers):
-            u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                          kernel=kernel, dense_limit=spec.dense_limit,
-                                          fault=fault)
+        # drop the previous block's output first: kept alive through this
+        # block's layers, it would put the traced peak above the ledger's
+        u = None
+        groups = min(_CPUS, batch, batch * n // _MIN_GROUP_POSITIONS)
+        rows = tok[:, start:start + n]
+        if groups < 2:
+            u = _block_forward(model, rows, states, fresh, q, kernel, fault)
+        else:
+            u = _split_forward(groups, model, rows, states, fresh, q, kernel, fault)
         if sink is not None:
             sink(start, u.copy())
     peak = max(_block_elements(spec, batch, n, q, kernel)

@@ -365,6 +365,21 @@ class TestEmbedCommand:
         assert rc == 0
         assert len(out.split(",")) == 8  # that model's channel count
 
+    @pytest.mark.parametrize("model_name", ["m.ssdm", "spec.json"])
+    def test_seed_with_a_model_is_a_usage_error(self, tmp_path, model_name):
+        # the model fixes the parameters; a seed beside it would go unread
+        spec = ModelSpec(seed=5, L=2, d=8, H=2, N=2, vocab_size=32, Q=4, V=8)
+        model_path = tmp_path / model_name
+        if model_name.endswith(".json"):
+            save_model_spec(model_path, spec)
+        else:
+            save_model(model_path, generate_model(spec))
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(src), "--model", str(model_path), "--seed", "5"])
+        assert exc.value.code == 2
+
     def test_model_spec_argument(self, tmp_path, capsys):
         spec = ModelSpec(seed=5, L=2, d=8, H=2, N=2, vocab_size=32, Q=4, V=8)
         spec_path = tmp_path / "spec.json"

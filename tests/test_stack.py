@@ -1,8 +1,16 @@
 """Layer math, the two inference schedules, memory accounting, snapshots."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdkit import (
+    FAULT_MODES,
     CapacityError,
     DimensionError,
     FormatError,
@@ -30,6 +39,7 @@ from ssdkit import (
     save_state_snapshot,
     vertical_infer,
 )
+from ssdkit import stack
 from ssdkit.stack import KERNELS, RMS_EPS
 
 
@@ -472,11 +482,13 @@ class TestLedgerPeaks:
     # and discharged when dropped) that the closed form replaced; the closed
     # form must keep reproducing them.  The two ragged vertical cases have a
     # last block longer than V - Q whose padded tail outweighs a full block.
+    # The recurrent case peaked while forming v until layer_forward freed a,
+    # B, C and x first (was 4116; now the projection phase, 960 + 2880 + 36).
     SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried,peak", [
         ("chunked", 1, 50, 16, None, False, 4692),
-        ("recurrent", 3, 40, 3, None, True, 4116),
+        ("recurrent", 3, 40, 3, None, True, 3876),
         ("dense", 1, 37, 1, None, False, 3866),
         ("chunked", 3, 96, 3, 24, False, 2772),
         ("chunked", 1, 64, 16, 32, True, 2008),
@@ -575,6 +587,169 @@ class TestLedgerAgainstTracedMemory:
         for t in (256, 4096):
             _, peaks[t] = traced_peak_bytes(vertical_infer, model, tokens_for(self.SPEC, t))
         assert peaks[4096] <= 1.10 * peaks[256]
+
+
+@contextmanager
+def row_groups(groups):
+    """Split every block into min(groups, batch) row groups, whatever its size
+    and the host's CPU count; groups=1 forces the unsplit path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stack, "_CPUS", groups)
+        mp.setattr(stack, "_MIN_GROUP_POSITIONS", 1)
+        yield
+
+
+class TestRowGroups:
+    SPEC = ModelSpec(seed=21, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+    MODEL = generate_model(SPEC)
+
+    @staticmethod
+    def run(groups, *args, **kwargs):
+        blocks = []
+        with row_groups(groups):
+            result = infer(*args, sink=lambda start, block: blocks.append((start, block)),
+                           **kwargs)
+        return result, blocks
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_split_blocks_match_the_unsplit_block_bitwise(self, data):
+        batch = data.draw(st.integers(1, 7), "batch")
+        t = data.draw(st.integers(1, 90), "T")
+        q = data.draw(st.sampled_from((1, 2, 4, 8, 16)), "Q")
+        block = data.draw(st.sampled_from((None,) + tuple(q * m for m in range(1, 5))),
+                          "block_len")
+        kernel = data.draw(st.sampled_from(KERNELS), "kernel")
+        fault = data.draw(st.sampled_from((None,) + FAULT_MODES), "fault") \
+            if kernel == "chunked" else None
+        groups = data.draw(st.sampled_from((2, 3)), "groups")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), "seed"))
+        tok = rng.integers(0, self.SPEC.vocab_size - 1, size=(batch, t))
+        states = (rng.standard_normal((self.SPEC.L, batch, self.SPEC.H, self.SPEC.N))
+                  if data.draw(st.booleans(), "carried") else None)
+        args = (self.MODEL, tok, block, q)
+        kwargs = dict(kernel=kernel, initial_states=states, fault=fault)
+
+        whole, whole_blocks = self.run(1, *args, **kwargs)
+        split, split_blocks = self.run(groups, *args, **kwargs)
+        assert np.array_equal(split.hidden, whole.hidden)
+        assert np.array_equal(split.states, whole.states)
+        assert [start for start, _ in split_blocks] == [start for start, _ in whole_blocks]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(split_blocks, whole_blocks))
+        assert split.ledger == whole.ledger
+        assert split.flops == whole.flops
+
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(kernel="dense"), CapacityError),  # 80 positions over a limit of 64
+        (dict(fault="no-such-fault"), ValidationError),
+        (dict(kernel="no-such-kernel"), ValidationError),
+    ])
+    def test_split_call_raises_the_unsplit_error(self, kwargs, error):
+        model = generate_model(replace(self.SPEC, dense_limit=64))
+        tok = tokens_for(self.SPEC, 80, batch=5)
+        raised = {}
+        for groups in (1, 3):
+            with row_groups(groups), pytest.raises(error) as exc:
+                infer(model, tok, **kwargs)
+            raised[groups] = exc
+        assert raised[3].type is raised[1].type
+        assert str(raised[3].value) == str(raised[1].value)
+
+    @pytest.mark.parametrize("slow_rows", [2, 3])  # the first or the second group
+    def test_first_group_error_is_raised_after_every_group_finishes(self, monkeypatch,
+                                                                     slow_rows):
+        busy, lock = [0], threading.Lock()
+
+        def failing_layer(params, u, *args, **kwargs):
+            with lock:
+                busy[0] += 1
+            try:
+                if u.shape[0] == slow_rows:
+                    time.sleep(0.05)
+                raise RuntimeError(f"group of {u.shape[0]} rows")
+            finally:
+                with lock:
+                    busy[0] -= 1
+
+        monkeypatch.setattr(stack, "layer_forward", failing_layer)
+        with row_groups(2), pytest.raises(RuntimeError, match="^group of 2 rows$"):
+            infer(self.MODEL, tokens_for(self.SPEC, 16, batch=5))
+        assert busy[0] == 0
+
+    @pytest.mark.parametrize("block_len", [None, 256])
+    def test_split_traced_peak_stays_within_the_ledger(self, block_len):
+        # the groups together hold what the unsplit block would; a previous
+        # block's output kept alive through the next block's groups would not
+        spec = TestLedgerAgainstTracedMemory.SPEC
+        model = generate_model(spec)
+        tok = tokens_for(spec, 2048, batch=4)
+        with row_groups(2):
+            infer(model, tok, block_len)  # warm lazy set-up and the pool
+            result, peak = traced_peak_bytes(infer, model, tok, block_len)
+        assert peak <= 1.10 * 8 * result.ledger.peak_elements
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter on the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestRowGroupThreads:
+    # Fresh interpreters: the pool lives for the life of a process, and a
+    # forced split exercises it on a host of any CPU count.
+    PRELUDE = """
+import sys, threading
+import numpy as np
+from ssdkit import ModelSpec, embed_sequence, generate_model, horizontal_infer, stack
+from ssdkit import vertical_infer
+model = generate_model(ModelSpec(seed=1))
+tok = np.random.default_rng(0).integers(0, 255, size=(4, 64))
+"""
+
+    def test_import_does_not_load_the_pool_module(self):
+        proc = run_python("import sys, ssdkit\n"
+                          "assert 'concurrent.futures' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_batch_one_calls_start_no_thread(self):
+        proc = run_python(self.PRELUDE + """
+stack._CPUS = 4
+long = np.random.default_rng(1).integers(0, 255, size=20000)
+horizontal_infer(model, long)
+vertical_infer(model, long)
+embed_sequence(model, list(long[:50]))
+embed_sequence(model, list(long[:50]), strategy="vertical")
+assert threading.active_count() == 1, threading.enumerate()
+assert 'concurrent.futures' not in sys.modules
+""")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_forked_child_runs_a_split_call(self):
+        proc = run_python(self.PRELUDE + """
+import multiprocessing
+stack._CPUS, stack._MIN_GROUP_POSITIONS = 2, 1
+want = horizontal_infer(model, tok).hidden
+assert threading.active_count() > 1
+
+def child():
+    sys.exit(0 if np.array_equal(horizontal_infer(model, tok).hidden, want) else 3)
+
+p = multiprocessing.get_context("fork").Process(target=child)
+p.start()
+p.join(30)
+if p.is_alive():
+    p.kill()
+    sys.exit("the forked child's split call hung")
+sys.exit(p.exitcode)
+""")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStateSnapshots:
