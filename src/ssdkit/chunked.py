@@ -20,12 +20,13 @@ stage runs once per call over all chunks at once, on chunk-major arrays
 The mask is built by the same division-free running product as the kernel
 matrix in ``ssdkit.core`` (row i = a_i * row i-1), run directly on the
 x-weighted rows (diagonal x_i instead of 1), one contiguous row at a time;
-neither C @ B^T nor an unweighted decay block is ever formed.  The stage-1
-workspace is therefore M, one (batch, chunks, heads, chunk_size, chunk_size)
-buffer for all chunks at once, plus Z, (batch, chunks, heads, chunk_size,
-state): linear in sequence length for a whole-sequence call, and flat in it
-for the vertical schedule, whose blocks hold at most block_len / chunk_size
-chunks.
+neither C @ B^T nor an unweighted decay block is ever formed.  M is built
+one tile of chunks at a time in one reused buffer, bounded per batch row
+(``_MASK_ELEMENTS_PER_ROW``), so the stage-1 workspace is one mask tile plus
+Z, (batch, chunks, heads, chunk_size, state): the mask stops growing with
+sequence length once a call spans more than one tile, and the whole
+workspace is flat in length for the vertical schedule, whose blocks hold at
+most block_len / chunk_size chunks.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
@@ -74,6 +75,14 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 4096
+
+# Stage 1 builds its mask in tiles of chunks holding at most this many
+# elements per batch row (256 KB; see intra_chunk).  A mask spanning a long
+# call (4 MB per row group at 8 x 4,096) was handed back to the kernel and
+# page-faulted in again on every call.  Of 16,384, 32,768 and 65,536 on the
+# benchmark model (H = 2, Q = 16), 65,536 still page-faulted at 16 x 4,096
+# and 16,384 was the slowest at 1 x 65,536.
+_MASK_ELEMENTS_PER_ROW = 32768
 
 # Each mode omits one ingredient of the decomposition.
 FAULT_INTRA_MASK = "intra-output-mask"
@@ -133,12 +142,49 @@ def _time_major(arr: np.ndarray, t: int) -> np.ndarray:
     return np.ascontiguousarray(out[:, :t])
 
 
+def _tile_chunks(h: int, chunk_size: int) -> int:
+    """Chunks per stage-1 tile: the most whose mask fits the per-row budget."""
+    return max(1, _MASK_ELEMENTS_PER_ROW // (h * chunk_size * chunk_size))
+
+
+def _mask_tile(M, a, Bm, x, fault, Z=None, b_intra=None):
+    """Stage 1 on the chunks of a, Bm, x, building their mask in M (Q, b, m, h, Q).
+
+    Returns Z = M @ B and the boundary-state inputs, written into Z and
+    b_intra when given, else into new buffers.
+    """
+    q = M.shape[0]
+    # M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
+    # with the row axis first so each step of the recursion is contiguous;
+    # entries above the diagonal are zero: row 0 is zeroed and every later
+    # row is a multiple of the one before
+    M[0] = 0.0
+    M[0, ..., 0] = x[..., 0]
+    for i in range(1, q):
+        np.multiply(M[i - 1], a[..., i, None], out=M[i])
+        M[i, ..., i] = x[..., i]
+    # decay weights dropped from the output mask only
+    mask = np.tri(q)[:, None, None, None, :] * x if fault == FAULT_INTRA_MASK else M
+    # local state after each position; np.moveaxis in place of transpose made
+    # the vertical schedule's tracemalloc peak grow with length (about 100
+    # bytes retained per call)
+    Z = np.matmul(mask.transpose(1, 2, 3, 0, 4), Bm, out=Z)
+    # the last row is the decay from each position to the right boundary, times x
+    w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
+    b_intra = np.matmul(Bm.swapaxes(-1, -2), w[..., None],
+                        out=None if b_intra is None else b_intra[..., None])
+    return Z, b_intra[..., 0]
+
+
 def intra_chunk(a, Bm, Cm, x, *, fault=None):
     """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
 
     Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
     row-major as (Q, batch, chunks, heads, Q), and the local states
     Z = M @ B (batch, chunks, heads, Q, state).  C @ B^T is never formed.
+    The mask is built one tile of chunks at a time in one reused buffer of
+    at most ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least one
+    chunk); each tile writes its slice of Z and of the boundary-state inputs.
 
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
@@ -153,28 +199,18 @@ def intra_chunk(a, Bm, Cm, x, *, fault=None):
     """
     _check_fault(fault)
     b, k, h, q = x.shape
-
-    # M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
-    # with the row axis first so each step of the recursion is contiguous;
-    # entries above the diagonal are zero: row 0 is zeroed and every later
-    # row is a multiple of the one before
-    M = np.empty((q, b, k, h, q))
-    M[0] = 0.0
-    M[0, ..., 0] = x[..., 0]
-    for i in range(1, q):
-        np.multiply(M[i - 1], a[..., i, None], out=M[i])
-        M[i, ..., i] = x[..., i]
-    # decay weights dropped from the output mask only
-    mask = np.tri(q)[:, None, None, None, :] * x if fault == FAULT_INTRA_MASK else M
-    # local state after each position; np.moveaxis in place of transpose made
-    # the vertical schedule's tracemalloc peak grow with length (about 100
-    # bytes retained per call)
-    Z = mask.transpose(1, 2, 3, 0, 4) @ Bm
-
-    # the last row is the decay from each position to the right boundary, times x
-    w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
-    b_intra = (Bm.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    del M, mask, w
+    s = _tile_chunks(h, q)
+    if k <= s:  # one tile: the mask spans every chunk, no slices
+        Z, b_intra = _mask_tile(np.empty((q, b, k, h, q)), a, Bm, x, fault)
+    else:
+        M = np.empty((q, b, s, h, q))
+        Z = np.empty(Bm.shape)
+        b_intra = np.empty((b, k, h, Bm.shape[-1]))
+        for lo in range(0, k, s):
+            tile = slice(lo, lo + s)
+            _mask_tile(M[:, :, :k - lo], a[:, tile], Bm[:, tile], x[:, tile], fault,
+                       Z[:, tile], b_intra[:, tile])
+        del M
 
     y_intra = np.einsum("...n,...n->...", Cm, Z)
     return y_intra, b_intra
@@ -280,14 +316,17 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     Batch b, length t, heads h, state size n; dense_dual is chunk_size = t.
     The peak is that of the stage with the most live buffers (the final
     time-major y is smaller); a ragged tail adds the padded copies of a, B, C
-    and x throughout.  Temporaries inside one expression are not counted.
+    and x throughout.  Stage 1 holds one mask tile (``intra_chunk``), which
+    stops growing with t once a call spans more than one tile, and frees it
+    before y_intra is made.  Temporaries inside one expression are not counted.
     """
     k, last = _partition(t, chunk_size)
     c = b * k * h * chunk_size  # a chunk-major (b, k, h, Q) buffer
     s = b * k * h * n           # one state per chunk
     g = b * h * n
+    mask = b * min(k, _tile_chunks(h, chunk_size)) * h * chunk_size * chunk_size
     pad = 2 * c * (1 + n) if last < chunk_size else 0
-    return pad + max(c * chunk_size + c * n + s,  # stage 1: M, Z, b_intra
+    return pad + max(max(mask, c) + c * n + s,    # stage 1: mask, then y_intra; Z, b_intra
                      2 * c + 2 * s + g,            # y_intra, entry, b_intra, states
                      3 * c + s + g)                # stage 3: y_intra, entry, correction, states
 

@@ -67,28 +67,23 @@ KERNELS = ("chunked", "recurrent", "dense")
 _MIN_GROUP_POSITIONS = 8192
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
+# the row-group pool and the lock guarding its creation, made on first use;
+# a forked child empties it, since an inherited pool has no threads and would
+# hang its callers.  The at-fork callback is the dict's own clear, which holds
+# no module globals, so a re-imported module can still be freed.
+_row_pool_state: dict = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_row_pool_state.clear)
 
 
 def _row_pool():
     """The process's row-group thread pool, built on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
+    with _row_pool_state.setdefault("lock", threading.Lock()):
+        if "pool" not in _row_pool_state:
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="ssdkit-rows")
-        return _pool
-
-
-def _forget_pool():
-    """After fork: the inherited pool has no threads and would hang its callers."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+            _row_pool_state["pool"] = ThreadPoolExecutor(_CPUS,
+                                                         thread_name_prefix="ssdkit-rows")
+        return _row_pool_state["pool"]
 
 
 def layer_shapes(H: int, d: int, N: int) -> dict[str, tuple[int, ...]]:
@@ -306,8 +301,10 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     a = _chunk_matmul(un, params.w_gate.T, np.empty((b, t, h)), chunk_size)
     proj = _chunk_matmul(un, params.W_in.T, np.empty((b, t, params.W_in.shape[0])),
                          chunk_size)
-    # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0
-    a += params.b_a
+    # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
+    # is added as a (t, H) row-tiled operand: broadcast as (H,), the add runs
+    # one H-long inner loop per position
+    a += params.b_a[None].repeat(t, 0)
     with np.errstate(over="ignore"):
         np.exp(a, out=a)
     a += 1.0

@@ -5,11 +5,15 @@ Stage oracles are the sequential scan run over the corresponding span, which
 exercises none of the blockwise code.
 """
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssdkit.chunked as chunked
 from ssdkit import (
     CapacityError,
     FAULT_MODES,
@@ -364,6 +368,59 @@ class TestChunkMajorEvaluation:
         coeffs, x, h0 = random_problem(33, 1, 64, 2, 3)
         chunked_forward(coeffs, x, 4, h0)
         assert calls == {name: 1 for name in calls}
+
+
+@contextlib.contextmanager
+def mask_tiles(chunks, h, q):
+    """Make intra_chunk build its mask ``chunks`` chunks at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
+        yield
+
+
+class TestMaskTiles:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tiles_keep_every_bit(self, data):
+        batch = data.draw(st.integers(1, 3), "batch")
+        t = data.draw(st.integers(1, 120), "T")
+        h = data.draw(st.integers(1, 3), "heads")
+        q = data.draw(st.sampled_from((1, 2, 3, 4, 8, 16)), "Q")
+        fault = data.draw(st.sampled_from((None,) + FAULT_MODES), "fault")
+        k = -(-t // q)
+        chunks = data.draw(st.sampled_from((1, 2, 3, k)), "chunks per tile")
+        coeffs, x, h0 = random_problem(data.draw(st.integers(0, 2**16), "seed"), batch, t, h,
+                                       3, with_state=data.draw(st.booleans(), "h0"))
+        with mask_tiles(k, h, q):
+            whole = chunked_forward(coeffs, x, q, h0, fault=fault)
+        with mask_tiles(chunks, h, q):
+            tiled = chunked_forward(coeffs, x, q, h0, fault=fault)
+        assert np.array_equal(tiled[0], whole[0])
+        assert np.array_equal(tiled[1], whole[1])
+
+    # the kernel and workspace_elements share one tile rule: the traced peak
+    # of a call stays within the ledger's bounds (see test_stack's
+    # TestLedgerAgainstTracedMemory) whether it runs as one tile, as tiles of
+    # one chunk, or at the module's budget
+    @pytest.mark.parametrize("chunks", [None, 1, 256])
+    def test_traced_peak_matches_the_closed_form(self, chunks):
+        b, t, h, n, q = 2, 4096, 2, 4, 16
+        coeffs, x, _ = random_problem(7, b, t, h, n, with_state=False)
+        if chunks is None:
+            assert chunked._tile_chunks(h, q) < t // q  # the budget splits this call
+            tiles = contextlib.nullcontext()
+        else:
+            tiles = mask_tiles(chunks, h, q)
+        with tiles:
+            chunked_forward(coeffs, x, q)  # warm lazy set-up
+            tracemalloc.start()
+            try:
+                chunked_forward(coeffs, x, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratio = peak / (8 * workspace_elements(b, t, h, n, q))
+        assert 0.95 <= ratio <= 1.10
 
 
 class TestExtremeGates:

@@ -561,7 +561,7 @@ class TestLedgerAgainstTracedMemory:
     # within 1.10x of the one at T = 256 (measured within 2%).
     SPEC = ModelSpec(seed=42, L=4, d=16, H=2, N=4, vocab_size=64, Q=16, V=64)
 
-    @pytest.mark.parametrize("batch,t", [(1, 256), (2, 1000)])
+    @pytest.mark.parametrize("batch,t", [(1, 256), (2, 1000), (2, 4096)])
     def test_horizontal_traced_peak_matches_the_ledger(self, batch, t):
         model = generate_model(self.SPEC)
         tok = tokens_for(self.SPEC, t, batch)
@@ -728,6 +728,22 @@ embed_sequence(model, list(long[:50]))
 embed_sequence(model, list(long[:50]), strategy="vertical")
 assert threading.active_count() == 1, threading.enumerate()
 assert 'concurrent.futures' not in sys.modules
+""")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_reimported_module_is_freed(self):
+        # the at-fork callback must not keep an old import's globals alive
+        proc = run_python(self.PRELUDE + """
+import gc, weakref
+stack._CPUS, stack._MIN_GROUP_POSITIONS = 2, 1
+horizontal_infer(model, tok)  # builds the pool
+old = weakref.ref(stack.infer)
+del model, stack, embed_sequence, generate_model, horizontal_infer, vertical_infer, ModelSpec
+for name in [m for m in sys.modules if m.partition(".")[0] == "ssdkit"]:
+    del sys.modules[name]
+import ssdkit.stack
+gc.collect()
+assert old() is None, "the first import's stack.infer is still alive"
 """)
         assert proc.returncode == 0, proc.stderr
 
