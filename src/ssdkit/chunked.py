@@ -19,12 +19,16 @@ stage runs once per call over all chunks at once, on chunk-major arrays
 
 The mask is built by the same division-free running product as the kernel
 matrix in ``ssdkit.core`` (row i = a_i * row i-1), run directly on the
-x-weighted rows (diagonal x_i instead of 1), one contiguous row at a time;
-neither C @ B^T nor an unweighted decay block is ever formed.  M is built
-one tile of chunks at a time in one reused buffer, bounded per batch row
-(``_MASK_ELEMENTS_PER_ROW``), so the stage-1 workspace is one mask tile plus
-Z, (batch, chunks, heads, chunk_size, state): the mask stops growing with
-sequence length once a call spans more than one tile, and the whole
+x-weighted rows (diagonal x_i instead of 1); neither C @ B^T nor an
+unweighted decay block is ever formed.  Two builds make the same products,
+so the same bits: a tile of few short masks (Q >= 8, at most
+min(16, 256 / Q) masks) runs five whole-array operations, ending in one
+np.multiply.accumulate down the rows; any other tile runs the row loop, one
+contiguous row at a time.  The tile's shape alone picks the build.  M is
+built one tile of chunks at a time in one reused buffer, bounded per batch
+row (``_MASK_ELEMENTS_PER_ROW``), so the stage-1 workspace is one mask tile
+plus Z, (batch, chunks, heads, chunk_size, state): the mask stops growing
+with sequence length once a call spans more than one tile, and the whole
 workspace is flat in length for the vertical schedule, whose blocks hold at
 most block_len / chunk_size chunks.
 
@@ -55,9 +59,11 @@ prove each ingredient is load-bearing.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .core import SsmCoefficients, _check_inputs, _check_state
+from .core import SsmCoefficients, _as_int, _check_inputs, _check_state, _real_array
 from .errors import CapacityError, DimensionError, ValidationError
 from .instrumentation import FlopCounter
 
@@ -84,6 +90,18 @@ DEFAULT_DENSE_LIMIT = 4096
 # and 16,384 was the slowest at 1 x 65,536.
 _MASK_ELEMENTS_PER_ROW = 32768
 
+# A tile of `slices` (batch, chunk, head) masks of size Q takes the
+# whole-array build when Q >= 8 and slices <= min(16, 256 // Q), else the row
+# loop (see _mask_tile): the first runs one inner loop per mask column, so its
+# cost grows with slices * Q; the second makes 2(Q - 1) NumPy calls.  Timed
+# on a 2-CPU host over Q 4-256 and 1-512 slices, the rule never picked the
+# slower build (whole array vs row loop: Q = 16 at 8 slices 30 vs 64 us, at
+# 32 slices 100 vs 79 us; Q = 256 at 1 slice 0.40 vs 0.72 ms, at 8 slices
+# 5.5 vs 1.4 ms); at Q = 4 the two were within noise of each other.
+_SHORT_MASK_MIN_Q = 8
+_SHORT_MASK_SLICES = 16
+_SHORT_MASK_ELEMENTS = 256
+
 # Each mode omits one ingredient of the decomposition.
 FAULT_INTRA_MASK = "intra-output-mask"
 FAULT_INTRA_WEIGHTS = "intra-state-weights"
@@ -100,6 +118,8 @@ def _check_fault(fault):
 
 def _partition(t: int, chunk_size: int) -> tuple[int, int]:
     """Chunk count and last chunk length of t positions in chunks of chunk_size."""
+    t = _as_int(t, "sequence length")
+    chunk_size = _as_int(chunk_size, "chunk size")
     if t < 1:
         raise ValidationError(f"sequence length must be >= 1, got {t}")
     if chunk_size < 1:
@@ -147,22 +167,52 @@ def _tile_chunks(h: int, chunk_size: int) -> int:
     return max(1, _MASK_ELEMENTS_PER_ROW // (h * chunk_size * chunk_size))
 
 
+def _short_build(q: int, slices: int) -> bool:
+    """Whether a tile of ``slices`` (batch, chunk, head) masks of size q takes
+    the whole-array build (see _mask_tile) rather than the row loop."""
+    return q >= _SHORT_MASK_MIN_Q and slices <= min(_SHORT_MASK_SLICES,
+                                                      _SHORT_MASK_ELEMENTS // q)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per Q of a short tile, Q <= 256
+def _triangles(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Q, 1, 1, 1, Q) masks of the entries on and above, and
+    strictly above, the diagonal."""
+    on = ~np.tri(q, k=-1, dtype=bool)[:, None, None, None, :]
+    above = ~np.tri(q, dtype=bool)[:, None, None, None, :]
+    on.flags.writeable = above.flags.writeable = False
+    return on, above
+
+
 def _mask_tile(M, a, Bm, x, fault, Z=None, b_intra=None):
     """Stage 1 on the chunks of a, Bm, x, building their mask in M (Q, b, m, h, Q).
 
     Returns Z = M @ B and the boundary-state inputs, written into Z and
     b_intra when given, else into new buffers.
+
+    M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
+    with the row axis first: x_j on the diagonal, ((x_j a_{j+1}) a_{j+2})
+    ... a_i below it and +0.0 above it, in either build (``_short_build``).
     """
     q = M.shape[0]
-    # M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
-    # with the row axis first so each step of the recursion is contiguous;
-    # entries above the diagonal are zero: row 0 is zeroed and every later
-    # row is a multiple of the one before
-    M[0] = 0.0
-    M[0, ..., 0] = x[..., 0]
-    for i in range(1, q):
-        np.multiply(M[i - 1], a[..., i, None], out=M[i])
-        M[i, ..., i] = x[..., i]
+    if _short_build(q, M.size // (q * q)):
+        # each column j holds x_j in row 0, 1.0 down to the diagonal and a_i
+        # below it; the running product down the rows then carries x_j to
+        # row j unchanged (x 1.0 is exact) and decays it from there on
+        on, above = _triangles(q)
+        M[...] = a.transpose(3, 0, 1, 2)[..., None]
+        np.copyto(M, 1.0, where=on)
+        M[0] = x
+        np.multiply.accumulate(M, axis=0, out=M)
+        np.copyto(M, 0.0, where=above)
+    else:
+        # row 0 is zeroed but for x_0, and every later row is a multiple of
+        # the one before, so the entries above the diagonal stay zero
+        M[0] = 0.0
+        M[0, ..., 0] = x[..., 0]
+        for i in range(1, q):
+            np.multiply(M[i - 1], a[..., i, None], out=M[i])
+            M[i, ..., i] = x[..., i]
     # decay weights dropped from the output mask only
     mask = np.tri(q)[:, None, None, None, :] * x if fault == FAULT_INTRA_MASK else M
     # local state after each position; np.moveaxis in place of transpose made
@@ -185,6 +235,9 @@ def intra_chunk(a, Bm, Cm, x, *, fault=None):
     The mask is built one tile of chunks at a time in one reused buffer of
     at most ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least one
     chunk); each tile writes its slice of Z and of the boundary-state inputs.
+    A tile of few short masks is built in five whole-array operations, any
+    other by the row loop (``_mask_tile``); both give the same bits and use
+    the mask buffer alone.
 
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
@@ -231,9 +284,9 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
         boundary for c >= 1.
     """
     _check_fault(fault)
-    b_intra = np.asarray(b_intra, dtype=np.float64)
-    transitions = np.asarray(transitions, dtype=np.float64)
-    b0 = np.asarray(b0, dtype=np.float64)
+    b_intra = _real_array(b_intra, "b_intra")
+    transitions = _real_array(transitions, "transitions")
+    b0 = _real_array(b0, "b0")
     if b_intra.ndim != 4:
         raise DimensionError(f"b_intra must be (b,k,h,n), got {b_intra.shape}")
     b, k, h, n = b_intra.shape
@@ -268,7 +321,7 @@ def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
     _check_fault(fault)
     b, k, h, q = entry.shape
     n = Cm.shape[-1]
-    b_prev = np.asarray(b_prev, dtype=np.float64)
+    b_prev = _real_array(b_prev, "b_prev")
     if b_prev.shape != (b, k, h, n):
         raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, k, h, n)}")
     if fault == FAULT_CORRECTION:

@@ -34,8 +34,25 @@ __all__ = [
 ]
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int: Python and NumPy integers pass, bools and the rest
+    (floats included, however integral) are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real_array(arr, name: str) -> np.ndarray:
+    """arr as a float64 array: float and (unsigned) integer input is
+    converted, any other dtype (complex, bool, strings, objects) refused."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind not in "fiu":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _as_f64(arr, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
+    out = _real_array(arr, name)
     if not np.isfinite(out).all():
         raise ValidationError(f"{name} contains non-finite values")
     return out
@@ -144,7 +161,7 @@ def cumulative_transition(a, i: int, j: int) -> float:
     structure of the kernel matrix.  Positions index boundaries 0..T, so the
     factor for position k is a[k-1].
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real_array(a, "a")
     if a.ndim != 1:
         raise DimensionError(f"expected 1-D transition series, got shape {a.shape}")
     n = a.shape[0]

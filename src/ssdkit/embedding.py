@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _as_int, _real_array
 from .errors import DimensionError, ValidationError
 from .stack import StackedModel, _check_tokens, horizontal_infer, vertical_infer
 
@@ -53,7 +54,9 @@ def tokenize_words(text: str, vocab_size: int) -> list[int]:
     collide with the reserved end-of-sequence id and any caller gets the same
     ids for the same text on any platform.
     """
-    if vocab_size < 2:
+    if not isinstance(text, str):
+        raise ValidationError(f"text must be a string, got {type(text).__name__}")
+    if _as_int(vocab_size, "vocab_size") < 2:
         raise ValidationError("vocab_size must be >= 2 (one id is reserved)")
     return [zlib.crc32(w.encode("utf-8")) % (vocab_size - 1) for w in text.split()]
 
@@ -100,15 +103,15 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     return EmbeddingOutput(result.hidden[0, -1].copy(), int(full.size))
 
 
-def _checked(e, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """e as a float64 vector with its norm: 1-D of the query's shape, finite
-    and nonzero.
+def _checked(e, shape: tuple[int, ...], name: str) -> tuple[np.ndarray, float]:
+    """e (the argument ``name``) as a float64 vector with its norm: 1-D of the
+    query's shape, finite and nonzero.
 
     When e @ e overflows or falls below the smallest normal float, e is
     returned scaled by a power of two (exact, and the cosine is scale-free)
     to a max-abs in [0.5, 1), whose squared norm is normal.
     """
-    e = np.asarray(e, dtype=np.float64)
+    e = _real_array(e, name)
     if e.ndim != 1 or e.shape != shape:
         raise DimensionError(f"embeddings must be matching 1-D vectors, got {shape}, {e.shape}")
     if not np.isfinite(e).all():
@@ -130,9 +133,9 @@ def _cosine(q: np.ndarray, q_norm: float, e: np.ndarray, e_norm: float) -> float
 
 def cosine_similarity(e1, e2) -> float:
     """Cosine of the angle between two embeddings, clipped to [-1, 1]."""
-    q = np.asarray(e1, dtype=np.float64)
-    e = _checked(e2, q.shape)  # a 1-D vector of q's shape: q is 1-D if this passes
-    return _cosine(*_checked(q, q.shape), *e)
+    q = _real_array(e1, "e1")
+    e = _checked(e2, q.shape, "e2")  # a 1-D vector of q's shape: q is 1-D if this passes
+    return _cosine(*_checked(q, q.shape, "e1"), *e)
 
 
 def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -> float:
@@ -143,9 +146,10 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
     exactly zero.  The query is checked and normed once, not per candidate.
     """
     config = LossConfig(temperature)  # validates the temperature
-    q = np.asarray(query, dtype=np.float64)
-    candidates = [_checked(e, q.shape) for e in (positive, *negatives)]
-    q, q_norm = _checked(q, q.shape)
+    q = _real_array(query, "query")
+    candidates = [_checked(positive, q.shape, "positive")]
+    candidates += [_checked(e, q.shape, f"negatives[{i}]") for i, e in enumerate(negatives)]
+    q, q_norm = _checked(q, q.shape, "query")
     sims = [_cosine(q, q_norm, e, e_norm) for e, e_norm in candidates]
     scaled = np.asarray(sims, dtype=np.float64) / config.temperature
     shift = np.max(scaled)

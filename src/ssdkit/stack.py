@@ -35,7 +35,7 @@ import numpy as np
 
 from .chunked import (DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, stage_flops,
                       workspace_elements)
-from .core import SsmCoefficients, _as_f64, recurrent_scan
+from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
 from .instrumentation import FlopCounter, MemoryLedger
 
@@ -121,10 +121,8 @@ class ModelSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"ModelSpec.{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name,
+                               _as_int(getattr(self, f.name), f"ModelSpec.{f.name}"))
         for name in ("L", "d", "H", "N", "vocab_size", "Q", "V", "dense_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelSpec.{name} must be >= 1")
@@ -293,7 +291,7 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     channel; B, C and x are views of one (batch, length, H(2N+1)) buffer.
     """
     u = _check_channels(params, u)
-    if chunk_size is not None and chunk_size < 1:
+    if chunk_size is not None and _as_int(chunk_size, "chunk size") < 1:
         raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
     un = _normalize(params, u)
     b, t, _ = un.shape
@@ -440,14 +438,16 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     keep their bits; the ledger, linear in the batch, is unchanged.
     """
     spec = model.spec
-    q = chunk_size if chunk_size is not None else spec.Q
+    q = _as_int(chunk_size, "chunk size") if chunk_size is not None else spec.Q
     if q < 1:
         raise ValidationError(f"chunk size must be >= 1, got {q}")
-    if block_len is not None and block_len < 1:
-        raise ValidationError(f"block length must be >= 1, got {block_len}")
-    if block_len is not None and block_len % q != 0:
-        raise ValidationError(
-            f"vertical block length {block_len} must be a multiple of chunk size {q}")
+    if block_len is not None:
+        block_len = _as_int(block_len, "block length")
+        if block_len < 1:
+            raise ValidationError(f"block length must be >= 1, got {block_len}")
+        if block_len % q != 0:
+            raise ValidationError(
+                f"vertical block length {block_len} must be a multiple of chunk size {q}")
     tok = _check_tokens(tokens, spec.vocab_size)
     batch, t = tok.shape
     step = block_len if block_len is not None else t

@@ -62,6 +62,25 @@ class TestChunkCount:
         with pytest.raises(ValidationError):
             chunk_major(coeffs, x, 0)
 
+    @pytest.mark.parametrize("q", [16.0, 4.5, True, "16", None])
+    def test_rejects_a_non_integer_chunk_size(self, q):
+        coeffs, x, _ = random_problem(1, 1, 40, 2, 4)
+        with pytest.raises(ValidationError, match="chunk size must be an integer"):
+            chunked_forward(coeffs, x, q)
+        with pytest.raises(ValidationError, match="chunk size must be an integer"):
+            stage_flops(1, 40, 2, 4, q, carry_in=False)
+        with pytest.raises(ValidationError, match="chunk size must be an integer"):
+            workspace_elements(1, 40, 2, 4, q)
+
+    def test_numpy_integer_chunk_sizes_are_accepted(self):
+        coeffs, x, _ = random_problem(1, 1, 40, 2, 4)
+        for got, want in zip(chunked_forward(coeffs, x, np.int64(16)),
+                             chunked_forward(coeffs, x, 16)):
+            assert np.array_equal(got, want)
+        assert (stage_flops(1, 40, 2, 4, np.int64(16), carry_in=False)
+                == stage_flops(1, 40, 2, 4, 16, carry_in=False))
+        assert workspace_elements(1, 40, 2, 4, np.int64(16)) == workspace_elements(1, 40, 2, 4, 16)
+
     @pytest.mark.parametrize("t,q", [(0, 4), (-3, 4), (8, 0)])
     def test_closed_forms_reject_an_empty_partition(self, t, q):
         with pytest.raises(ValidationError):
@@ -183,6 +202,15 @@ class TestPropagateStates:
         with pytest.raises(DimensionError):
             propagate_states(np.ones((1, 2, 1, 1)), np.ones((1, 2, 1)), np.zeros((2, 1, 1)))
 
+    @pytest.mark.parametrize("field", ["b_intra", "transitions", "b0"])
+    @pytest.mark.parametrize("dtype", [complex, bool, str])
+    def test_rejects_non_real_arrays(self, field, dtype):
+        args = {"b_intra": np.ones((1, 2, 1, 1)), "transitions": np.ones((1, 2, 1)),
+                "b0": np.zeros((1, 1, 1))}
+        args[field] = args[field].astype(dtype)
+        with pytest.raises(ValidationError, match=f"{field} must hold real numbers"):
+            propagate_states(**args)
+
 
 class TestInterChunkCorrection:
     def test_zero_carry_gives_zero_correction(self):
@@ -198,6 +226,12 @@ class TestInterChunkCorrection:
         y_inter = inter_chunk_correction(np.cumprod(a[:, 1:], axis=-1), Cm[:, 1:], h0[:, None])
         y_ref, _ = recurrent_scan(coeffs.slice_time(4, 8), np.zeros((2, 4, 2)), h0)
         assert rel_err(y_inter[:, 0].transpose(0, 2, 1), y_ref) <= 1e-12
+
+    def test_rejects_a_complex_carried_state(self):
+        coeffs, x, _ = random_problem(6, 1, 8, 2, 3)
+        a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        with pytest.raises(ValidationError, match="b_prev must hold real numbers"):
+            inter_chunk_correction(np.cumprod(a, axis=-1), Cm, np.zeros((1, 2, 2, 3), complex))
 
     def test_correction_fault_silences_the_stage(self):
         coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
@@ -378,6 +412,18 @@ def mask_tiles(chunks, h, q):
         yield
 
 
+@contextlib.contextmanager
+def mask_build(build):
+    """Make every mask tile take the whole-array build ("always") or the row
+    loop ("never")."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chunked, "_short_build", lambda q, slices: build == "always")
+        yield
+
+
+BUILDS = ("never", "always")
+
+
 class TestMaskTiles:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -389,14 +435,44 @@ class TestMaskTiles:
         fault = data.draw(st.sampled_from((None,) + FAULT_MODES), "fault")
         k = -(-t // q)
         chunks = data.draw(st.sampled_from((1, 2, 3, k)), "chunks per tile")
+        build = data.draw(st.sampled_from(BUILDS), "mask build")
         coeffs, x, h0 = random_problem(data.draw(st.integers(0, 2**16), "seed"), batch, t, h,
                                        3, with_state=data.draw(st.booleans(), "h0"))
-        with mask_tiles(k, h, q):
+        with mask_tiles(k, h, q), mask_build("never"):
             whole = chunked_forward(coeffs, x, q, h0, fault=fault)
-        with mask_tiles(chunks, h, q):
+        with mask_tiles(chunks, h, q), mask_build(build):
             tiled = chunked_forward(coeffs, x, q, h0, fault=fault)
         assert np.array_equal(tiled[0], whole[0])
         assert np.array_equal(tiled[1], whole[1])
+
+    # a slice is one (batch, chunk, head) mask: a vertical block of 64
+    # positions at H = 2, Q = 16 has 8 and takes the whole-array build, a
+    # tile of a batch-8 horizontal call has 512 and takes the row loop
+    @pytest.mark.parametrize("q,slices,short", [
+        (16, 8, True), (16, 16, True), (16, 17, False), (16, 512, False), (16, 128, False),
+        (8, 16, True), (8, 32, False), (4, 2, False), (1, 1, False),
+        (64, 4, True), (64, 8, False), (256, 1, True), (256, 2, False), (512, 1, False),
+    ])
+    def test_short_build_follows_the_tile_shape(self, q, slices, short):
+        assert chunked._short_build(q, slices) is short
+
+    # the whole-array build works in the mask buffer alone: a temporary the
+    # size of the mask (np.multiply.accumulate copying on overlap, say) would
+    # raise the traced peak
+    @pytest.mark.parametrize("b,t", [(1, 64), (2, 40)])
+    def test_short_build_adds_no_buffer(self, b, t):
+        coeffs, x, _ = random_problem(3, b, t, 2, 4, with_state=False)
+        peaks = []
+        for build in BUILDS:
+            with mask_build(build):
+                chunked_forward(coeffs, x, 16)  # warm lazy set-up
+                tracemalloc.start()
+                try:
+                    chunked_forward(coeffs, x, 16)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
 
     # the kernel and workspace_elements share one tile rule: the traced peak
     # of a call stays within the ledger's bounds (see test_stack's
@@ -427,13 +503,14 @@ class TestExtremeGates:
     # the mask recursion multiplies gates along each row: at a = 1e-200 the
     # products underflow to exactly 0 after one step, at a = 1 - 1e-12 they
     # stay within ~Q * 1e-12 of one across a long chunk
+    @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("gate,q,t", [
         (1e-200, 16, 100),
         (1e-200, 256, 300),
         (1.0 - 1e-12, 256, 600),
         (1.0 - 1e-12, 16, 1000),
     ])
-    def test_chunked_matches_the_scan(self, gate, q, t):
+    def test_chunked_matches_the_scan(self, gate, q, t, build):
         rng = np.random.default_rng(40)
         b, h, n = 2, 2, 3
         coeffs = SsmCoefficients(np.full((b, t, h), gate),
@@ -441,7 +518,8 @@ class TestExtremeGates:
                                  rng.standard_normal((b, t, h, n)))
         x = rng.standard_normal((b, t, h))
         h0 = rng.standard_normal((b, h, n))
-        y, hT = chunked_forward(coeffs, x, q, h0)
+        with mask_build(build):
+            y, hT = chunked_forward(coeffs, x, q, h0)
         y_ref, h_ref = recurrent_scan(coeffs, x, h0)
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(hT))
         assert rel_err(y, y_ref) <= 1e-9

@@ -151,6 +151,25 @@ class TestRecurrentScan:
         with pytest.raises(ValidationError):
             recurrent_scan(coeffs, x)
 
+    # complex, bool and string input would be coerced to floats (dropping an
+    # imaginary part, reading True as 1.0, parsing "2.0"); it is refused
+    @pytest.mark.parametrize("bad", [np.full((1, 2, 1), 1 + 2j), np.ones((1, 2, 1), bool),
+                                     [[["1"], ["2"]]]])
+    def test_rejects_non_real_input(self, bad):
+        coeffs = scalar_coeffs([0.5, 0.5])
+        with pytest.raises(ValidationError, match="x must hold real numbers"):
+            recurrent_scan(coeffs, bad)
+
+    def test_rejects_a_complex_initial_state(self):
+        coeffs = scalar_coeffs([0.5, 0.5])
+        with pytest.raises(ValidationError, match="h0 must hold real numbers"):
+            recurrent_scan(coeffs, np.ones((1, 2, 1)), np.zeros((1, 1, 1), complex))
+
+    def test_integer_input_is_converted(self):
+        coeffs = scalar_coeffs([0.5, 0.5])
+        y, _ = recurrent_scan(coeffs, np.ones((1, 2, 1), np.uint8))
+        assert np.array_equal(y, recurrent_scan(coeffs, np.ones((1, 2, 1)))[0])
+
 
 class TestCumulativeTransition:
     def test_worked_example(self):
@@ -180,6 +199,10 @@ class TestCumulativeTransition:
     def test_rejects_matrix_argument(self):
         with pytest.raises(DimensionError):
             cumulative_transition(np.ones((2, 2)), 1, 0)
+
+    def test_rejects_complex_gates(self):
+        with pytest.raises(ValidationError, match="a must hold real numbers"):
+            cumulative_transition(np.array([0.5 + 1j, 0.5]), 2, 0)
 
     def test_composition_exact_on_dyadic_gates(self):
         # every factor a power of two, so products carry no rounding at all
@@ -300,6 +323,13 @@ class TestSsmCoefficients:
         a[0, 2, 1] = 1.5
         with pytest.raises(ValidationError):
             SsmCoefficients(a, ok, ok)
+
+    @pytest.mark.parametrize("gates", [np.full((1, 4, 2), 0.5 + 0.1j), np.ones((1, 4, 2), bool),
+                                       np.full((1, 4, 2), "0.5")])
+    def test_rejects_non_real_gates(self, gates):
+        ok = np.zeros((1, 4, 2, 3))
+        with pytest.raises(ValidationError, match="a must hold real numbers"):
+            SsmCoefficients(gates, ok, ok)
 
     def test_rejects_non_finite_coefficients(self):
         a = np.full((1, 4, 2), 0.5)

@@ -80,6 +80,20 @@ class TestTokenizeWords:
         with pytest.raises(ValidationError):
             tokenize_words("x", 1)
 
+    @pytest.mark.parametrize("text", [123, b"a b", None, ["a", "b"]])
+    def test_non_string_text_rejected(self, text):
+        with pytest.raises(ValidationError, match="text must be a string"):
+            tokenize_words(text, 64)
+
+    @pytest.mark.parametrize("vocab_size", [64.5, 64.0, True, "64"])
+    def test_non_integer_vocabulary_rejected(self, vocab_size):
+        # 64.5 would give float ids
+        with pytest.raises(ValidationError, match="vocab_size must be an integer"):
+            tokenize_words("a b", vocab_size)
+
+    def test_numpy_integer_vocabulary_accepted(self):
+        assert tokenize_words("hello world", np.int64(256)) == [115, 6]
+
 
 class TestEmbedSequence:
     def test_pools_the_terminal_position(self, model):
@@ -124,6 +138,10 @@ class TestEmbedSequence:
     def test_rejects_the_reserved_terminal_id(self, model):
         with pytest.raises(ValidationError):
             embed_sequence(model, [SPEC.eos_id])
+
+    def test_non_integer_block_length_rejected(self, model):
+        with pytest.raises(ValidationError, match="block length must be an integer"):
+            embed_sequence(model, [1, 2, 3], strategy="vertical", block_len=32.0)
 
     def test_unknown_strategy_rejected(self, model):
         with pytest.raises(ValidationError):
@@ -176,6 +194,21 @@ class TestCosineSimilarity:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             cosine_similarity([np.nan, 1.0], [1.0, 0.0])
+
+    # strings would be parsed ("1" read as 1.0), bools read as 0/1, and a
+    # complex vector either loses its imaginary part or raises a bare TypeError
+    @pytest.mark.parametrize("e1,e2,field", [
+        (["1", "2"], ["2", "4"], "e1"),
+        ([1.0, 2.0], [True, False], "e2"),
+        ([1j, 1], [1, 1], "e1"),
+        ([1, 1], np.array([1 + 0j, 1]), "e2"),
+    ])
+    def test_non_real_vectors_rejected(self, e1, e2, field):
+        with pytest.raises(ValidationError, match=f"{field} must hold real numbers"):
+            cosine_similarity(e1, e2)
+
+    def test_integer_vectors_are_converted(self):
+        assert cosine_similarity([3, 4], np.array([3, 4], np.int8)) == 1.0
 
 
 class TestInfoNceLoss:
@@ -252,6 +285,15 @@ class TestInfoNceLoss:
     def test_value_faults_rejected(self, query, negative, message):
         with pytest.raises(ValidationError, match=message):
             info_nce_loss(query, self.P, [self.N1, negative])
+
+    @pytest.mark.parametrize("field,args", [
+        ("query", ([1j, 0, 0], P, [N1])),
+        ("positive", (Q, ["1", "1", "0"], [N1])),
+        (r"negatives\[1\]", (Q, P, [N1, np.array([0, 0, 1], bool)])),
+    ])
+    def test_non_real_vectors_rejected(self, field, args):
+        with pytest.raises(ValidationError, match=f"{field} must hold real numbers"):
+            info_nce_loss(*args)
 
     def test_loss_config_default(self):
         assert LossConfig().temperature == 0.02

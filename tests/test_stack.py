@@ -164,6 +164,11 @@ class TestCoefficientProjection:
         with pytest.raises(ValidationError):
             generate_coefficients(tiny_params(3), np.zeros((1, 4, 8)), chunk_size)
 
+    @pytest.mark.parametrize("chunk_size", [2.0, True])
+    def test_rejects_a_non_integer_chunk_size(self, chunk_size):
+        with pytest.raises(ValidationError, match="chunk size must be an integer"):
+            generate_coefficients(tiny_params(3), np.zeros((1, 4, 8)), chunk_size)
+
     @pytest.mark.parametrize("bias,gate", [(800.0, 0.0), (-800.0, 1.0)])
     def test_gate_saturates_without_warnings(self, bias, gate):
         # e^800 overflows to inf, which must read as a = 0, not as a warning
@@ -292,6 +297,12 @@ class TestHorizontalInfer:
         a = horizontal_infer(model, [1, 2, 3, 4])
         b = horizontal_infer(model, np.array([[1, 2, 3, 4]]))
         assert np.array_equal(a.hidden, b.hidden)
+
+    @pytest.mark.parametrize("chunk_size", [4.0, True, "4"])
+    def test_rejects_a_non_integer_chunk_size(self, chunk_size):
+        spec = ModelSpec(seed=7, L=1, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+        with pytest.raises(ValidationError, match="chunk size must be an integer"):
+            horizontal_infer(generate_model(spec), tokens_for(spec, 12), chunk_size)
 
     def test_rejects_bad_tokens(self):
         spec = ModelSpec(seed=7, L=1, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
@@ -423,6 +434,30 @@ class TestVerticalInfer:
         with pytest.raises(DimensionError):
             vertical_infer(model, tokens_for(self.SPEC, 64),
                            initial_states=np.zeros((2, 1, 2, 4)))
+
+    def test_complex_initial_states_are_refused(self):
+        # converted, they would run with the imaginary part dropped
+        model = generate_model(self.SPEC)
+        with pytest.raises(ValidationError, match="initial_states must hold real numbers"):
+            vertical_infer(model, tokens_for(self.SPEC, 64),
+                           initial_states=np.zeros((self.SPEC.L, 1, 2, 4), complex))
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("block length", {"block_len": 64.0}), ("block length", {"block_len": True}),
+        ("chunk size", {"chunk_size": 16.0}), ("chunk size", {"chunk_size": True}),
+    ])
+    def test_rejects_non_integer_block_and_chunk_lengths(self, name, kwargs):
+        model = generate_model(self.SPEC)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            vertical_infer(model, tokens_for(self.SPEC, 64), **kwargs)
+
+    def test_numpy_integer_lengths_are_accepted(self):
+        model = generate_model(self.SPEC)
+        tok = tokens_for(self.SPEC, 100)
+        got = vertical_infer(model, tok, np.int64(32), np.int32(16))
+        want = vertical_infer(model, tok, 32, 16)
+        assert np.array_equal(got.hidden, want.hidden)
+        assert np.array_equal(got.states, want.states)
 
 
 def infer_blocks(*args, **kwargs):
