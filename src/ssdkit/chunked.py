@@ -1,8 +1,8 @@
 """Block-decomposed evaluation of the state-space kernel.
 
-The sequence is partitioned into chunks of ``chunk_size`` positions.  Every
-stage runs once per call over all chunks at once, on chunk-major arrays
-(batch, chunks, heads, chunk_size, ...):
+The sequence is partitioned into chunks of ``chunk_size`` positions, and the
+chunks into tiles.  Every stage runs once per tile over all its chunks at
+once, on chunk-major arrays (batch, chunks, heads, chunk_size, ...):
 
   1. intra   - the x-weighted decay mask M[i, j] = L[i, j] x_j of every
                chunk, times B, gives the local state after each position
@@ -21,16 +21,17 @@ The mask is built by the same division-free running product as the kernel
 matrix in ``ssdkit.core`` (row i = a_i * row i-1), run directly on the
 x-weighted rows (diagonal x_i instead of 1); neither C @ B^T nor an
 unweighted decay block is ever formed.  Two builds make the same products,
-so the same bits: a tile of few short masks (Q >= 8, at most
-min(16, 256 / Q) masks) runs five whole-array operations, ending in one
-np.multiply.accumulate down the rows; any other tile runs the row loop, one
-contiguous row at a time.  The tile's shape alone picks the build.  M is
-built one tile of chunks at a time in one reused buffer, bounded per batch
-row (``_MASK_ELEMENTS_PER_ROW``), so the stage-1 workspace is one mask tile
-plus Z, (batch, chunks, heads, chunk_size, state): the mask stops growing
-with sequence length once a call spans more than one tile, and the whole
-workspace is flat in length for the vertical schedule, whose blocks hold at
-most block_len / chunk_size chunks.
+so the same bits: few short masks (Q >= 8, at most min(16, 256 / Q)) take
+five whole-array operations, ending in one np.multiply.accumulate down the
+rows; any others take the row loop, one contiguous row at a time.
+
+One tiling rule bounds a call: ``chunked_forward`` runs its chunks in tiles
+whose mask fits ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least
+one chunk), carries each tile's final state into the next as its h0 and
+writes each tile's output into one time-major y.  Every other buffer spans
+one tile, so the workspace stops growing with length but for y; a one-tile
+call (every vertical block up to V = 1,024 at H = 2, Q = 16) allocates what
+an untiled call would.  Tiling changes no bit.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
@@ -82,17 +83,17 @@ __all__ = [
 
 DEFAULT_DENSE_LIMIT = 4096
 
-# Stage 1 builds its mask in tiles of chunks holding at most this many
-# elements per batch row (256 KB; see intra_chunk).  A mask spanning a long
-# call (4 MB per row group at 8 x 4,096) was handed back to the kernel and
-# page-faulted in again on every call.  Of 16,384, 32,768 and 65,536 on the
-# benchmark model (H = 2, Q = 16), 65,536 still page-faulted at 16 x 4,096
-# and 16,384 was the slowest at 1 x 65,536.
+# chunked_forward runs tiles of chunks whose stage-1 mask holds at most this
+# many elements per batch row (256 KB).  A mask spanning a long call (4 MB
+# per row group at 8 x 4,096) was handed back to the kernel and page-faulted
+# in again on every call.  Of 16,384, 32,768 and 65,536 on the benchmark
+# model (H = 2, Q = 16), 65,536 still page-faulted at 16 x 4,096 and 16,384
+# was the slowest at 1 x 65,536.
 _MASK_ELEMENTS_PER_ROW = 32768
 
-# A tile of `slices` (batch, chunk, head) masks of size Q takes the
-# whole-array build when Q >= 8 and slices <= min(16, 256 // Q), else the row
-# loop (see _mask_tile): the first runs one inner loop per mask column, so its
+# `slices` (batch, chunk, head) masks of size Q take the whole-array build
+# when Q >= 8 and slices <= min(16, 256 // Q), else the row loop (see
+# intra_chunk): the first runs one inner loop per mask column, so its
 # cost grows with slices * Q; the second makes 2(Q - 1) NumPy calls.  Timed
 # on a 2-CPU host over Q 4-256 and 1-512 slices, the rule never picked the
 # slower build (whole array vs row loop: Q = 16 at 8 slices 30 vs 64 us, at
@@ -113,11 +114,10 @@ FAULT_MODES = (FAULT_INTRA_MASK, FAULT_INTRA_WEIGHTS, FAULT_TRANSITION, FAULT_CO
 def _check_fault(fault):
     if fault is not None and fault not in FAULT_MODES:
         raise ValidationError(f"unknown fault mode {fault!r}; expected one of {FAULT_MODES}")
-    return fault
 
 
-def _partition(t: int, chunk_size: int) -> tuple[int, int]:
-    """Chunk count and last chunk length of t positions in chunks of chunk_size."""
+def _partition(t: int, chunk_size: int) -> tuple[int, int, int, int]:
+    """t and chunk_size as ints, the chunk count and the last chunk's length."""
     t = _as_int(t, "sequence length")
     chunk_size = _as_int(chunk_size, "chunk size")
     if t < 1:
@@ -125,7 +125,7 @@ def _partition(t: int, chunk_size: int) -> tuple[int, int]:
     if chunk_size < 1:
         raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
     k = -(-t // chunk_size)
-    return k, t - (k - 1) * chunk_size
+    return t, chunk_size, k, t - (k - 1) * chunk_size
 
 
 def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
@@ -137,11 +137,14 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     copies with the tail padded by a = 1 and B = C = x = 0.
     """
     x = _check_inputs(coeffs, x)
-    b, t, h = x.shape
-    n = coeffs.state_dim
-    k, _ = _partition(t, chunk_size)
-    q = chunk_size
-    a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
+    _, q, _, _ = _partition(coeffs.length, chunk_size)
+    return _chunk_major(coeffs.a, coeffs.Bmat, coeffs.Cmat, x, q)
+
+
+def _chunk_major(a, Bm, Cm, x, q: int):
+    """chunk_major of checked arrays: a, x (b, t, h) and Bm, Cm (b, t, h, n)."""
+    b, t, h, n = Bm.shape
+    k = -(-t // q)
     pad = k * q - t
     if pad:
         a = np.concatenate([a, np.ones((b, pad, h))], axis=1)
@@ -154,27 +157,27 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
             x.reshape(b, k, q, h).transpose(0, 1, 3, 2))
 
 
-def _time_major(arr: np.ndarray, t: int) -> np.ndarray:
-    """Inverse of the chunk-major layout: (b, k, h, Q) -> (b, t, h), tail trimmed."""
-    b, k, h, q = arr.shape
-    out = np.empty((b, k * q, h), dtype=np.float64)
-    out.reshape(b, k, q, h)[:] = arr.swapaxes(-1, -2)  # a fresh buffer, never a view
-    return np.ascontiguousarray(out[:, :t])
+def _time_major(arr: np.ndarray, out: np.ndarray) -> None:
+    """Inverse of chunk_major: arr (b, k, h, Q) into out (b, t, h), tail dropped."""
+    b, _, h, q = arr.shape
+    whole, tail = divmod(out.shape[1], q)
+    out[:, :whole * q].reshape(b, whole, q, h)[:] = arr[:, :whole].swapaxes(-1, -2)
+    if tail:
+        out[:, whole * q:] = arr[:, whole, :, :tail].swapaxes(-1, -2)
 
 
 def _tile_chunks(h: int, chunk_size: int) -> int:
-    """Chunks per stage-1 tile: the most whose mask fits the per-row budget."""
+    """Chunks per tile: the most whose stage-1 mask fits the per-row budget."""
     return max(1, _MASK_ELEMENTS_PER_ROW // (h * chunk_size * chunk_size))
 
 
 def _short_build(q: int, slices: int) -> bool:
-    """Whether a tile of ``slices`` (batch, chunk, head) masks of size q takes
-    the whole-array build (see _mask_tile) rather than the row loop."""
+    """Whether ``slices`` masks of size q take the whole-array build."""
     return q >= _SHORT_MASK_MIN_Q and slices <= min(_SHORT_MASK_SLICES,
                                                       _SHORT_MASK_ELEMENTS // q)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per Q of a short tile, Q <= 256
+@functools.lru_cache(maxsize=None)  # one entry per Q of a short build, Q <= 256
 def _triangles(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (Q, 1, 1, 1, Q) masks of the entries on and above, and
     strictly above, the diagonal."""
@@ -184,18 +187,33 @@ def _triangles(q: int) -> tuple[np.ndarray, np.ndarray]:
     return on, above
 
 
-def _mask_tile(M, a, Bm, x, fault, Z=None, b_intra=None):
-    """Stage 1 on the chunks of a, Bm, x, building their mask in M (Q, b, m, h, Q).
+def intra_chunk(a, Bm, Cm, x, *, fault=None):
+    """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
 
-    Returns Z = M @ B and the boundary-state inputs, written into Z and
-    b_intra when given, else into new buffers.
+    Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
+    row-major as (Q, batch, chunks, heads, Q), and the local states
+    Z = M @ B (batch, chunks, heads, Q, state).  C @ B^T is never formed.
+    M[i, ..., j] = L[i, j] x_j: x_j on the diagonal, ((x_j a_{j+1}) a_{j+2})
+    ... a_i below it and +0.0 above it, built in the mask buffer alone by
+    either build (``_short_build``), with the same bits.  The buffers span
+    every chunk given: the workspace bound is chunked_forward's, which
+    passes one tile at a time (see ``workspace_elements``).
 
-    M[i] is row i of the x-weighted decay mask, M[i, ..., j] = L[i, j] x_j,
-    with the row axis first: x_j on the diagonal, ((x_j a_{j+1}) a_{j+2})
-    ... a_i below it and +0.0 above it, in either build (``_short_build``).
+    Args:
+        a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
+        Bm, Cm: (batch, chunks, heads, Q, state) chunk-major input/readout maps.
+
+    Returns:
+        y_intra: (batch, chunks, heads, Q) output from each chunk's own inputs
+                 with zero incoming state.
+        b_intra: (batch, chunks, heads, state) contribution of each chunk's
+                 inputs to the state at its right boundary; each input is
+                 weighted by the decay from its position to that boundary.
     """
-    q = M.shape[0]
-    if _short_build(q, M.size // (q * q)):
+    _check_fault(fault)
+    b, k, h, q = x.shape
+    M = np.empty((q, b, k, h, q))
+    if _short_build(q, b * k * h):
         # each column j holds x_j in row 0, 1.0 down to the diagonal and a_i
         # below it; the running product down the rows then carries x_j to
         # row j unchanged (x 1.0 is exact) and decays it from there on
@@ -218,52 +236,11 @@ def _mask_tile(M, a, Bm, x, fault, Z=None, b_intra=None):
     # local state after each position; np.moveaxis in place of transpose made
     # the vertical schedule's tracemalloc peak grow with length (about 100
     # bytes retained per call)
-    Z = np.matmul(mask.transpose(1, 2, 3, 0, 4), Bm, out=Z)
+    Z = np.matmul(mask.transpose(1, 2, 3, 0, 4), Bm)
     # the last row is the decay from each position to the right boundary, times x
     w = x if fault == FAULT_INTRA_WEIGHTS else M[-1]
-    b_intra = np.matmul(Bm.swapaxes(-1, -2), w[..., None],
-                        out=None if b_intra is None else b_intra[..., None])
-    return Z, b_intra[..., 0]
-
-
-def intra_chunk(a, Bm, Cm, x, *, fault=None):
-    """Stage 1 for every chunk: chunk-local outputs and boundary-state inputs.
-
-    Builds the x-weighted decay mask M (batch, chunks, heads, Q, Q), held
-    row-major as (Q, batch, chunks, heads, Q), and the local states
-    Z = M @ B (batch, chunks, heads, Q, state).  C @ B^T is never formed.
-    The mask is built one tile of chunks at a time in one reused buffer of
-    at most ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least one
-    chunk); each tile writes its slice of Z and of the boundary-state inputs.
-    A tile of few short masks is built in five whole-array operations, any
-    other by the row loop (``_mask_tile``); both give the same bits and use
-    the mask buffer alone.
-
-    Args:
-        a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
-        Bm, Cm: (batch, chunks, heads, Q, state) chunk-major input/readout maps.
-
-    Returns:
-        y_intra: (batch, chunks, heads, Q) output from each chunk's own inputs
-                 with zero incoming state.
-        b_intra: (batch, chunks, heads, state) contribution of each chunk's
-                 inputs to the state at its right boundary; each input is
-                 weighted by the decay from its position to that boundary.
-    """
-    _check_fault(fault)
-    b, k, h, q = x.shape
-    s = _tile_chunks(h, q)
-    if k <= s:  # one tile: the mask spans every chunk, no slices
-        Z, b_intra = _mask_tile(np.empty((q, b, k, h, q)), a, Bm, x, fault)
-    else:
-        M = np.empty((q, b, s, h, q))
-        Z = np.empty(Bm.shape)
-        b_intra = np.empty((b, k, h, Bm.shape[-1]))
-        for lo in range(0, k, s):
-            tile = slice(lo, lo + s)
-            _mask_tile(M[:, :, :k - lo], a[:, tile], Bm[:, tile], x[:, tile], fault,
-                       Z[:, tile], b_intra[:, tile])
-        del M
+    b_intra = np.matmul(Bm.swapaxes(-1, -2), w[..., None])[..., 0]
+    del M, mask, w  # the mask is freed before y_intra is made
 
     y_intra = np.einsum("...n,...n->...", Cm, Z)
     return y_intra, b_intra
@@ -344,44 +321,64 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
         the inputs, y included, peak at workspace_elements(...) of the shape.
     """
     _check_fault(fault)
-    a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
-    b, k, h, q = xs.shape
+    x = _check_inputs(coeffs, x)
+    b, t, h = x.shape
     n = coeffs.state_dim
-    b0 = np.zeros((b, h, n)) if h0 is None else _check_state(h0, b, h, n)
-
-    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
-    entry = np.empty((b, k, h, q))
-    np.cumprod(a, axis=-1, out=entry)
-    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
-
-    # without a state passed in, the state entering the first chunk is zero,
-    # and so is its correction: stage 3 then reads out chunks 1.. only
-    first = 0 if h0 is not None else 1
-    if first < k:
-        y_c[:, first:] += inter_chunk_correction(
-            entry[:, first:], Cm[:, first:], states[:, first:k], fault=fault)
-    return _time_major(y_c, coeffs.length), states[:, k].copy()
+    _, q, _, _ = _partition(t, chunk_size)
+    state = None if h0 is None else _check_state(h0, b, h, n)
+    span = _tile_chunks(h, q) * q
+    y = None
+    for lo in range(0, t, span):
+        tile = slice(lo, lo + span)
+        a, Bm, Cm, xs = _chunk_major(coeffs.a[:, tile], coeffs.Bmat[:, tile],
+                                     coeffs.Cmat[:, tile], x[:, tile], q)
+        k = xs.shape[1]
+        y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
+        entry = np.empty(xs.shape)
+        np.cumprod(a, axis=-1, out=entry)
+        b0 = np.zeros((b, h, n)) if state is None else state
+        states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
+        # without a state passed in, the state entering the call's first chunk
+        # is zero, and so is its correction: stage 3 then skips that chunk
+        first = 0 if state is not None else 1
+        if first < k:
+            y_c[:, first:] += inter_chunk_correction(
+                entry[:, first:], Cm[:, first:], states[:, first:k], fault=fault)
+        state = states[:, k].copy()
+        if y is None:  # made once the first tile is done, so that tile's peak excludes it
+            y = np.empty((b, t, h))
+        _time_major(y_c, y[:, tile])
+        del y_c, b_intra, entry, b0, states  # not kept through the next tile
+    return y, state
 
 
 def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     """Peak float64 elements chunked_forward holds beyond its inputs, y included.
 
     Batch b, length t, heads h, state size n; dense_dual is chunk_size = t.
-    The peak is that of the stage with the most live buffers (the final
-    time-major y is smaller); a ragged tail adds the padded copies of a, B, C
-    and x throughout.  Stage 1 holds one mask tile (``intra_chunk``), which
-    stops growing with t once a call spans more than one tile, and frees it
-    before y_intra is made.  Temporaries inside one expression are not counted.
+    A tile peaks in the stage with the most live buffers, plus the padded
+    copies of a, B, C and x if it is ragged.  A one-tile call holds that
+    alone (its y, made at the end, is smaller); every later tile runs beside
+    y and the state carried in.  Temporaries inside one expression are not
+    counted.
     """
-    k, last = _partition(t, chunk_size)
-    c = b * k * h * chunk_size  # a chunk-major (b, k, h, Q) buffer
-    s = b * k * h * n           # one state per chunk
-    g = b * h * n
-    mask = b * min(k, _tile_chunks(h, chunk_size)) * h * chunk_size * chunk_size
-    pad = 2 * c * (1 + n) if last < chunk_size else 0
-    return pad + max(max(mask, c) + c * n + s,    # stage 1: mask, then y_intra; Z, b_intra
-                     2 * c + 2 * s + g,            # y_intra, entry, b_intra, states
-                     3 * c + s + g)                # stage 3: y_intra, entry, correction, states
+    b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
+    t, q, k, last = _partition(t, chunk_size)
+    s = min(k, _tile_chunks(h, q))
+    g = b * h * n  # one state
+
+    def tile(m, ragged):  # a tile of m chunks
+        c = b * m * h * q  # a chunk-major (b, m, h, Q) buffer
+        p = b * m * h * n  # one state per chunk
+        pad = 2 * c * (1 + n) if ragged else 0
+        return pad + max(c * q + c * n + p,    # stage 1: mask, Z, b_intra
+                         2 * c + 2 * p + g,    # y_intra, entry, b_intra, states
+                         3 * c + p + g)        # stage 3: y_intra, entry, correction, states
+
+    if k == s:
+        return tile(k, last < q)
+    later = max(tile(min(s, k - s), False), tile(k - (k - 1) // s * s, last < q))
+    return max(tile(s, False), b * t * h + g + later)
 
 
 def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
@@ -395,7 +392,8 @@ def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
     unless carry_in (a state h0 is passed).  These are the counts of the
     unfaulted kernel: a fault mode changes what a stage computes, not this.
     """
-    k, tail = _partition(t, chunk_size)
+    b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
+    t, chunk_size, k, tail = _partition(t, chunk_size)
 
     def over_chunks(per_chunk):  # k - 1 full chunks and the tail
         return b * h * ((k - 1) * per_chunk(chunk_size) + per_chunk(tail))

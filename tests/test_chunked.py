@@ -6,6 +6,8 @@ exercises none of the blockwise code.
 """
 
 import contextlib
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -80,6 +82,12 @@ class TestChunkCount:
         assert (stage_flops(1, 40, 2, 4, np.int64(16), carry_in=False)
                 == stage_flops(1, 40, 2, 4, 16, carry_in=False))
         assert workspace_elements(1, 40, 2, 4, np.int64(16)) == workspace_elements(1, 40, 2, 4, 16)
+        # NumPy integers in, Python ints out, which JSON can write
+        numpy_shape = [np.int64(v) for v in (1, 40, 2, 4, 16)]
+        counts = dataclasses.asdict(stage_flops(*numpy_shape, carry_in=False))
+        peak = workspace_elements(*numpy_shape)
+        assert all(type(v) is int for v in [*counts.values(), peak])
+        json.dumps([counts, peak])
 
     @pytest.mark.parametrize("t,q", [(0, 4), (-3, 4), (8, 0)])
     def test_closed_forms_reject_an_empty_partition(self, t, q):
@@ -387,8 +395,10 @@ class TestChunkMajorEvaluation:
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_chunk)
 
-    def test_stages_run_once_per_call(self, monkeypatch):
-        import ssdkit.chunked as chunked
+    # 16 chunks run as one tile, or as tiles of 3 chunks: each stage then
+    # runs once per tile
+    @pytest.mark.parametrize("chunks,tiles", [(16, 1), (3, 6)])
+    def test_stages_run_once_per_call(self, monkeypatch, chunks, tiles):
         calls = {name: 0 for name in ("intra_chunk", "propagate_states",
                                       "inter_chunk_correction")}
         for name in calls:
@@ -400,13 +410,14 @@ class TestChunkMajorEvaluation:
 
             monkeypatch.setattr(chunked, name, counted)
         coeffs, x, h0 = random_problem(33, 1, 64, 2, 3)
-        chunked_forward(coeffs, x, 4, h0)
-        assert calls == {name: 1 for name in calls}
+        with mask_tiles(chunks, 2, 4):
+            chunked_forward(coeffs, x, 4, h0)
+        assert calls == {name: tiles for name in calls}
 
 
 @contextlib.contextmanager
 def mask_tiles(chunks, h, q):
-    """Make intra_chunk build its mask ``chunks`` chunks at a time."""
+    """Make chunked_forward run its chunks in tiles of ``chunks``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
         yield

@@ -26,6 +26,7 @@ from ssdkit import (
     ModelSpec,
     StackedModel,
     ValidationError,
+    chunked_forward,
     export_state_snapshot,
     generate_coefficients,
     generate_model,
@@ -35,11 +36,13 @@ from ssdkit import (
     layer_forward,
     layer_shapes,
     load_state_snapshot,
+    random_coefficients,
     recurrent_scan,
     save_state_snapshot,
+    stage_flops,
     vertical_infer,
 )
-from ssdkit import stack
+from ssdkit import chunked, stack
 from ssdkit.stack import KERNELS, RMS_EPS
 
 
@@ -585,6 +588,39 @@ class TestFlopCounts:
         assert zero.flops == carried.flops
         assert np.array_equal(zero.hidden, fresh.hidden)
         assert np.array_equal(zero.states, fresh.states)
+
+    # a call longer than one tile counts the sum of its tiles: tile 0 carries
+    # a state in when the call does, every later tile carries one in
+    @pytest.mark.parametrize("batch,t,q,chunks,tiles", [
+        (2, 4096, 16, None, 4),  # the kernel's own budget: tiles of 64 chunks
+        (3, 47, 3, 4, 4),        # tiles of 4 chunks, the last one ragged
+    ])
+    @pytest.mark.parametrize("carry_in", [False, True])
+    def test_a_multi_tile_call_counts_its_tiles(self, monkeypatch, batch, t, q, chunks, tiles,
+                                                carry_in):
+        h, n = 2, 4
+        if chunks is not None:
+            monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
+        seen = []
+        original = chunked.intra_chunk
+
+        def recorded(a, *args, **kwargs):
+            seen.append(a.shape[1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(chunked, "intra_chunk", recorded)
+        rng = np.random.default_rng(t)
+        h0 = rng.standard_normal((batch, h, n)) if carry_in else None
+        chunked_forward(random_coefficients(rng, batch, t, h, n),
+                        rng.standard_normal((batch, t, h)), q, h0)
+        assert len(seen) == tiles
+        lengths = [c * q for c in seen]
+        lengths[-1] -= sum(lengths) - t  # the padded tail of the last tile
+        by_tile = [stage_flops(batch, m, h, n, q, carry_in=carry_in or i > 0)
+                   for i, m in enumerate(lengths)]
+        whole = stage_flops(batch, t, h, n, q, carry_in=carry_in)
+        for stage in ("intra", "propagate", "inter"):
+            assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_tile)
 
 
 class TestLedgerAgainstTracedMemory:
