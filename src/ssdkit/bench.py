@@ -28,7 +28,7 @@ import numpy as np
 
 from .chunked import (DEFAULT_DENSE_LIMIT, chunk_major, chunked_forward, dense_dual,
                       inter_chunk_correction, intra_chunk, propagate_states)
-from .core import random_coefficients, recurrent_scan
+from .core import _as_int, random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
 from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, vertical_infer
@@ -45,19 +45,26 @@ __all__ = [
     "run_sweep",
     "write_records",
     "read_records",
+    "SUMMARY_FIELDS",
     "summarize_records",
 ]
 
 STRATEGIES = ("recurrent", "dense", "chunked-horizontal", "vertical")
 
 
-def _check_grids(config, names) -> None:
-    """Each named grid (None allowed) must be a non-empty list of positive integers."""
-    for name in names:
+def _check_ints(config, minimums: dict, grids) -> None:
+    """Store config's integer fields (name -> minimum) as ints, and each named
+    grid (None allowed) as a non-empty tuple of positive ints; refuse the rest."""
+    for name, minimum in minimums.items():
+        object.__setattr__(config, name, _as_int(getattr(config, name), name, minimum))
+    for name in grids:
         grid = getattr(config, name)
-        if grid is not None and (not grid or min(grid) < 1):
-            raise ValidationError(f"{name} must be a non-empty list of positive "
-                                  f"integers, got {grid}")
+        if grid is not None:
+            if not grid:
+                raise ValidationError(f"{name} must be a non-empty list of positive "
+                                      f"integers, got {grid}")
+            object.__setattr__(config, name, tuple(_as_int(v, f"{name} entry", 1)
+                                                   for v in grid))
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -89,10 +96,8 @@ class EquivalenceConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:  # false for NaN too
             raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
-        _check_grids(self, ("t_grid", "q_grid", "v_grid"))
-        for name in ("layers", "dense_limit"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_ints(self, {"seed": 0, "layers": 1, "dense_limit": 1},
+                    ("t_grid", "q_grid", "v_grid"))
 
 
 @dataclass
@@ -269,14 +274,11 @@ class SweepConfig:
     warmup: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValidationError(f"reps must be >= 1, got {self.reps}")
-        if self.warmup < 0:
-            raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
+        _check_ints(self, {"seed": 0, "reps": 1, "warmup": 0},
+                    ("t_grid", "batch_grid", "q_grid", "v_grid"))
         if not self.strategies or not set(self.strategies) <= set(STRATEGIES):
             raise ValidationError(
                 f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
-        _check_grids(self, ("t_grid", "batch_grid", "q_grid", "v_grid"))
 
 
 @dataclass(frozen=True)
@@ -406,8 +408,14 @@ def read_records(path) -> list[BenchRecord]:
     return records
 
 
+# the columns of one summarize_records row, in report order
+SUMMARY_FIELDS = ("strategy", "T", "batch", "Q", "V", "reps", "wall_mean_s", "wall_min_s",
+                  "wall_max_s", "peak_elems", "flops_total")
+
+
 def summarize_records(records: list[BenchRecord]) -> list[dict]:
-    """Aggregate repetitions per cell: wall-time mean/min/max, exact counts."""
+    """Aggregate repetitions per cell: wall-time mean/min/max, exact counts;
+    each row's keys are SUMMARY_FIELDS."""
     cells: dict[tuple, list[BenchRecord]] = {}
     for rec in records:
         cells.setdefault((rec.strategy, rec.T, rec.batch, rec.Q, rec.V), []).append(rec)
@@ -415,13 +423,8 @@ def summarize_records(records: list[BenchRecord]) -> list[dict]:
     for key in sorted(cells):
         group = cells[key]
         walls = [r.wall_time_s for r in group]
-        rows.append({
-            "strategy": key[0], "T": key[1], "batch": key[2], "Q": key[3], "V": key[4],
-            "reps": len(group),
-            "wall_mean_s": sum(walls) / len(walls),
-            "wall_min_s": min(walls),
-            "wall_max_s": max(walls),
-            "peak_elems": max(r.peak_elems for r in group),
-            "flops_total": max(r.flops_intra + r.flops_prop + r.flops_inter for r in group),
-        })
+        rows.append(dict(zip(SUMMARY_FIELDS, (
+            *key, len(group), sum(walls) / len(walls), min(walls), max(walls),
+            max(r.peak_elems for r in group),
+            max(r.flops_intra + r.flops_prop + r.flops_inter for r in group)))))
     return rows

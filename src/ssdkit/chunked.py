@@ -118,12 +118,8 @@ def _check_fault(fault):
 
 def _partition(t: int, chunk_size: int) -> tuple[int, int, int, int]:
     """t and chunk_size as ints, the chunk count and the last chunk's length."""
-    t = _as_int(t, "sequence length")
-    chunk_size = _as_int(chunk_size, "chunk size")
-    if t < 1:
-        raise ValidationError(f"sequence length must be >= 1, got {t}")
-    if chunk_size < 1:
-        raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
+    t = _as_int(t, "sequence length", 1)
+    chunk_size = _as_int(chunk_size, "chunk size", 1)
     k = -(-t // chunk_size)
     return t, chunk_size, k, t - (k - 1) * chunk_size
 

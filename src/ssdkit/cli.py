@@ -14,8 +14,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .bench import (EquivalenceConfig, SweepConfig, read_records, run_equivalence,
-                    run_sweep, summarize_records, write_records, STRATEGIES)
+from .bench import (STRATEGIES, SUMMARY_FIELDS, EquivalenceConfig, SweepConfig, read_records,
+                    run_equivalence, run_sweep, summarize_records, write_records)
 from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
 from .errors import SsdError, ValidationError
@@ -174,7 +174,8 @@ def _cmd_embed(args) -> int:
         print("error: input contains no tokens", file=sys.stderr)
         return 2
     chunk = args.q if args.q is not None else model.spec.Q
-    block = args.v if args.v is not None else (chunk if args.memory_cap else model.spec.V)
+    # None under the horizontal schedule: --v and --memory-cap need --vertical
+    block = args.v if args.v is not None else (chunk if args.memory_cap else None)
     out = embed_sequence(model, ids,
                          strategy="vertical" if args.vertical else "horizontal",
                          chunk_size=chunk, block_len=block)
@@ -193,13 +194,11 @@ def _cmd_report(args) -> int:
     lines = [
         "# aggregate of one sweep CSV; wall times include per-layer coefficient "
         "generation inside the forward pass",
-        "strategy,T,batch,Q,V,reps,wall_mean_s,wall_min_s,wall_max_s,peak_elems,flops_total",
+        ",".join(SUMMARY_FIELDS),
     ]
     for row in rows:
-        lines.append(",".join(str(row[k]) if not isinstance(row[k], float) else repr(row[k])
-                              for k in ("strategy", "T", "batch", "Q", "V", "reps",
-                                        "wall_mean_s", "wall_min_s", "wall_max_s",
-                                        "peak_elems", "flops_total")))
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in (row[k] for k in SUMMARY_FIELDS)))
     text = "\n".join(lines) + "\n"
     if args.out:
         with atomic_write(args.out, "w", encoding="utf-8") as fh:

@@ -34,12 +34,16 @@ __all__ = [
 ]
 
 
-def _as_int(value, name: str) -> int:
-    """value as an int: Python and NumPy integers pass, bools and the rest
-    (floats included, however integral) are refused."""
+def _as_int(value, name: str, minimum: int | None = None) -> int:
+    """value as an int of at least ``minimum`` (when given): Python and NumPy
+    integers pass, bools and the rest (floats included, however integral)
+    are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _real_array(arr, name: str) -> np.ndarray:

@@ -56,8 +56,7 @@ def tokenize_words(text: str, vocab_size: int) -> list[int]:
     """
     if not isinstance(text, str):
         raise ValidationError(f"text must be a string, got {type(text).__name__}")
-    if _as_int(vocab_size, "vocab_size") < 2:
-        raise ValidationError("vocab_size must be >= 2 (one id is reserved)")
+    vocab_size = _as_int(vocab_size, "vocab_size", 2)  # one id is reserved
     return [zlib.crc32(w.encode("utf-8")) % (vocab_size - 1) for w in text.split()]
 
 
@@ -86,6 +85,9 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
         strategy: "horizontal" or "vertical"; both yield the same vector up to
                   accumulated rounding (identical for sequences within one
                   vertical block).
+        block_len: the vertical block length (default model.spec.V); refused
+                  under the horizontal strategy, whose one block spans the
+                  sequence.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
@@ -95,6 +97,8 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     full = np.concatenate([tokens.astype(np.int64), [model.spec.eos_id]])
 
     if strategy == "horizontal":
+        if block_len is not None:
+            raise ValidationError("block_len applies to the vertical strategy only")
         result = horizontal_infer(model, full, chunk_size)
     elif strategy == "vertical":
         result = vertical_infer(model, full, block_len, chunk_size)

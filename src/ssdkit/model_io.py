@@ -4,8 +4,9 @@ Parameter stream.  Parameters are drawn from SplitMix64, a published 64-bit
 mixing generator: draw i of seed s is mix64(s + (i+1) * 0x9E3779B97F4A7C15),
 mapped to a double in [0, 1) via the top 53 bits, then to [-1, 1).  The
 arithmetic is pure integer mixing plus IEEE-754 scaling, so a seed yields the
-identical parameter bytes on every platform.  Draws are consumed in a fixed
-order: the embedding table first, then per layer w_a, b_a, W_B, W_C, W_x,
+identical parameter bytes on every platform.  Draws are consumed in one
+fixed order (``_layout``, which generation, loading and the payload size
+share): the embedding table first, then per layer w_a, b_a, W_B, W_C, W_x,
 W_out (normalization scales are initialized to one and consume no draws).
 Every drawn tensor is scaled by 1/sqrt(fan_in) of the projection it feeds
 (channel count d for input projections, head count H for the output one).
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -48,7 +50,6 @@ FORMAT_VERSION = 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_SPEC_FIELDS = ("seed", "L", "d", "H", "N", "vocab_size", "Q", "V", "dense_limit")
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
@@ -65,6 +66,23 @@ def _uniform_signed(seed: int, start: int, count: int) -> np.ndarray:
     return u * (2.0 / 9007199254740992.0) - 1.0  # [0, 2^53) -> [-1, 1)
 
 
+def _layout(spec: ModelSpec):
+    """(name, shape) of every tensor, in payload and draw order: the
+    embedding table, then each layer's ``layer_shapes``."""
+    yield "embedding", (spec.vocab_size, spec.d)
+    for _ in range(spec.L):
+        yield from layer_shapes(spec.H, spec.d, spec.N).items()
+
+
+def _assemble(spec: ModelSpec, tensors) -> StackedModel:
+    """The model of spec whose tensors, in ``_layout`` order, are ``tensors``."""
+    tensors = iter(tensors)
+    embedding = next(tensors)
+    names = layer_shapes(spec.H, spec.d, spec.N)
+    return StackedModel(spec, embedding,
+                        [LayerParams(**dict(zip(names, tensors))) for _ in range(spec.L)])
+
+
 def generate_model(spec: ModelSpec) -> StackedModel:
     """Build a model whose parameters are fully determined by spec.seed.
 
@@ -72,40 +90,28 @@ def generate_model(spec: ModelSpec) -> StackedModel:
     """
     offset = 0
 
-    def draw(shape, fan_in):
+    def draw(name, shape):
         nonlocal offset
+        if name == "gamma":
+            return np.ones(shape)
         count = math.prod(shape)
+        fan_in = spec.H if name == "W_out" else spec.d
         vals = _uniform_signed(spec.seed, offset, count) / math.sqrt(fan_in)
         offset += count
         return vals.reshape(shape)
 
-    embedding = draw((spec.vocab_size, spec.d), spec.d)
-    shapes = layer_shapes(spec.H, spec.d, spec.N)
-    layers = []
-    for _ in range(spec.L):
-        layers.append(LayerParams(**{
-            name: np.ones(shape) if name == "gamma"
-            else draw(shape, spec.H if name == "W_out" else spec.d)
-            for name, shape in shapes.items()}))
-    return StackedModel(spec, embedding, layers)
-
-
-def _iter_tensors(model: StackedModel):
-    yield model.embedding
-    names = layer_shapes(model.spec.H, model.spec.d, model.spec.N)
-    for layer in model.layers:
-        for name in names:
-            yield getattr(layer, name)
+    return _assemble(spec, (draw(name, shape) for name, shape in _layout(spec)))
 
 
 def model_payload(model: StackedModel) -> bytes:
-    """Parameter payload: row-major float64, little-endian, fixed field order."""
-    return b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in _iter_tensors(model))
+    """Parameter payload: row-major float64, little-endian, in ``_layout`` order."""
+    names = layer_shapes(model.spec.H, model.spec.d, model.spec.N)
+    tensors = [model.embedding] + [getattr(layer, n) for layer in model.layers for n in names]
+    return b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
 
 
 def expected_payload_bytes(spec: ModelSpec) -> int:
-    per_layer = sum(math.prod(s) for s in layer_shapes(spec.H, spec.d, spec.N).values())
-    return 8 * (spec.vocab_size * spec.d + spec.L * per_layer)
+    return 8 * sum(math.prod(shape) for _, shape in _layout(spec))
 
 
 def _checksum(payload: bytes) -> str:
@@ -113,13 +119,13 @@ def _checksum(payload: bytes) -> str:
 
 
 def spec_to_config(spec: ModelSpec) -> dict:
-    return {name: getattr(spec, name) for name in _SPEC_FIELDS}
+    return asdict(spec)
 
 
 def spec_from_config(doc: dict) -> ModelSpec:
     if not isinstance(doc, dict):
         raise FormatError("model spec document must be a JSON object")
-    extra = set(doc) - set(_SPEC_FIELDS)
+    extra = set(doc) - {f.name for f in fields(ModelSpec)}
     if extra:
         raise FormatError(f"unknown model spec fields: {sorted(extra)}")
     values = {k: _document_int(v, f"model spec field {k}") for k, v in doc.items()}
@@ -195,9 +201,4 @@ def load_model(path) -> StackedModel:
         pos += count
         return out
 
-    embedding = take((spec.vocab_size, spec.d))
-    shapes = layer_shapes(spec.H, spec.d, spec.N)
-    layers = []
-    for _ in range(spec.L):
-        layers.append(LayerParams(**{name: take(shape) for name, shape in shapes.items()}))
-    return StackedModel(spec, embedding, layers)
+    return _assemble(spec, (take(shape) for _, shape in _layout(spec)))

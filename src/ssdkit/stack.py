@@ -24,9 +24,9 @@ states (resumable via the snapshot helpers at the bottom of this module).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import threading
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -67,23 +67,18 @@ KERNELS = ("chunked", "recurrent", "dense")
 _MIN_GROUP_POSITIONS = 8192
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-# the row-group pool and the lock guarding its creation, made on first use;
-# a forked child empties it, since an inherited pool has no threads and would
-# hang its callers.  The at-fork callback is the dict's own clear, which holds
-# no module globals, so a re-imported module can still be freed.
-_row_pool_state: dict = {}
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_row_pool_state.clear)
 
 
-def _row_pool():
-    """The process's row-group thread pool, built on first use."""
-    with _row_pool_state.setdefault("lock", threading.Lock()):
-        if "pool" not in _row_pool_state:
-            from concurrent.futures import ThreadPoolExecutor
-            _row_pool_state["pool"] = ThreadPoolExecutor(_CPUS,
-                                                         thread_name_prefix="ssdkit-rows")
-        return _row_pool_state["pool"]
+@functools.cache
+def _row_pool(pid: int):
+    """The row-group thread pool of process ``pid`` (always ``os.getpid()``),
+    built on its first split call.  Keyed by process, so a forked child,
+    whose inherited pool has no threads and would hang its callers, builds
+    its own; nothing is registered on import.  Two threads making their
+    first split calls at once may each build one: the one not cached is
+    freed when its call returns."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_CPUS, thread_name_prefix="ssdkit-rows")
 
 
 def layer_shapes(H: int, d: int, N: int) -> dict[str, tuple[int, ...]]:
@@ -120,19 +115,14 @@ class ModelSpec:
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
+        # every other field is at least 1; vocab_size keeps one id for the marker
+        minimum = {"seed": 0, "vocab_size": 2}
         for f in fields(self):
-            object.__setattr__(self, f.name,
-                               _as_int(getattr(self, f.name), f"ModelSpec.{f.name}"))
-        for name in ("L", "d", "H", "N", "vocab_size", "Q", "V", "dense_limit"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"ModelSpec.{name} must be >= 1")
-        if self.vocab_size < 2:
-            raise ValidationError("vocab_size must be >= 2 (one id is reserved)")
+            value = _as_int(getattr(self, f.name), f"ModelSpec.{f.name}", minimum.get(f.name, 1))
+            object.__setattr__(self, f.name, value)
         if self.V % self.Q != 0:
             raise ValidationError(
                 f"vertical block V={self.V} must be a multiple of chunk size Q={self.Q}")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
 
     @property
     def eos_id(self) -> int:
@@ -291,8 +281,8 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     channel; B, C and x are views of one (batch, length, H(2N+1)) buffer.
     """
     u = _check_channels(params, u)
-    if chunk_size is not None and _as_int(chunk_size, "chunk size") < 1:
-        raise ValidationError(f"chunk size must be >= 1, got {chunk_size}")
+    if chunk_size is not None:
+        _as_int(chunk_size, "chunk size", 1)
     un = _normalize(params, u)
     b, t, _ = un.shape
     h, n = params.heads, params.state_dim
@@ -328,6 +318,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     product per chunk (see generate_coefficients).
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
+        fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
 
     Returns:
         (v, new_state): output channels and the kernel state at the end of
@@ -335,6 +326,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     """
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    if fault is not None and kernel != "chunked":
+        raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
+                              f"not {kernel!r}")
     coeffs, x = generate_coefficients(params, u, chunk_size)  # validates u
     u = np.asarray(u, dtype=np.float64)
 
@@ -401,7 +395,7 @@ def _split_forward(groups: int, model: StackedModel, tok: np.ndarray, states: np
     """``_block_forward`` on row groups at once; all finish before the first
     group's error, in row order, is raised."""
     batch = tok.shape[0]
-    pool = _row_pool()
+    pool = _row_pool(os.getpid())
     futures = [pool.submit(_block_forward, model, tok[lo:hi], states[:, lo:hi], *args)
                for lo, hi in ((i * batch // groups, (i + 1) * batch // groups)
                               for i in range(groups))]
@@ -438,13 +432,9 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     keep their bits; the ledger, linear in the batch, is unchanged.
     """
     spec = model.spec
-    q = _as_int(chunk_size, "chunk size") if chunk_size is not None else spec.Q
-    if q < 1:
-        raise ValidationError(f"chunk size must be >= 1, got {q}")
+    q = _as_int(chunk_size, "chunk size", 1) if chunk_size is not None else spec.Q
     if block_len is not None:
-        block_len = _as_int(block_len, "block length")
-        if block_len < 1:
-            raise ValidationError(f"block length must be >= 1, got {block_len}")
+        block_len = _as_int(block_len, "block length", 1)
         if block_len % q != 0:
             raise ValidationError(
                 f"vertical block length {block_len} must be a multiple of chunk size {q}")

@@ -120,7 +120,7 @@ class TestEquivalenceSuite:
         ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
         ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
         ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("layers", 0),
-        ("dense_limit", 0),
+        ("dense_limit", 0), ("layers", 2.5),
     ])
     def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):
@@ -191,7 +191,8 @@ class TestSweep:
     @pytest.mark.parametrize("field,value", [
         ("reps", 0), ("warmup", -1), ("strategies", ()), ("t_grid", ()),
         ("batch_grid", ()), ("q_grid", ()), ("v_grid", ()), ("t_grid", (16, 0)),
-        ("batch_grid", (0,)), ("q_grid", (-4,)), ("v_grid", (8, 0)),
+        ("batch_grid", (0,)), ("q_grid", (-4,)), ("v_grid", (8, 0)), ("reps", 1.5),
+        ("warmup", True), ("t_grid", (16.5,)),
     ])
     def test_config_rejects_empty_or_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):

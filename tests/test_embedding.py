@@ -143,6 +143,12 @@ class TestEmbedSequence:
         with pytest.raises(ValidationError, match="block length must be an integer"):
             embed_sequence(model, [1, 2, 3], strategy="vertical", block_len=32.0)
 
+    @pytest.mark.parametrize("block_len", [7, 32])
+    def test_block_length_refused_under_the_horizontal_strategy(self, model, block_len):
+        # one horizontal block spans the sequence: a block length would go unread
+        with pytest.raises(ValidationError, match="block_len applies to the vertical"):
+            embed_sequence(model, [1, 2, 3], strategy="horizontal", block_len=block_len)
+
     def test_unknown_strategy_rejected(self, model):
         with pytest.raises(ValidationError):
             embed_sequence(model, [1], strategy="diagonal")

@@ -714,6 +714,7 @@ class TestRowGroups:
         (dict(kernel="dense"), CapacityError),  # 80 positions over a limit of 64
         (dict(fault="no-such-fault"), ValidationError),
         (dict(kernel="no-such-kernel"), ValidationError),
+        (dict(kernel="recurrent", fault=FAULT_MODES[0]), ValidationError),
     ])
     def test_split_call_raises_the_unsplit_error(self, kwargs, error):
         model = generate_model(replace(self.SPEC, dense_limit=64))
@@ -815,6 +816,27 @@ for name in [m for m in sys.modules if m.partition(".")[0] == "ssdkit"]:
 import ssdkit.stack
 gc.collect()
 assert old() is None, "the first import's stack.infer is still alive"
+""")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_purged_imports_leave_no_pool_alive(self):
+        # the pool belongs to its import's module: nothing registered on
+        # import keeps an earlier import's pool once the module is purged
+        proc = run_python(self.PRELUDE + """
+import gc
+from concurrent.futures import ThreadPoolExecutor
+del embed_sequence, vertical_infer
+for _ in range(5):
+    stack._CPUS, stack._MIN_GROUP_POSITIONS = 2, 1
+    horizontal_infer(model, tok)  # builds this import's pool
+    del model, stack, generate_model, horizontal_infer, ModelSpec
+    for name in [m for m in sys.modules if m.partition(".")[0] == "ssdkit"]:
+        del sys.modules[name]
+    from ssdkit import ModelSpec, generate_model, horizontal_infer, stack
+    model = generate_model(ModelSpec(seed=1))
+gc.collect()
+alive = sum(isinstance(obj, ThreadPoolExecutor) for obj in gc.get_objects())
+assert alive == 0, f"{alive} of 5 purged imports' pools are alive"
 """)
         assert proc.returncode == 0, proc.stderr
 
