@@ -26,9 +26,9 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .chunked import (DEFAULT_DENSE_LIMIT, chunk_major, chunked_forward, dense_dual,
-                      inter_chunk_correction, intra_chunk, propagate_states)
-from .core import _as_int, random_coefficients, recurrent_scan
+from .chunked import (DEFAULT_DENSE_LIMIT, _check_fault, chunk_major, chunked_forward,
+                      dense_dual, inter_chunk_correction, intra_chunk, propagate_states)
+from .core import _as_int, _positive_real, random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
 from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, vertical_infer
@@ -94,8 +94,8 @@ class EquivalenceConfig:
     fault: str | None = None
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:  # false for NaN too
-            raise ValidationError(f"tolerance must be finite and positive, got {self.tolerance}")
+        object.__setattr__(self, "tolerance", _positive_real(self.tolerance, "tolerance"))
+        _check_fault(self.fault)
         _check_ints(self, {"seed": 0, "layers": 1, "dense_limit": 1},
                     ("t_grid", "q_grid", "v_grid"))
 
@@ -276,9 +276,11 @@ class SweepConfig:
     def __post_init__(self):
         _check_ints(self, {"seed": 0, "reps": 1, "warmup": 0},
                     ("t_grid", "batch_grid", "q_grid", "v_grid"))
-        if not self.strategies or not set(self.strategies) <= set(STRATEGIES):
-            raise ValidationError(
-                f"strategies must be a non-empty subset of {STRATEGIES}, got {self.strategies}")
+        strategies = self.strategies
+        if (not strategies or any(s not in STRATEGIES for s in strategies)
+                or len(set(strategies)) < len(strategies)):
+            raise ValidationError(f"strategies must be a non-empty subset of {STRATEGIES} "
+                                  f"without repeats, got {strategies}")
 
 
 @dataclass(frozen=True)

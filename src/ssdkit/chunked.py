@@ -64,7 +64,7 @@ import functools
 
 import numpy as np
 
-from .core import SsmCoefficients, _as_int, _check_inputs, _check_state, _real_array
+from .core import SsmCoefficients, _as_f64, _as_int, _check_inputs, _real_array
 from .errors import CapacityError, DimensionError, ValidationError
 from .instrumentation import FlopCounter
 
@@ -258,16 +258,11 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
     """
     _check_fault(fault)
     b_intra = _real_array(b_intra, "b_intra")
-    transitions = _real_array(transitions, "transitions")
-    b0 = _real_array(b0, "b0")
     if b_intra.ndim != 4:
         raise DimensionError(f"b_intra must be (b,k,h,n), got {b_intra.shape}")
     b, k, h, n = b_intra.shape
-    if transitions.shape != (b, k, h):
-        raise DimensionError(
-            f"transitions shape {transitions.shape} does not match chunks {(b, k, h)}")
-    if b0.shape != (b, h, n):
-        raise DimensionError(f"b0 shape {b0.shape} does not match {(b, h, n)}")
+    transitions = _real_array(transitions, "transitions", (b, k, h))
+    b0 = _real_array(b0, "b0", (b, h, n))
 
     # chunk-first, so each step works on one contiguous (b, h, n) block; the
     # blocks are filled with their chunk's transition at once, so the loop
@@ -294,9 +289,7 @@ def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
     _check_fault(fault)
     b, k, h, q = entry.shape
     n = Cm.shape[-1]
-    b_prev = _real_array(b_prev, "b_prev")
-    if b_prev.shape != (b, k, h, n):
-        raise DimensionError(f"b_prev shape {b_prev.shape} does not match {(b, k, h, n)}")
+    b_prev = _real_array(b_prev, "b_prev", (b, k, h, n))
     if fault == FAULT_CORRECTION:
         return np.zeros((b, k, h, q), dtype=np.float64)
     return entry * (Cm @ b_prev[..., None])[..., 0]
@@ -321,7 +314,7 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
     b, t, h = x.shape
     n = coeffs.state_dim
     _, q, _, _ = _partition(t, chunk_size)
-    state = None if h0 is None else _check_state(h0, b, h, n)
+    state = None if h0 is None else _as_f64(h0, "h0", (b, h, n))
     span = _tile_chunks(h, q) * q
     y = None
     for lo in range(0, t, span):
@@ -408,6 +401,7 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
     guarded by ``dense_limit``.  This is literally chunked_forward with one
     chunk, which is what makes the two agree bitwise at chunk_size = length.
     """
+    dense_limit = _as_int(dense_limit, "dense limit", 1)
     if coeffs.length > dense_limit:
         raise CapacityError(
             f"sequence length {coeffs.length} exceeds dense limit {dense_limit}")

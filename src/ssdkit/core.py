@@ -21,6 +21,8 @@ Array conventions (all float64):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -34,29 +36,44 @@ __all__ = [
 ]
 
 
-def _as_int(value, name: str, minimum: int | None = None) -> int:
+def _as_int(value, name: str, minimum: int | None = None, *, error=ValidationError) -> int:
     """value as an int of at least ``minimum`` (when given): Python and NumPy
     integers pass, bools and the rest (floats included, however integral)
-    are refused."""
+    are refused with ``error`` (FormatError for a field read from a document)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+        raise error(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
-def _real_array(arr, name: str) -> np.ndarray:
-    """arr as a float64 array: float and (unsigned) integer input is
-    converted, any other dtype (complex, bool, strings, objects) refused."""
+def _positive_real(value, name: str) -> float:
+    """value as a finite float above 0: Python and NumPy integers and floats
+    pass, bools and non-numbers (strings included) are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not 0.0 < value < math.inf:  # false for NaN too
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def _real_array(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """arr as a float64 array of exactly ``shape`` (when given): float and
+    (unsigned) integer input is converted, any other dtype (complex, bool,
+    strings, objects) refused."""
     arr = np.asarray(arr)
     if arr.dtype.kind not in "fiu":
         raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    if shape is not None and arr.shape != shape:
+        raise DimensionError(f"{name} shape {arr.shape} does not match {shape}")
     return arr.astype(np.float64, copy=False)
 
 
-def _as_f64(arr, name: str) -> np.ndarray:
-    out = _real_array(arr, name)
+def _as_f64(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """_real_array, refusing non-finite values too."""
+    out = _real_array(arr, name, shape)
     if not np.isfinite(out).all():
         raise ValidationError(f"{name} contains non-finite values")
     return out
@@ -130,6 +147,8 @@ def random_coefficients(rng: np.random.Generator, batch: int, length: int,
     products stay positive and bounded; B and C are scaled to keep readouts
     O(1) at any state size.
     """
+    counts = dict(batch=batch, length=length, heads=heads, state_dim=state_dim)
+    batch, length, heads, state_dim = (_as_int(v, k, 1) for k, v in counts.items())
     z = rng.standard_normal((batch, length, heads))
     a = np.exp(-np.logaddexp(0.0, z))
     scale = 1.0 / np.sqrt(state_dim)
@@ -138,24 +157,8 @@ def random_coefficients(rng: np.random.Generator, batch: int, length: int,
     return SsmCoefficients(a, Bmat, Cmat)
 
 
-def _check_state(h0, batch: int, heads: int, state_dim: int) -> np.ndarray:
-    h0 = _as_f64(h0, "h0")
-    if h0.shape != (batch, heads, state_dim):
-        raise DimensionError(
-            f"initial state shape {h0.shape} does not match "
-            f"({batch}, {heads}, {state_dim})"
-        )
-    return h0
-
-
 def _check_inputs(coeffs: SsmCoefficients, x) -> np.ndarray:
-    x = _as_f64(x, "x")
-    if x.shape != (coeffs.batch, coeffs.length, coeffs.heads):
-        raise DimensionError(
-            f"input shape {x.shape} does not match coefficients "
-            f"({coeffs.batch}, {coeffs.length}, {coeffs.heads})"
-        )
-    return x
+    return _as_f64(x, "x", coeffs.a.shape)
 
 
 def cumulative_transition(a, i: int, j: int) -> float:
@@ -221,7 +224,7 @@ def recurrent_scan(coeffs: SsmCoefficients, x, h0=None):
     if h0 is None:
         h = np.zeros((b, heads, n), dtype=np.float64)
     else:
-        h = _check_state(h0, b, heads, n).copy()
+        h = _as_f64(h0, "h0", (b, heads, n)).copy()
     y = np.empty((b, t, heads), dtype=np.float64)
     a, Bmat, Cmat = coeffs.a, coeffs.Bmat, coeffs.Cmat
     for step in range(t):

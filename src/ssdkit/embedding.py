@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int, _real_array
+from .core import _as_int, _positive_real, _real_array
 from .errors import DimensionError, ValidationError
 from .stack import StackedModel, _check_tokens, horizontal_infer, vertical_infer
 
@@ -71,8 +71,7 @@ class LossConfig:
     temperature: float = 0.02
 
     def __post_init__(self):
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+        object.__setattr__(self, "temperature", _positive_real(self.temperature, "temperature"))
 
 
 def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",

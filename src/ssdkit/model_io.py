@@ -28,9 +28,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from .core import _as_int
 from .errors import FormatError, IntegrityError
-from .stack import (LayerParams, ModelSpec, StackedModel, _document_int, atomic_write,
-                    layer_shapes)
+from .stack import LayerParams, ModelSpec, StackedModel, atomic_write, layer_shapes
 
 __all__ = [
     "generate_model",
@@ -128,7 +128,7 @@ def spec_from_config(doc: dict) -> ModelSpec:
     extra = set(doc) - {f.name for f in fields(ModelSpec)}
     if extra:
         raise FormatError(f"unknown model spec fields: {sorted(extra)}")
-    values = {k: _document_int(v, f"model spec field {k}") for k, v in doc.items()}
+    values = {k: _as_int(v, f"model spec field {k}", error=FormatError) for k, v in doc.items()}
     try:
         return ModelSpec(**values)
     except (TypeError, ValueError) as exc:
@@ -177,12 +177,13 @@ def load_model(path) -> StackedModel:
         raise FormatError(f"model header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise FormatError("not a model file (missing format marker)")
-    if header.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported model format version {header.get('version')}")
+    version = _as_int(header.get("version"), "model format version", error=FormatError)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported model format version {version}")
     spec = spec_from_config(header.get("spec"))
 
     payload = raw[newline + 1:]
-    declared = header.get("payload_bytes")
+    declared = _as_int(header.get("payload_bytes"), "payload_bytes", 0, error=FormatError)
     expected = expected_payload_bytes(spec)
     if len(payload) != declared or len(payload) != expected:
         raise FormatError(

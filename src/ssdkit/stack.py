@@ -158,12 +158,13 @@ class LayerParams:
     w_gate: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h, d = np.shape(self.w_a)
-        for name, shape in layer_shapes(h, d, np.shape(self.W_B)[1]).items():
-            arr = _as_f64(getattr(self, name), name)
-            if arr.shape != shape:
-                raise DimensionError(f"LayerParams.{name} shape {arr.shape}, expected {shape}")
-            setattr(self, name, arr)
+        shape_a, shape_b = np.shape(self.w_a), np.shape(self.W_B)
+        if len(shape_a) != 2 or len(shape_b) != 3:
+            raise DimensionError(f"LayerParams needs w_a (H, d) and W_B (H, N, d), "
+                                 f"got shapes {shape_a} and {shape_b}")
+        (h, d), n = shape_a, shape_b[1]
+        for name, shape in layer_shapes(h, d, n).items():
+            setattr(self, name, _as_f64(getattr(self, name), name, shape))
         # column-major, so the products' operands w_gate.T and W_in.T are
         # row-major (twice as fast per chunk as the transposed views)
         self.w_gate = np.asfortranarray(self.w_a * self.gamma)
@@ -191,11 +192,8 @@ class StackedModel:
     layers: list[LayerParams] = field(default_factory=list)
 
     def __post_init__(self):
-        self.embedding = _as_f64(self.embedding, "embedding")
-        if self.embedding.shape != (self.spec.vocab_size, self.spec.d):
-            raise DimensionError(
-                f"embedding shape {self.embedding.shape} does not match spec "
-                f"({self.spec.vocab_size}, {self.spec.d})")
+        self.embedding = _as_f64(self.embedding, "embedding",
+                                 (self.spec.vocab_size, self.spec.d))
         if len(self.layers) != self.spec.L:
             raise DimensionError(
                 f"model has {len(self.layers)} layers, spec says {self.spec.L}")
@@ -438,6 +436,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         if block_len % q != 0:
             raise ValidationError(
                 f"vertical block length {block_len} must be a multiple of chunk size {q}")
+    if sink is not None and not callable(sink):
+        raise ValidationError(f"sink must be callable, got {sink!r}")
     tok = _check_tokens(tokens, spec.vocab_size)
     batch, t = tok.shape
     step = block_len if block_len is not None else t
@@ -445,12 +445,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
 
     states = np.zeros((spec.L, batch, spec.H, spec.N))
     if initial_states is not None:
-        initial_states = _as_f64(initial_states, "initial_states")
-        if initial_states.shape != states.shape:
-            raise DimensionError(
-                f"initial_states shape {initial_states.shape} does not match "
-                f"{states.shape}")
-        states[:] = initial_states
+        states[:] = _as_f64(initial_states, "initial_states", states.shape)
 
     for start in range(0, t, step):
         # the states entering the first block are zero unless carried in; None
@@ -523,13 +518,6 @@ def export_state_snapshot(states) -> dict:
     }
 
 
-def _document_int(value, name: str) -> int:
-    """An integer field read from a document; bools, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def import_state_snapshot(doc: dict) -> np.ndarray:
     """Inverse of export_state_snapshot, with structural validation.
 
@@ -537,15 +525,14 @@ def import_state_snapshot(doc: dict) -> np.ndarray:
     JSON number; anything else is a FormatError, never coerced.
     """
     try:
-        version = doc["version"]
-        dims = tuple(_document_int(doc[k], k) for k in ("layer_count", "b", "h", "n"))
+        version = _as_int(doc["version"], "snapshot version", error=FormatError)
+        dims = tuple(_as_int(doc[k], k, 0, error=FormatError)
+                     for k in ("layer_count", "b", "h", "n"))
         flat = doc["states"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed state snapshot: {exc}") from exc
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"unsupported snapshot version {version}")
-    if min(dims) < 0:
-        raise FormatError(f"snapshot dimensions must be non-negative, got {dims}")
     layers, batch, heads, n = dims
     if not isinstance(flat, list):
         raise FormatError("snapshot states must be a list of per-layer value lists")

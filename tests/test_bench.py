@@ -120,7 +120,8 @@ class TestEquivalenceSuite:
         ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
         ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
         ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("layers", 0),
-        ("dense_limit", 0), ("layers", 2.5),
+        ("dense_limit", 0), ("layers", 2.5), ("tolerance", True), ("tolerance", "1e-9"),
+        ("fault", "gremlins"), ("fault", 3),
     ])
     def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):
@@ -192,7 +193,7 @@ class TestSweep:
         ("reps", 0), ("warmup", -1), ("strategies", ()), ("t_grid", ()),
         ("batch_grid", ()), ("q_grid", ()), ("v_grid", ()), ("t_grid", (16, 0)),
         ("batch_grid", (0,)), ("q_grid", (-4,)), ("v_grid", (8, 0)), ("reps", 1.5),
-        ("warmup", True), ("t_grid", (16.5,)),
+        ("warmup", True), ("t_grid", (16.5,)), ("strategies", ("vertical", "vertical")),
     ])
     def test_config_rejects_empty_or_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):

@@ -1,0 +1,159 @@
+"""Malformed input at the public entry points, one row per case.
+
+Every row must raise the SsdError subclass it names: never a bare TypeError,
+IndexError or AttributeError, and never a return value.  A new entry point
+joins the table with its malformed inputs.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from ssdkit import (
+    DimensionError,
+    EquivalenceConfig,
+    FormatError,
+    LayerParams,
+    LossConfig,
+    ModelSpec,
+    SsdError,
+    StackedModel,
+    SweepConfig,
+    ValidationError,
+    chunked_forward,
+    cosine_similarity,
+    dense_dual,
+    export_state_snapshot,
+    generate_model,
+    import_state_snapshot,
+    infer,
+    info_nce_loss,
+    inter_chunk_correction,
+    load_model,
+    propagate_states,
+    random_coefficients,
+    recurrent_scan,
+    save_model,
+)
+from ssdkit.model_io import spec_from_config
+
+SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
+MODEL = generate_model(SPEC)
+TOKENS = np.arange(6)[None, :]
+COEFFS = random_coefficients(np.random.default_rng(0), 1, 8, 2, 3)
+X = np.ones((1, 8, 2))
+VEC = np.ones(4)
+
+
+def layer(**overrides):
+    """LayerParams of the first layer of MODEL, with tensors replaced."""
+    first = MODEL.layers[0]
+    tensors = {name: getattr(first, name)
+               for name in ("w_a", "b_a", "W_B", "W_C", "W_x", "W_out", "gamma")}
+    return LayerParams(**{**tensors, **overrides})
+
+
+def snapshot(**overrides):
+    """The snapshot document of two layers of states, with fields replaced."""
+    return {**export_state_snapshot(np.zeros((2, 1, 2, 2))), **overrides}
+
+
+def model_file(tmp_path, **header):
+    """A saved MODEL whose header fields are replaced; returns its path."""
+    path = tmp_path / "m.ssdm"
+    save_model(path, MODEL)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(line), **header}).encode() + b"\n" + payload)
+    return path
+
+
+CASES = {
+    # kernels and their stages
+    "random_coefficients-zero-state": (
+        lambda tmp: random_coefficients(np.random.default_rng(0), 1, 4, 2, 0), ValidationError),
+    "random_coefficients-float-length": (
+        lambda tmp: random_coefficients(np.random.default_rng(0), 1, 2.5, 2, 2), ValidationError),
+    "recurrent_scan-h0-shape": (
+        lambda tmp: recurrent_scan(COEFFS, X, np.zeros((1, 2, 2))), DimensionError),
+    "chunked_forward-x-shape": (
+        lambda tmp: chunked_forward(COEFFS, np.ones((1, 7, 2)), 4), DimensionError),
+    "chunked_forward-h0-shape": (
+        lambda tmp: chunked_forward(COEFFS, X, 4, np.zeros((2, 2, 3))), DimensionError),
+    "chunked_forward-string-chunk": (
+        lambda tmp: chunked_forward(COEFFS, X, "4"), ValidationError),
+    "dense_dual-string-limit": (
+        lambda tmp: dense_dual(COEFFS, X, dense_limit="9"), ValidationError),
+    "dense_dual-bool-limit": (
+        lambda tmp: dense_dual(COEFFS, X, dense_limit=True), ValidationError),
+    "propagate_states-3d-b_intra": (
+        lambda tmp: propagate_states(np.ones((1, 2, 1)), np.ones((1, 2, 1)),
+                                     np.zeros((1, 1, 1))), DimensionError),
+    "propagate_states-transitions-shape": (
+        lambda tmp: propagate_states(np.ones((1, 2, 1, 1)), np.ones((1, 3, 1)),
+                                     np.zeros((1, 1, 1))), DimensionError),
+    "inter_chunk_correction-b_prev-shape": (
+        lambda tmp: inter_chunk_correction(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4, 3)),
+                                           np.ones((1, 2, 1, 2))), DimensionError),
+    # model construction
+    "LayerParams-1d-w_a": (lambda tmp: layer(w_a=np.ones(8)), DimensionError),
+    "LayerParams-3d-w_a": (lambda tmp: layer(w_a=np.ones((2, 8, 1))), DimensionError),
+    "LayerParams-1d-W_B": (lambda tmp: layer(W_B=np.ones(8)), DimensionError),
+    "LayerParams-W_C-shape": (lambda tmp: layer(W_C=np.ones((2, 3, 8))), DimensionError),
+    "StackedModel-embedding-shape": (
+        lambda tmp: StackedModel(SPEC, np.ones((15, 8)), MODEL.layers), DimensionError),
+    "StackedModel-layer-count": (
+        lambda tmp: StackedModel(SPEC, MODEL.embedding, MODEL.layers[:1]), DimensionError),
+    "StackedModel-layer-dims": (
+        lambda tmp: StackedModel(SPEC, MODEL.embedding,
+                                 [MODEL.layers[0], layer(W_B=np.ones((2, 3, 8)),
+                                                         W_C=np.ones((2, 3, 8)))]),
+        DimensionError),
+    "ModelSpec-float-L": (lambda tmp: ModelSpec(L=2.5), ValidationError),
+    # inference
+    "infer-non-callable-sink": (lambda tmp: infer(MODEL, TOKENS, 4, sink=3), ValidationError),
+    "infer-initial_states-shape": (
+        lambda tmp: infer(MODEL, TOKENS, initial_states=np.zeros((2, 1, 2, 3))),
+        DimensionError),
+    "infer-token-out-of-range": (lambda tmp: infer(MODEL, [[0, 16]]), ValidationError),
+    # bench and embedding settings
+    "EquivalenceConfig-bool-tolerance": (
+        lambda tmp: EquivalenceConfig(tolerance=True), ValidationError),
+    "EquivalenceConfig-string-tolerance": (
+        lambda tmp: EquivalenceConfig(tolerance="1e-9"), ValidationError),
+    "EquivalenceConfig-unknown-fault": (
+        lambda tmp: EquivalenceConfig(fault="gremlins"), ValidationError),
+    "EquivalenceConfig-int-fault": (lambda tmp: EquivalenceConfig(fault=3), ValidationError),
+    "SweepConfig-repeated-strategy": (
+        lambda tmp: SweepConfig(strategies=("recurrent", "recurrent")), ValidationError),
+    "LossConfig-bool-temperature": (lambda tmp: LossConfig(temperature=True), ValidationError),
+    "info_nce_loss-string-temperature": (
+        lambda tmp: info_nce_loss(VEC, VEC, temperature="0.1"), ValidationError),
+    "info_nce_loss-none-temperature": (
+        lambda tmp: info_nce_loss(VEC, VEC, temperature=None), ValidationError),
+    "cosine_similarity-lengths": (
+        lambda tmp: cosine_similarity(VEC, np.ones(3)), DimensionError),
+    # documents
+    "export_state_snapshot-3d": (
+        lambda tmp: export_state_snapshot(np.zeros((1, 2, 2))), DimensionError),
+    "snapshot-bool-version": (lambda tmp: import_state_snapshot(snapshot(version=True)),
+                              FormatError),
+    "snapshot-float-version": (lambda tmp: import_state_snapshot(snapshot(version=1.0)),
+                               FormatError),
+    "snapshot-states-not-a-list": (
+        lambda tmp: import_state_snapshot(snapshot(states="[]")), FormatError),
+    "snapshot-layer-not-a-list": (
+        lambda tmp: import_state_snapshot(snapshot(states=[[0.0] * 4, "0000"])), FormatError),
+    "spec-zero-layers": (lambda tmp: spec_from_config({"L": 0}), FormatError),
+    "model-bool-version": (lambda tmp: load_model(model_file(tmp, version=True)), FormatError),
+    "model-float-version": (lambda tmp: load_model(model_file(tmp, version=1.0)), FormatError),
+    "model-string-payload-bytes": (
+        lambda tmp: load_model(model_file(tmp, payload_bytes="3264")), FormatError),
+}
+
+
+@pytest.mark.parametrize("call,error", CASES.values(), ids=CASES.keys())
+def test_malformed_input_raises_its_ssd_error(call, error, tmp_path):
+    with pytest.raises(SsdError) as caught:
+        call(tmp_path)
+    assert isinstance(caught.value, error)

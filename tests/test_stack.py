@@ -914,7 +914,8 @@ class TestStateSnapshots:
             import_state_snapshot(doc)
 
     @pytest.mark.parametrize("field,value", [
-        ("b", 1.7), ("b", 1.0), ("h", True), ("n", "1"), ("layer_count", -1)])
+        ("b", 1.7), ("b", 1.0), ("h", True), ("n", "1"), ("layer_count", -1),
+        ("version", True), ("version", 1.0)])
     def test_malformed_dimension_rejected(self, field, value):
         doc = export_state_snapshot(np.zeros((1, 1, 1, 1)))
         doc[field] = value
