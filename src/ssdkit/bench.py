@@ -31,7 +31,7 @@ from .chunked import (DEFAULT_DENSE_LIMIT, _check_fault, chunk_major, chunked_fo
 from .core import _as_int, _positive_real, random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import generate_model
-from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, vertical_infer
+from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, infer, vertical_infer
 
 __all__ = [
     "STRATEGIES",
@@ -49,7 +49,11 @@ __all__ = [
     "summarize_records",
 ]
 
-STRATEGIES = ("recurrent", "dense", "chunked-horizontal", "vertical")
+_ROUTES = {"recurrent": ("recurrent", False, False),  # strategy: (kernel, uses Q, uses V)
+           "dense": ("dense", False, False),
+           "chunked-horizontal": ("chunked", True, False),
+           "vertical": ("chunked", True, True)}
+STRATEGIES = tuple(_ROUTES)
 
 
 def _check_ints(config, minimums: dict, grids) -> None:
@@ -60,9 +64,9 @@ def _check_ints(config, minimums: dict, grids) -> None:
     for name in grids:
         grid = getattr(config, name)
         if grid is not None:
-            if not grid:
-                raise ValidationError(f"{name} must be a non-empty list of positive "
-                                      f"integers, got {grid}")
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ValidationError(f"{name} must be a non-empty list or tuple of "
+                                      f"positive integers, got {grid!r}")
             object.__setattr__(config, name, tuple(_as_int(v, f"{name} entry", 1)
                                                    for v in grid))
 
@@ -98,6 +102,9 @@ class EquivalenceConfig:
         _check_fault(self.fault)
         _check_ints(self, {"seed": 0, "layers": 1, "dense_limit": 1},
                     ("t_grid", "q_grid", "v_grid"))
+        if any(v % EQ_MODEL_Q for v in self.v_grid):
+            raise ValidationError(f"v_grid entries must be multiples of the suite model's "
+                                  f"chunk size {EQ_MODEL_Q}, got {self.v_grid}")
 
 
 @dataclass
@@ -107,7 +114,10 @@ class CheckResult:
     multi_chunk: bool
     max_rel_err: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = self.max_rel_err <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -178,14 +188,14 @@ def _stage_checks(report, instance, coeffs, x, h0, q, config):
         y_ref, h_ref = dense_dual(part, x_part)
         err = max(err, relative_error(at(y_intra, c, part), y_ref),
                   relative_error(b_intra[:, c], h_ref))
-    add(CheckResult(instance, f"stage-intra-q{q}", multi, err, tol, err <= tol))
+    add(CheckResult(instance, f"stage-intra-q{q}", multi, err, tol))
 
     # Stage 2: boundary states against the recurrence run chunk by chunk.
     err, h = relative_error(states[:, 0], h0), h0
     for c, part, x_part in chunks:
         _, h = recurrent_scan(part, x_part, h)
         err = max(err, relative_error(states[:, c + 1], h))
-    add(CheckResult(instance, f"stage-boundary-q{q}", multi, err, tol, err <= tol))
+    add(CheckResult(instance, f"stage-boundary-q{q}", multi, err, tol))
 
     # Stage 3: each correction equals reading the carried state out through
     # the chunk with its own inputs silenced (superposition of the two parts).
@@ -193,7 +203,7 @@ def _stage_checks(report, instance, coeffs, x, h0, q, config):
     for c, part, x_part in chunks:
         y_ref, _ = recurrent_scan(part, np.zeros_like(x_part), states[:, c])
         err = max(err, relative_error(at(y_inter, c, part), y_ref))
-    add(CheckResult(instance, f"stage-correction-q{q}", multi, err, tol, err <= tol))
+    add(CheckResult(instance, f"stage-correction-q{q}", multi, err, tol))
 
 
 def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> EquivalenceReport:
@@ -212,19 +222,16 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
 
         if t <= config.dense_limit:
             err = _pair_err(dense_dual(coeffs, x, h0), ref)
-            add(CheckResult(instance, "dense-vs-recurrent", False, err, tol, err <= tol))
+            add(CheckResult(instance, "dense-vs-recurrent", False, err, tol))
 
-        smallest_multi_q = None
         for q in config.q_grid:
-            got = chunked_forward(coeffs, x, q, h0, fault=config.fault)
-            multi = math.ceil(t / q) > 1
-            if multi and smallest_multi_q is None:
-                smallest_multi_q = q
-            err = _pair_err(got, ref)
-            add(CheckResult(instance, f"chunked-q{q}", multi, err, tol, err <= tol))
+            err = _pair_err(chunked_forward(coeffs, x, q, h0, fault=config.fault), ref)
+            add(CheckResult(instance, f"chunked-q{q}", t > q, err, tol))
 
-        if smallest_multi_q is not None:
-            _stage_checks(report, instance, coeffs, x, h0, smallest_multi_q, config)
+        # the stage checks run once, at the smallest Q that splits T
+        stage_q = min((q for q in config.q_grid if q < t), default=None)
+        if stage_q is not None:
+            _stage_checks(report, instance, coeffs, x, h0, stage_q, config)
 
     # Model-level: schedules over a stacked model, recurrent kernel as oracle.
     spec = ModelSpec(seed=config.seed, L=config.layers, d=EQ_D, H=EQ_HEADS,
@@ -235,26 +242,22 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
         instance = f"T={t}"
         tokens = rng.integers(0, spec.vocab_size - 1, size=(1, t))
         ref = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="recurrent")
-        multi = math.ceil(t / EQ_MODEL_Q) > 1
+        multi = t > EQ_MODEL_Q
 
-        got = horizontal_infer(model, tokens, EQ_MODEL_Q, fault=config.fault)
-        err = relative_error(got.hidden, ref.hidden)
-        add(CheckResult(instance, "model-chunked", multi, err, tol, err <= tol))
+        got = horizontal_infer(model, tokens, EQ_MODEL_Q, fault=config.fault).hidden
+        add(CheckResult(instance, "model-chunked", multi, relative_error(got, ref.hidden), tol))
 
         if t <= config.dense_limit:
-            got = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="dense")
-            err = relative_error(got.hidden, ref.hidden)
-            add(CheckResult(instance, "model-dense", False, err, tol, err <= tol))
+            got = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="dense").hidden
+            add(CheckResult(instance, "model-dense", False, relative_error(got, ref.hidden), tol))
 
         for v in config.v_grid:
-            if v % EQ_MODEL_Q != 0:
-                continue
             blocks: list[tuple[int, np.ndarray]] = []
             vertical_infer(model, tokens, v, EQ_MODEL_Q, fault=config.fault,
                            sink=lambda start, h: blocks.append((start, h)))
             full = np.concatenate([h for _, h in sorted(blocks)], axis=1)
             err = relative_error(full, ref.hidden)
-            add(CheckResult(instance, f"vertical-v{v}", multi, err, tol, err <= tol))
+            add(CheckResult(instance, f"vertical-v{v}", multi, err, tol))
     return report
 
 
@@ -277,10 +280,12 @@ class SweepConfig:
         _check_ints(self, {"seed": 0, "reps": 1, "warmup": 0},
                     ("t_grid", "batch_grid", "q_grid", "v_grid"))
         strategies = self.strategies
-        if (not strategies or any(s not in STRATEGIES for s in strategies)
+        if (not isinstance(strategies, (list, tuple)) or not strategies
+                or any(s not in STRATEGIES for s in strategies)
                 or len(set(strategies)) < len(strategies)):
-            raise ValidationError(f"strategies must be a non-empty subset of {STRATEGIES} "
-                                  f"without repeats, got {strategies}")
+            raise ValidationError(f"strategies must be a non-empty list or tuple of "
+                                  f"{STRATEGIES} without repeats, got {strategies!r}")
+        object.__setattr__(self, "strategies", tuple(strategies))
 
 
 @dataclass(frozen=True)
@@ -310,22 +315,16 @@ def _cell_list(model: StackedModel, config: SweepConfig, log) -> list[tuple]:
     limit = model.spec.dense_limit
     cells = []
     for strategy in config.strategies:
+        kernel, uses_q, uses_v = _ROUTES[strategy]
         for t in config.t_grid:
-            if strategy == "dense" and t > limit:
-                log(f"skip dense T={t}: exceeds dense limit {limit}")
+            if kernel == "dense" and t > limit:
+                log(f"skip {strategy} T={t}: exceeds dense limit {limit}")
                 continue
             for batch in config.batch_grid:
-                if strategy in ("recurrent", "dense"):
-                    cells.append((strategy, t, batch, 0, 0))
-                    continue
-                for q in config.q_grid:
-                    if strategy == "chunked-horizontal":
-                        cells.append((strategy, t, batch, q, 0))
-                        continue
-                    v_values = config.v_grid if config.v_grid is not None else (q, 2 * q, 4 * q)
-                    for v in v_values:
-                        if v % q != 0:
-                            log(f"skip vertical T={t} Q={q} V={v}: V not a multiple of Q")
+                for q in config.q_grid if uses_q else (0,):
+                    for v in (config.v_grid or (q, 2 * q, 4 * q)) if uses_v else (0,):
+                        if uses_v and v % q:
+                            log(f"skip {strategy} T={t} Q={q} V={v}: V not a multiple of Q")
                             continue
                         cells.append((strategy, t, batch, q, v))
     return cells
@@ -335,15 +334,11 @@ def _time_cell(model: StackedModel, config: SweepConfig, cell: tuple) -> list[Be
     strategy, t, batch, q, v = cell
     rng = np.random.default_rng([config.seed, t, batch])
     tokens = rng.integers(0, model.spec.vocab_size - 1, size=(batch, t))
-    chunk = q if q else model.spec.Q
-    kernel = "chunked" if q else strategy
+    kernel = _ROUTES[strategy][0]
 
     def run_once():
         start = time.perf_counter()
-        if v:
-            result = vertical_infer(model, tokens, v, chunk)
-        else:
-            result = horizontal_infer(model, tokens, chunk, kernel=kernel)
+        result = infer(model, tokens, v or None, q or model.spec.Q, kernel=kernel)
         return result, time.perf_counter() - start
 
     for _ in range(config.warmup):
@@ -398,12 +393,11 @@ def read_records(path) -> list[BenchRecord]:
                                   f"in CSV row {row}")
         if not 0.0 <= wall < math.inf:  # false for NaN too
             raise ValidationError(f"wall_time_s must be finite and >= 0 in CSV row {row}")
-        # the grid _cell_list writes: Q >= 1 exactly for the chunked strategies,
-        # V >= 1, a multiple of Q, exactly for vertical
+        # the grid _cell_list writes: Q >= 1 exactly for a route that uses Q,
+        # V >= 1, a multiple of Q, exactly for one that uses V
         q, v = counts[2], counts[3]
-        vertical = row[0] == "vertical"
-        if ((q >= 1) != (row[0] in ("chunked-horizontal", "vertical"))
-                or (v >= 1) != vertical or (vertical and v % q)):
+        _, uses_q, uses_v = _ROUTES[row[0]]
+        if (q >= 1) != uses_q or (v >= 1) != uses_v or (uses_v and v % q):
             raise ValidationError(f"Q={q} and V={v} contradict strategy {row[0]} "
                                   f"in CSV row {row}")
         records.append(BenchRecord(row[0], *counts[:5], wall, *counts[5:]))

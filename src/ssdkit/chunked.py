@@ -383,6 +383,8 @@ def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
     """
     b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
     t, chunk_size, k, tail = _partition(t, chunk_size)
+    if not isinstance(carry_in, bool):
+        raise ValidationError(f"carry_in must be a bool, got {carry_in!r}")
 
     def over_chunks(per_chunk):  # k - 1 full chunks and the tail
         return b * h * ((k - 1) * per_chunk(chunk_size) + per_chunk(tail))
@@ -401,6 +403,7 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
     guarded by ``dense_limit``.  This is literally chunked_forward with one
     chunk, which is what makes the two agree bitwise at chunk_size = length.
     """
+    _check_inputs(coeffs, x)
     dense_limit = _as_int(dense_limit, "dense limit", 1)
     if coeffs.length > dense_limit:
         raise CapacityError(

@@ -158,6 +158,9 @@ def random_coefficients(rng: np.random.Generator, batch: int, length: int,
 
 
 def _check_inputs(coeffs: SsmCoefficients, x) -> np.ndarray:
+    """x as the float64 input of a kernel call on coeffs, an SsmCoefficients."""
+    if not isinstance(coeffs, SsmCoefficients):
+        raise ValidationError(f"coeffs must be SsmCoefficients, got {type(coeffs).__name__}")
     return _as_f64(x, "x", coeffs.a.shape)
 
 
@@ -171,6 +174,7 @@ def cumulative_transition(a, i: int, j: int) -> float:
     a = _real_array(a, "a")
     if a.ndim != 1:
         raise DimensionError(f"expected 1-D transition series, got shape {a.shape}")
+    i, j = _as_int(i, "boundary index i"), _as_int(j, "boundary index j")
     n = a.shape[0]
     if not (0 <= i <= n and 0 <= j <= n):
         raise IndexError(f"boundary indices ({i}, {j}) out of range for length {n}")

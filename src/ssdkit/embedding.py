@@ -88,11 +88,9 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
                   under the horizontal strategy, whose one block spans the
                   sequence.
     """
-    tokens = np.asarray(tokens)
+    tokens = _check_tokens(tokens, model.spec.eos_id)  # ids stop below the terminal id
     if tokens.ndim != 1:
         raise DimensionError(f"embed_sequence takes a single 1-D sequence, got {tokens.shape}")
-    # ids stop below the reserved terminal id
-    _check_tokens(tokens, model.spec.eos_id)
     full = np.concatenate([tokens.astype(np.int64), [model.spec.eos_id]])
 
     if strategy == "horizontal":
@@ -150,6 +148,9 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
     """
     config = LossConfig(temperature)  # validates the temperature
     q = _real_array(query, "query")
+    if not isinstance(negatives, (list, tuple)):
+        raise ValidationError(f"negatives must be a list or tuple of embeddings, "
+                              f"got {type(negatives).__name__}")
     candidates = [_checked(positive, q.shape, "positive")]
     candidates += [_checked(e, q.shape, f"negatives[{i}]") for i, e in enumerate(negatives)]
     q, q_norm = _checked(q, q.shape, "query")

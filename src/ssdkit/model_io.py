@@ -74,6 +74,12 @@ def _layout(spec: ModelSpec):
         yield from layer_shapes(spec.H, spec.d, spec.N).items()
 
 
+def _split(flat: np.ndarray, shapes: list) -> list[np.ndarray]:
+    """Consecutive slices of the 1-D ``flat``, reshaped to each of ``shapes``."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes[:-1]], dtype=np.int64)
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
+
+
 def _assemble(spec: ModelSpec, tensors) -> StackedModel:
     """The model of spec whose tensors, in ``_layout`` order, are ``tensors``."""
     tensors = iter(tensors)
@@ -88,19 +94,16 @@ def generate_model(spec: ModelSpec) -> StackedModel:
 
     Calling twice with the same spec yields bit-identical parameters.
     """
-    offset = 0
+    layout = list(_layout(spec))
+    drawn = [shape for name, shape in layout if name != "gamma"]  # gamma draws nothing
+    values = iter(_split(_uniform_signed(spec.seed, 0, sum(map(math.prod, drawn))), drawn))
 
-    def draw(name, shape):
-        nonlocal offset
+    def tensor(name, shape):
         if name == "gamma":
             return np.ones(shape)
-        count = math.prod(shape)
-        fan_in = spec.H if name == "W_out" else spec.d
-        vals = _uniform_signed(spec.seed, offset, count) / math.sqrt(fan_in)
-        offset += count
-        return vals.reshape(shape)
+        return next(values) / math.sqrt(spec.H if name == "W_out" else spec.d)
 
-    return _assemble(spec, (draw(name, shape) for name, shape in _layout(spec)))
+    return _assemble(spec, (tensor(name, shape) for name, shape in layout))
 
 
 def model_payload(model: StackedModel) -> bytes:
@@ -193,13 +196,4 @@ def load_model(path) -> StackedModel:
         raise IntegrityError("model payload checksum mismatch")
 
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        count = math.prod(shape)
-        out = flat[pos:pos + count].reshape(shape)
-        pos += count
-        return out
-
-    return _assemble(spec, (take(shape) for _, shape in _layout(spec)))
+    return _assemble(spec, _split(flat, [shape for _, shape in _layout(spec)]))

@@ -361,12 +361,14 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
 
 def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
-    arr = np.asarray(tokens)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
+    """tokens as a 1-D or 2-D (batch, length) array of ids in [0, vocab_size)."""
+    try:
+        arr = np.asarray(tokens)
+    except ValueError as exc:  # a ragged nested list
+        raise DimensionError(f"token rows must have one length: {exc}") from exc
+    if arr.ndim not in (1, 2):
         raise DimensionError(f"tokens must be 1-D or 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.size == 0:
         raise ValidationError("token sequence is empty")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(f"token ids must be integers, got dtype {arr.dtype}")
@@ -438,7 +440,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
                 f"vertical block length {block_len} must be a multiple of chunk size {q}")
     if sink is not None and not callable(sink):
         raise ValidationError(f"sink must be callable, got {sink!r}")
-    tok = _check_tokens(tokens, spec.vocab_size)
+    tok = np.atleast_2d(_check_tokens(tokens, spec.vocab_size))
     batch, t = tok.shape
     step = block_len if block_len is not None else t
     flops = FlopCounter()

@@ -116,12 +116,18 @@ class TestEquivalenceSuite:
         assert ("T=33", "dense-vs-recurrent") not in names
         assert report.passed
 
+    def test_stage_checks_run_at_the_smallest_multi_chunk_q(self):
+        # an unsorted grid: q2 splits T=33 into the most chunks, not q8 (first in order)
+        config = EquivalenceConfig(t_grid=(33,), q_grid=(8, 2, 4), v_grid=(16,), layers=1)
+        stages = {c.name for c in run_equivalence(config).checks if c.name.startswith("stage-")}
+        assert stages == {"stage-intra-q2", "stage-boundary-q2", "stage-correction-q2"}
+
     @pytest.mark.parametrize("field,value", [
         ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
         ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
         ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("layers", 0),
         ("dense_limit", 0), ("layers", 2.5), ("tolerance", True), ("tolerance", "1e-9"),
-        ("fault", "gremlins"), ("fault", 3),
+        ("fault", "gremlins"), ("fault", 3), ("v_grid", (12,)), ("v_grid", (16, 20)),
     ])
     def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
         with pytest.raises(ValidationError):
@@ -183,6 +189,11 @@ class TestSweep:
         records = run_sweep(model, config, log=messages.append)
         assert {r.V for r in records} == {8}
         assert any("V not a multiple of Q" in m for m in messages)
+
+    def test_list_fields_are_stored_as_tuples(self):
+        config = SweepConfig(t_grid=[16], strategies=["vertical"])
+        assert config == SweepConfig(t_grid=(16,), strategies=("vertical",))
+        assert hash(config) == hash(SweepConfig(t_grid=(16,), strategies=("vertical",)))
 
     def test_unknown_strategy_rejected(self):
         model = generate_model(SWEEP_MODEL_SPEC)

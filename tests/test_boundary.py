@@ -21,9 +21,12 @@ from ssdkit import (
     StackedModel,
     SweepConfig,
     ValidationError,
+    chunk_major,
     chunked_forward,
     cosine_similarity,
+    cumulative_transition,
     dense_dual,
+    embed_sequence,
     export_state_snapshot,
     generate_model,
     import_state_snapshot,
@@ -35,6 +38,7 @@ from ssdkit import (
     random_coefficients,
     recurrent_scan,
     save_model,
+    stage_flops,
 )
 from ssdkit.model_io import spec_from_config
 
@@ -70,6 +74,18 @@ def model_file(tmp_path, **header):
 
 CASES = {
     # kernels and their stages
+    "chunked_forward-none-coeffs": (lambda tmp: chunked_forward(None, X, 4), ValidationError),
+    "chunk_major-none-coeffs": (lambda tmp: chunk_major(None, X, 4), ValidationError),
+    "recurrent_scan-none-coeffs": (lambda tmp: recurrent_scan(None, X), ValidationError),
+    "dense_dual-none-coeffs": (lambda tmp: dense_dual(None, X), ValidationError),
+    "stage_flops-string-carry_in": (
+        lambda tmp: stage_flops(1, 8, 2, 3, 4, carry_in="no"), ValidationError),
+    "stage_flops-none-carry_in": (
+        lambda tmp: stage_flops(1, 8, 2, 3, 4, carry_in=None), ValidationError),
+    "cumulative_transition-bool-index": (
+        lambda tmp: cumulative_transition(np.ones(3), True, 0), ValidationError),
+    "cumulative_transition-float-index": (
+        lambda tmp: cumulative_transition(np.ones(3), 1.0, 0), ValidationError),
     "random_coefficients-zero-state": (
         lambda tmp: random_coefficients(np.random.default_rng(0), 1, 4, 2, 0), ValidationError),
     "random_coefficients-float-length": (
@@ -116,6 +132,9 @@ CASES = {
         lambda tmp: infer(MODEL, TOKENS, initial_states=np.zeros((2, 1, 2, 3))),
         DimensionError),
     "infer-token-out-of-range": (lambda tmp: infer(MODEL, [[0, 16]]), ValidationError),
+    "infer-ragged-tokens": (lambda tmp: infer(MODEL, [[1, 2], [3]]), DimensionError),
+    "embed_sequence-ragged-tokens": (
+        lambda tmp: embed_sequence(MODEL, [[1, 2], [3]]), DimensionError),
     # bench and embedding settings
     "EquivalenceConfig-bool-tolerance": (
         lambda tmp: EquivalenceConfig(tolerance=True), ValidationError),
@@ -124,13 +143,20 @@ CASES = {
     "EquivalenceConfig-unknown-fault": (
         lambda tmp: EquivalenceConfig(fault="gremlins"), ValidationError),
     "EquivalenceConfig-int-fault": (lambda tmp: EquivalenceConfig(fault=3), ValidationError),
+    "EquivalenceConfig-int-q_grid": (lambda tmp: EquivalenceConfig(q_grid=4), ValidationError),
     "SweepConfig-repeated-strategy": (
         lambda tmp: SweepConfig(strategies=("recurrent", "recurrent")), ValidationError),
+    "SweepConfig-int-t_grid": (lambda tmp: SweepConfig(t_grid=3), ValidationError),
+    "SweepConfig-int-strategies": (lambda tmp: SweepConfig(strategies=3), ValidationError),
     "LossConfig-bool-temperature": (lambda tmp: LossConfig(temperature=True), ValidationError),
     "info_nce_loss-string-temperature": (
         lambda tmp: info_nce_loss(VEC, VEC, temperature="0.1"), ValidationError),
     "info_nce_loss-none-temperature": (
         lambda tmp: info_nce_loss(VEC, VEC, temperature=None), ValidationError),
+    "info_nce_loss-int-negatives": (
+        lambda tmp: info_nce_loss(VEC, VEC, negatives=5), ValidationError),
+    "info_nce_loss-none-negatives": (
+        lambda tmp: info_nce_loss(VEC, VEC, negatives=None), ValidationError),
     "cosine_similarity-lengths": (
         lambda tmp: cosine_similarity(VEC, np.ones(3)), DimensionError),
     # documents
