@@ -14,7 +14,8 @@ green.
 Sweeps time full forward passes (coefficient generation included) over a
 grid of sequence lengths, batch sizes, chunk sizes, and vertical block
 lengths, and emit one CSV row per repetition with the ledger peak and
-per-stage flop counts.
+per-stage flop counts.  ``SweepConfig.bench`` on ``BENCH_SPEC`` is the grid
+of the committed BENCH_<n>.json files (``ssdkit sweep --preset bench``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "read_records",
     "SUMMARY_FIELDS",
     "summarize_records",
+    "BENCH_SPEC",
 ]
 
 _ROUTES = {"recurrent": ("recurrent", False, False),  # strategy: (kernel, uses Q, uses V)
@@ -58,7 +60,8 @@ STRATEGIES = tuple(_ROUTES)
 
 def _check_ints(config, minimums: dict, grids) -> None:
     """Store config's integer fields (name -> minimum) as ints, and each named
-    grid (None allowed) as a non-empty tuple of positive ints; refuse the rest."""
+    grid (None allowed) as a non-empty tuple of distinct positive ints; refuse
+    the rest.  A repeated entry would run its cells twice under one key."""
     for name, minimum in minimums.items():
         object.__setattr__(config, name, _as_int(getattr(config, name), name, minimum))
     for name in grids:
@@ -67,8 +70,10 @@ def _check_ints(config, minimums: dict, grids) -> None:
             if not isinstance(grid, (list, tuple)) or not grid:
                 raise ValidationError(f"{name} must be a non-empty list or tuple of "
                                       f"positive integers, got {grid!r}")
-            object.__setattr__(config, name, tuple(_as_int(v, f"{name} entry", 1)
-                                                   for v in grid))
+            grid = tuple(_as_int(v, f"{name} entry", 1) for v in grid)
+            if len(set(grid)) < len(grid):
+                raise ValidationError(f"{name} must not repeat an entry, got {grid}")
+            object.__setattr__(config, name, grid)
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -265,6 +270,10 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
 # Timing sweeps
 # ---------------------------------------------------------------------------
 
+# the model of the BENCH grid (SweepConfig.bench): the benchmark's (perfbench's SPEC)
+BENCH_SPEC = ModelSpec(seed=42, L=4, d=16, H=2, N=4, vocab_size=64, Q=16, V=64)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     seed: int = 42
@@ -286,6 +295,17 @@ class SweepConfig:
             raise ValidationError(f"strategies must be a non-empty list or tuple of "
                                   f"{STRATEGIES} without repeats, got {strategies!r}")
         object.__setattr__(self, "strategies", tuple(strategies))
+
+    @classmethod
+    def bench(cls, **overrides) -> "SweepConfig":
+        """The grid of the committed BENCH_<n>.json files, run on BENCH_SPEC:
+        chunked-horizontal, vertical at V in {16, 64, 256} and recurrent, over
+        T in {1k, 8k, 64k} and batch in {1, 8} at Q = 16, five reps a cell;
+        ``overrides`` replace any of these fields."""
+        return cls(**{"t_grid": (1024, 8192, 65536), "batch_grid": (1, 8), "q_grid": (16,),
+                      "v_grid": (16, 64, 256), "reps": 5,
+                      "strategies": ("chunked-horizontal", "vertical", "recurrent"),
+                      **overrides})
 
 
 @dataclass(frozen=True)
@@ -330,15 +350,22 @@ def _cell_list(model: StackedModel, config: SweepConfig, log) -> list[tuple]:
     return cells
 
 
-def _time_cell(model: StackedModel, config: SweepConfig, cell: tuple) -> list[BenchRecord]:
+def _cell_call(model: StackedModel, config: SweepConfig, cell: tuple):
+    """The cell's one infer call, on its seeded tokens, as a function of no arguments."""
     strategy, t, batch, q, v = cell
     rng = np.random.default_rng([config.seed, t, batch])
     tokens = rng.integers(0, model.spec.vocab_size - 1, size=(batch, t))
     kernel = _ROUTES[strategy][0]
+    return lambda: infer(model, tokens, v or None, q or model.spec.Q, kernel=kernel)
+
+
+def _time_cell(model: StackedModel, config: SweepConfig, cell: tuple) -> list[BenchRecord]:
+    strategy, t, batch, q, v = cell
+    call = _cell_call(model, config, cell)
 
     def run_once():
         start = time.perf_counter()
-        result = infer(model, tokens, v or None, q or model.spec.Q, kernel=kernel)
+        result = call()
         return result, time.perf_counter() - start
 
     for _ in range(config.warmup):
@@ -424,3 +451,4 @@ def summarize_records(records: list[BenchRecord]) -> list[dict]:
             max(r.peak_elems for r in group),
             max(r.flops_intra + r.flops_prop + r.flops_inter for r in group)))))
     return rows
+

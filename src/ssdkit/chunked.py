@@ -46,7 +46,10 @@ itself.
 A ragged tail (length not a multiple of chunk_size) is padded to a full
 chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
 multiply decay products by exactly one, so outputs and the final state are
-those of the unpadded sequence.
+those of the unpadded sequence.  Only direct callers reach this path:
+``stack.layer_forward`` pads a ragged call's rows the same way before its
+projections, so every kernel call ``infer`` makes is chunk-aligned and lays
+its inputs out as zero-copy views.
 
 ``dense_dual`` is the single-block special case (chunk_size = sequence
 length): the same code path, so the two agree bitwise, with a capacity guard

@@ -12,15 +12,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
-from .bench import (STRATEGIES, SUMMARY_FIELDS, EquivalenceConfig, SweepConfig, read_records,
-                    run_equivalence, run_sweep, summarize_records, write_records)
+import numpy as np
+
+from .bench import (BENCH_SPEC, STRATEGIES, SUMMARY_FIELDS, EquivalenceConfig, SweepConfig,
+                    _cell_call, read_records, run_equivalence, run_sweep, summarize_records,
+                    write_records)
 from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
 from .errors import SsdError, ValidationError
 from .model_io import generate_model, load_model, load_model_spec, spec_to_config
-from .stack import ModelSpec, StackedModel, atomic_write
+from .stack import _CPUS, ModelSpec, StackedModel, atomic_write
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -34,10 +37,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
-def _given(args, cls, **extra):
-    """cls built from the flags given for its fields, plus extra."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
-                  if hasattr(args, f.name)}, **extra)
+def _given(args, cls, make=None, **extra):
+    """make (default cls) called with the flags given for cls's fields, plus extra."""
+    return (make or cls)(**{f.name: getattr(args, f.name) for f in fields(cls)
+                            if hasattr(args, f.name)}, **extra)
 
 
 def _load_model_arg(args) -> StackedModel:
@@ -93,7 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated subset of {','.join(STRATEGIES)}")
     sw.add_argument("--reps", type=int)
     sw.add_argument("--warmup", type=int)
-    sw.add_argument("--out", required=True, help="output CSV path")
+    sw.add_argument("--preset", choices=("bench",), default=None,
+                    help="bench: the BENCH grid (flags given replace its fields) on the "
+                         "benchmark's model unless --model is given, written as one JSON "
+                         "document of per-cell summaries in place of the CSV")
+    sw.add_argument("--out", required=True, help="output CSV path (JSON with --preset)")
 
     em = sub.add_parser("embed", help="embed a text file")
     em.add_argument("input", help="text file to embed, or - for stdin")
@@ -133,14 +140,113 @@ def _cmd_equivalence(args) -> int:
     return 0 if report.passed else 1
 
 
+def _environment() -> dict:
+    """Where a timing ran: Python, NumPy, its BLAS and BLAS threads (None when
+    the library cannot be asked), CPUs usable, and the git revision of the
+    source with whether it had uncommitted changes ("unknown" and None
+    outside a checkout)."""
+    import platform
+    import subprocess
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy < 1.26, or no BLAS entry
+        blas = {}
+
+    def git(*args) -> str | None:
+        try:
+            done = subprocess.run(["git", *args], cwd=os.path.dirname(__file__),
+                                  capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    revision = git("rev-parse", "HEAD")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "blas_threads": _blas_threads(), "cpus": _CPUS,
+            "git_revision": revision or "unknown",
+            "git_dirty": None if revision is None else bool(git("status", "--porcelain",
+                                                                  "--untracked-files=no"))}
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with NumPy, or None."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+def _bench_document(model: StackedModel, config: SweepConfig, log) -> dict:
+    """``run_sweep`` summarized per cell: tokens/s as the min and median over
+    its reps, the ledger peak, per-stage flops, and the tracemalloc peak of
+    one more, untimed call (after the timed ones) with its ratio to the
+    ledger's bytes."""
+    import statistics
+    import tracemalloc
+
+    cells: dict[tuple, list] = {}
+    for rec in run_sweep(model, config, log=log):
+        cells.setdefault(rec.sort_key()[:5], []).append(rec)
+    rows = []
+    for cell, group in cells.items():
+        call = _cell_call(model, config, cell)
+        tracemalloc.start()
+        try:
+            call()
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        strategy, t, batch, q, v = cell
+        walls, rec = [r.wall_time_s for r in group], group[0]
+        rows.append({"strategy": strategy, "T": t, "batch": batch, "Q": q, "V": v,
+                     "reps": len(walls),
+                     "tokens_per_s_min": batch * t / max(walls),
+                     "tokens_per_s_median": batch * t / statistics.median(walls),
+                     "peak_elems": rec.peak_elems,
+                     "flops": {"intra": rec.flops_intra, "propagate": rec.flops_prop,
+                               "inter": rec.flops_inter},
+                     "traced_peak_bytes": traced,
+                     "traced_over_ledger": traced / (8 * rec.peak_elems)})
+    return {"environment": _environment(), "model_spec": spec_to_config(model.spec),
+            "config": asdict(config),
+            "timing_note": "one infer call per rep, coefficient generation included; "
+                           "token setup excluded",
+            "cells": rows}
+
+
 def _cmd_sweep(args) -> int:
-    model = _load_model_arg(args)
+    bench = args.preset == "bench"
+    if bench and not args.model:  # the benchmark's model, with the seed given if any
+        model = generate_model(_given(args, ModelSpec, lambda **f: replace(BENCH_SPEC, **f)))
+    else:
+        model = _load_model_arg(args)
     # the limit goes into the timed model's spec, so the sidecar records it
     limit = _dense_limit_env()
     if limit:
         model = StackedModel(replace(model.spec, **limit), model.embedding, model.layers)
+
+    def log(msg):
+        print(msg, file=sys.stderr)
+
+    if bench:
+        doc = _bench_document(model, _given(args, SweepConfig, SweepConfig.bench), log)
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+        print(f"wrote {len(doc['cells'])} cells to {args.out}", file=sys.stderr)
+        return 0
     config = _given(args, SweepConfig)
-    records = run_sweep(model, config, log=lambda msg: print(msg, file=sys.stderr))
+    records = run_sweep(model, config, log=log)
     write_records(args.out, records)
     meta = {
         "model_spec": spec_to_config(model.spec),
@@ -148,6 +254,7 @@ def _cmd_sweep(args) -> int:
         "warmup": config.warmup,
         "timing_note": "wall_time_s spans one forward pass, including per-layer "
                        "coefficient generation; token setup and model load excluded",
+        "environment": _environment(),
     }
     with atomic_write(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

@@ -81,9 +81,8 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
 
     Args:
         tokens:   1-D sequence of ids below the reserved terminal id.
-        strategy: "horizontal" or "vertical"; both yield the same vector up to
-                  accumulated rounding (identical for sequences within one
-                  vertical block).
+        strategy: "horizontal" or "vertical"; both yield the same vector,
+                  identical at every length.
         block_len: the vertical block length (default model.spec.V); refused
                   under the horizontal strategy, whose one block spans the
                   sequence.

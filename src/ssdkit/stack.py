@@ -16,6 +16,14 @@ layer across blocks.  The two schedules are two block lengths:
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
 
+Under the chunked kernel every layer call runs whole chunks: a ragged block
+(length not a multiple of Q, such as every embedding query) is padded with
+zero rows in the normalized buffer each layer makes anyway, its gates set to
+1 there, and trimmed from each layer's output (see ``layer_forward``).  So
+``infer`` never hands the kernel or ``_chunk_matmul`` a ragged length under
+that kernel, the kernel's own ragged path serves direct callers only, and a
+ragged block gives the bits of the same rows of any longer block.
+
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
 ``_block_elements`` and ``chunked.stage_flops``), and the final per-layer
@@ -231,10 +239,16 @@ def _check_channels(params: LayerParams, u) -> np.ndarray:
     return u
 
 
-def _normalize(params: LayerParams, u: np.ndarray) -> np.ndarray:
-    """u / rms(u) per position; gamma is folded into the projection operands."""
-    rms = np.sqrt(np.einsum("btd,btd->bt", u, u) / params.d + RMS_EPS)
-    return u / rms[..., None]
+def _normalize(u: np.ndarray, rows: int) -> np.ndarray:
+    """u / rms(u) per position, as the first of ``rows`` rows; any later rows
+    are zero.  gamma is folded into the projection operands."""
+    b, t, d = u.shape
+    rms = np.sqrt(np.einsum("btd,btd->bt", u, u) / d + RMS_EPS)
+    if rows == t:
+        return u / rms[..., None]
+    un = np.zeros((b, rows, d))
+    np.divide(u, rms[..., None], out=un[:, :t])
+    return un
 
 
 def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
@@ -244,7 +258,9 @@ def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
     x is (batch, length, k) and out (batch, length, m), written in place: one
     np.matmul over the full chunks of chunk_size positions (one chunk
     spanning the call when None) and one more for a ragged tail, as one
-    chunk of its own length.  A single product over all rows is not used
+    chunk of its own length (for generate_coefficients' callers and the
+    recurrent and dense kernels: a chunked layer call pads to whole chunks
+    first).  A single product over all rows is not used
     because it is not row-slice invariant: the bits of a row can depend on
     how many rows share the call.  Fixing every product's shape to its chunk
     gives a position the same bits in any call whose chunks start where its
@@ -281,23 +297,32 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     u = _check_channels(params, u)
     if chunk_size is not None:
         _as_int(chunk_size, "chunk size", 1)
-    un = _normalize(params, u)
-    b, t, _ = un.shape
+    t = u.shape[1]
+    return _project(params, _normalize(u, t), chunk_size, t)
+
+
+def _project(params: LayerParams, un: np.ndarray, chunk_size: int | None, t: int):
+    """generate_coefficients of the normalized rows un, of which those from
+    t on are zero padding: their gates are set to 1, and B = C = x = 0 there,
+    so they leave the state as it is and add zeros."""
+    b, rows, _ = un.shape
     h, n = params.heads, params.state_dim
-    a = _chunk_matmul(un, params.w_gate.T, np.empty((b, t, h)), chunk_size)
-    proj = _chunk_matmul(un, params.W_in.T, np.empty((b, t, params.W_in.shape[0])),
+    a = _chunk_matmul(un, params.w_gate.T, np.empty((b, rows, h)), chunk_size)
+    proj = _chunk_matmul(un, params.W_in.T, np.empty((b, rows, params.W_in.shape[0])),
                          chunk_size)
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
-    # is added as a (t, H) row-tiled operand: broadcast as (H,), the add runs
-    # one H-long inner loop per position
-    a += params.b_a[None].repeat(t, 0)
+    # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
+    # runs one H-long inner loop per position
+    a += params.b_a[None].repeat(rows, 0)
     with np.errstate(over="ignore"):
         np.exp(a, out=a)
     a += 1.0
     np.reciprocal(a, out=a)
+    if rows > t:
+        a[:, t:] = 1.0
     hn = h * n
-    Bmat = proj[..., :hn].reshape(b, t, h, n)
-    Cmat = proj[..., hn:2 * hn].reshape(b, t, h, n)
+    Bmat = proj[..., :hn].reshape(b, rows, h, n)
+    Cmat = proj[..., hn:2 * hn].reshape(b, rows, h, n)
     x = proj[..., 2 * hn:]
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
@@ -318,6 +343,12 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
 
+    Under the chunked kernel a ragged length runs padded to a whole number
+    of chunks: the normalized rows gain zero rows, whose gates are 1 (see
+    ``_project``), so every product and the kernel call are chunk-aligned,
+    and v is the real rows of the padded output.  Its rows are those of any
+    longer call over the same first positions, bit for bit.
+
     Returns:
         (v, new_state): output channels and the kernel state at the end of
         the span.
@@ -327,12 +358,18 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if fault is not None and kernel != "chunked":
         raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
                               f"not {kernel!r}")
-    coeffs, x = generate_coefficients(params, u, chunk_size)  # validates u
-    u = np.asarray(u, dtype=np.float64)
-
+    u = _check_channels(params, u)
+    if chunk_size is not None:
+        chunk_size = _as_int(chunk_size, "chunk size", 1)
+    b, t, d = u.shape
+    rows = t
     if kernel == "chunked":
         if chunk_size is None:
             raise ValidationError("chunk_size is required for the chunked kernel")
+        rows = -(-t // chunk_size) * chunk_size
+    coeffs, x = _project(params, _normalize(u, rows), chunk_size, t)
+
+    if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault)
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
@@ -340,7 +377,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
     del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
-    v = _chunk_matmul(y, params.W_out, np.empty(u.shape), chunk_size)
+    v = _chunk_matmul(y, params.W_out, np.empty((b, rows, d)), chunk_size)
+    if rows > t:
+        v = v[:, :t]
     v += u
     return v, hT
 
@@ -350,8 +389,12 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
     The buffers live in order: the input u throughout; the normalized un
     until a, B, C and x exist; then the kernel's workspace, which for the
-    recurrent kernel is its output y alone; then y and the output v.
+    recurrent kernel is its output y alone; then y and the output v.  Under
+    the chunked kernel each spans t rounded up to whole chunks (see
+    layer_forward), and the kernel call is chunk-aligned.
     """
+    if kernel == "chunked":
+        t = -(-t // q) * q
     P = batch * t * spec.d  # u, un, v
     E = batch * t * spec.H  # a, x, y
     F = E * spec.N          # B, C

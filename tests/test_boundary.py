@@ -147,6 +147,9 @@ CASES = {
     "SweepConfig-repeated-strategy": (
         lambda tmp: SweepConfig(strategies=("recurrent", "recurrent")), ValidationError),
     "SweepConfig-int-t_grid": (lambda tmp: SweepConfig(t_grid=3), ValidationError),
+    "SweepConfig-repeated-t_grid": (lambda tmp: SweepConfig(t_grid=(16, 16)), ValidationError),
+    "EquivalenceConfig-repeated-t_grid": (
+        lambda tmp: EquivalenceConfig(t_grid=(16, 16)), ValidationError),
     "SweepConfig-int-strategies": (lambda tmp: SweepConfig(strategies=3), ValidationError),
     "LossConfig-bool-temperature": (lambda tmp: LossConfig(temperature=True), ValidationError),
     "info_nce_loss-string-temperature": (

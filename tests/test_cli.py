@@ -22,8 +22,12 @@ from ssdkit import (
     save_model_spec,
     tokenize_words,
 )
+from ssdkit.bench import BENCH_SPEC
 from ssdkit.cli import _build_parser, main
+from ssdkit.model_io import spec_to_config
 
+ENVIRONMENT_KEYS = {"python", "numpy", "blas", "blas_threads", "cpus", "git_revision",
+                    "git_dirty"}
 EQ_ARGS = ["equivalence", "--grid-t", "4,16", "--grid-q", "2,4", "--grid-v", "16"]
 
 
@@ -101,6 +105,32 @@ class TestSweepAndReportCommands:
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["reps"] == 2
         assert "model_spec" in meta
+        assert set(meta["environment"]) == ENVIRONMENT_KEYS
+
+    def test_bench_preset_writes_one_summary_per_cell(self, tmp_path, capsys):
+        out_path = tmp_path / "BENCH.json"
+        rc = main(["sweep", "--preset", "bench", "--grid-t", "40", "--grid-batch", "1,2",
+                   "--grid-v", "16", "--warmup", "0", "--out", str(out_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert list(tmp_path.iterdir()) == [out_path]  # no CSV, no sidecar
+        doc = json.loads(out_path.read_text())
+        assert set(doc) == {"environment", "model_spec", "config", "timing_note", "cells"}
+        assert set(doc["environment"]) == ENVIRONMENT_KEYS
+        assert doc["model_spec"] == spec_to_config(BENCH_SPEC)
+        assert doc["config"]["reps"] == 5 and doc["config"]["q_grid"] == [16]
+        assert [(c["strategy"], c["batch"], c["V"]) for c in doc["cells"]] == [
+            ("chunked-horizontal", 1, 0), ("chunked-horizontal", 2, 0),
+            ("recurrent", 1, 0), ("recurrent", 2, 0), ("vertical", 1, 16), ("vertical", 2, 16)]
+        for cell in doc["cells"]:
+            assert set(cell) == {"strategy", "T", "batch", "Q", "V", "reps", "tokens_per_s_min",
+                                 "tokens_per_s_median", "peak_elems", "flops",
+                                 "traced_peak_bytes", "traced_over_ledger"}
+            assert cell["reps"] == 5
+            assert 0 < cell["tokens_per_s_min"] <= cell["tokens_per_s_median"]
+            assert set(cell["flops"]) == {"intra", "propagate", "inter"}
+            ratio = cell["traced_peak_bytes"] / (8 * cell["peak_elems"])
+            assert cell["traced_over_ledger"] == ratio
 
     def test_sweep_records_parse_back(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

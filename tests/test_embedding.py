@@ -109,11 +109,15 @@ class TestEmbedSequence:
         assert out.source_len == 2
         assert out.vector.shape == (SPEC.d,)
 
-    def test_strategies_agree(self, model):
-        tokens = np.arange(40) % (SPEC.vocab_size - 1)  # longer than one block
+    @pytest.mark.parametrize("length", [17, 40, 45, 60])  # ragged, past one block
+    def test_strategies_agree(self, model, length):
+        tokens = np.arange(length) % (SPEC.vocab_size - 1)
         h = embed_sequence(model, tokens, strategy="horizontal")
         v = embed_sequence(model, tokens, strategy="vertical")
         assert np.array_equal(h.vector, v.vector)
+        # the vector is also the terminal row of any longer call
+        longer = horizontal_infer(model, np.concatenate([tokens, [SPEC.eos_id], tokens[:9]]))
+        assert np.array_equal(longer.hidden[0, length], h.vector)
 
     def test_prefix_change_moves_the_vector(self, model):
         # the pooled position sits at the end, so sensitivity to the first

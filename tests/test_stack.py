@@ -503,6 +503,34 @@ class TestInferProperties:
             assert np.array_equal(tail_hidden, hidden[:, s:])
             assert np.array_equal(tail.states, whole.states)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_schedules_are_bitwise_at_every_length(self, data):
+        # every chunked layer call runs whole chunks, a ragged tail padded with
+        # rows that change nothing, so the same chunks give the same bits: any
+        # block length, a resume at any chunk boundary, and the first rows of
+        # a longer call
+        batch = data.draw(st.sampled_from((1, 2)), "batch")
+        t = data.draw(st.integers(2, 120), "T")
+        q = data.draw(st.sampled_from((1, 2, 3, 4, 8, 16)), "Q")
+        block = q * data.draw(st.integers(1, 5), "block_len / Q")
+        s = q * data.draw(st.integers(0, (t - 1) // q), "split / Q")
+        extra = data.draw(st.integers(1, 2 * q), "extra")
+        tok = tokens_for(self.SPEC, t + extra, batch, seed=data.draw(st.integers(0, 2**16), "seed"))
+        model = self.MODEL
+
+        whole, hidden = infer_blocks(model, tok[:, :t], None, q)
+        blocks, blocks_hidden = infer_blocks(model, tok[:, :t], block, q)
+        assert np.array_equal(blocks_hidden, hidden)
+        assert np.array_equal(blocks.states, whole.states)
+        if s:
+            head = infer(model, tok[:, :s], block, q)
+            tail, tail_hidden = infer_blocks(model, tok[:, s:t], block, q,
+                                             initial_states=head.states)
+            assert np.array_equal(tail_hidden, hidden[:, s:])
+            assert np.array_equal(tail.states, whole.states)
+        assert np.array_equal(infer(model, tok, None, q).hidden[:, :t], hidden)
+
 
 def traced_peak_bytes(fn, *args, **kwargs):
     """Run fn under tracemalloc (NumPy reports its buffers to it); return
@@ -518,20 +546,21 @@ def traced_peak_bytes(fn, *args, **kwargs):
 class TestLedgerPeaks:
     # Literal peaks of the per-buffer ledger (every buffer charged when made
     # and discharged when dropped) that the closed form replaced; the closed
-    # form must keep reproducing them.  The two ragged vertical cases have a
-    # last block longer than V - Q whose padded tail outweighs a full block.
-    # The recurrent case peaked while forming v until layer_forward freed a,
-    # B, C and x first (was 4116; now the projection phase, 960 + 2880 + 36).
+    # form must keep reproducing them.  A ragged chunked block is charged at
+    # its length rounded up to whole chunks, as layer_forward runs it, so the
+    # two ragged vertical cases peak at a full block's.  The recurrent case
+    # peaked while forming v until layer_forward freed a, B, C and x first
+    # (was 4116; now the projection phase, 960 + 2880 + 36).
     SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried,peak", [
-        ("chunked", 1, 50, 16, None, False, 4692),
+        ("chunked", 1, 50, 16, None, False, 4004),
         ("recurrent", 3, 40, 3, None, True, 3876),
         ("dense", 1, 37, 1, None, False, 3866),
         ("chunked", 3, 96, 3, 24, False, 2772),
         ("chunked", 1, 64, 16, 32, True, 2008),
-        ("chunked", 1, 136, 16, 48, True, 3582),
-        ("chunked", 3, 47, 3, 12, True, 1908),
+        ("chunked", 1, 136, 16, 48, True, 3006),
+        ("chunked", 3, 47, 3, 12, True, 1404),
         ("chunked", 3, 60, 1, 16, False, 1974),
     ])
     def test_peak_is_pinned(self, kernel, batch, t, q, v, carried, peak):
@@ -542,6 +571,15 @@ class TestLedgerPeaks:
         result = infer(generate_model(spec), tok, v, q, kernel=kernel, initial_states=states)
         assert result.ledger.peak_elements == peak
         assert result.ledger.per_layer_state_elements == spec.L * batch * spec.H * spec.N
+
+    @pytest.mark.parametrize("batch,q,v", [(1, 4, 16), (3, 3, 12), (2, 16, 48)])
+    def test_vertical_peak_is_the_full_block_peak_at_every_length(self, batch, q, v):
+        # a ragged last block runs padded to whole chunks, never past V
+        model = generate_model(self.SPEC)
+        tok = np.random.default_rng(v).integers(0, self.SPEC.vocab_size - 1, (batch, 3 * v))
+        full = infer(model, tok[:, :v], v, q).ledger.peak_elements
+        for t in range(v, 3 * v):
+            assert infer(model, tok[:, :t], v, q).ledger.peak_elements == full
 
 
 class TestFlopCounts:
