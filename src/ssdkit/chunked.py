@@ -29,9 +29,12 @@ One tiling rule bounds a call: ``chunked_forward`` runs its chunks in tiles
 whose mask fits ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least
 one chunk), carries each tile's final state into the next as its h0 and
 writes each tile's output into one time-major y.  Every other buffer spans
-one tile, so the workspace stops growing with length but for y; a one-tile
-call (every vertical block up to V = 1,024 at H = 2, Q = 16) allocates what
-an untiled call would.  Tiling changes no bit.
+one tile, so the workspace stops growing with length but for y.  A one-tile
+call (every vertical block up to V = 1,024 at H = 2, Q = 16) takes the same
+loop once: it lays out the call's own arrays rather than tile slices, hands
+stage 3 whole arrays when a state is passed in, and returns y as one copy of
+its output's time-major view, so it allocates what an untiled call would.
+Tiling changes no bit.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
@@ -48,8 +51,8 @@ chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
 multiply decay products by exactly one, so outputs and the final state are
 those of the unpadded sequence.  Only direct callers reach this path:
 ``stack.layer_forward`` pads a ragged call's rows the same way before its
-projections, so every kernel call ``infer`` makes is chunk-aligned and lays
-its inputs out as zero-copy views.
+projections, so every chunked kernel call ``infer`` makes is chunk-aligned
+and lays its inputs out as zero-copy views.
 
 ``dense_dual`` is the single-block special case (chunk_size = sequence
 length): the same code path, so the two agree bitwise, with a capacity guard
@@ -319,28 +322,34 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
     _, q, _, _ = _partition(t, chunk_size)
     state = None if h0 is None else _as_f64(h0, "h0", (b, h, n))
     span = _tile_chunks(h, q) * q
+    one = span >= t  # one tile: its inputs are the call's, and its output is y
+    inputs = (coeffs.a, coeffs.Bmat, coeffs.Cmat, x)
     y = None
     for lo in range(0, t, span):
         tile = slice(lo, lo + span)
-        a, Bm, Cm, xs = _chunk_major(coeffs.a[:, tile], coeffs.Bmat[:, tile],
-                                     coeffs.Cmat[:, tile], x[:, tile], q)
+        a, Bm, Cm, xs = _chunk_major(*(inputs if one else [v[:, tile] for v in inputs]), q)
         k = xs.shape[1]
         y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
         entry = np.empty(xs.shape)
-        np.cumprod(a, axis=-1, out=entry)
+        np.multiply.accumulate(a, axis=-1, out=entry)  # np.cumprod, without its wrapper
         b0 = np.zeros((b, h, n)) if state is None else state
         states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
-        # without a state passed in, the state entering the call's first chunk
-        # is zero, and so is its correction: stage 3 then skips that chunk
-        first = 0 if state is not None else 1
-        if first < k:
-            y_c[:, first:] += inter_chunk_correction(
-                entry[:, first:], Cm[:, first:], states[:, first:k], fault=fault)
+        if state is not None:
+            y_c += inter_chunk_correction(entry, Cm, states[:, :k], fault=fault)
+        elif k > 1:
+            # without a state passed in, the state entering the call's first
+            # chunk is zero, and so is its correction: stage 3 skips that chunk
+            y_c[:, 1:] += inter_chunk_correction(entry[:, 1:], Cm[:, 1:], states[:, 1:k],
+                                                 fault=fault)
         state = states[:, k].copy()
-        if y is None:  # made once the first tile is done, so that tile's peak excludes it
-            y = np.empty((b, t, h))
-        _time_major(y_c, y[:, tile])
-        del y_c, b_intra, entry, b0, states  # not kept through the next tile
+        del b_intra, entry, b0, states  # not kept through the next tile
+        if one:  # one copy of the time-major view, the padded tail dropped
+            y = y_c.swapaxes(-1, -2).reshape(b, -1, h)[:, :t]
+        else:
+            if y is None:  # made once the first tile is done, so that tile's peak excludes it
+                y = np.empty((b, t, h))
+            _time_major(y_c, y[:, tile])
+        del y_c
     return y, state
 
 

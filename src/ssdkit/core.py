@@ -59,16 +59,22 @@ def _positive_real(value, name: str) -> float:
     return value
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _real_array(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """arr as a float64 array of exactly ``shape`` (when given): float and
     (unsigned) integer input is converted, any other dtype (complex, bool,
-    strings, objects) refused."""
-    arr = np.asarray(arr)
-    if arr.dtype.kind not in "fiu":
-        raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    strings, objects) refused.  A float64 ndarray, such as every array the
+    kernel builds for itself, is returned as it is after the shape test."""
+    if type(arr) is not np.ndarray or arr.dtype != _F64:
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "fiu":
+            raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(_F64, copy=False)
     if shape is not None and arr.shape != shape:
         raise DimensionError(f"{name} shape {arr.shape} does not match {shape}")
-    return arr.astype(np.float64, copy=False)
+    return arr
 
 
 def _as_f64(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:

@@ -114,10 +114,12 @@ def _checked(e, shape: tuple[int, ...], name: str) -> tuple[np.ndarray, float]:
     e = _real_array(e, name)
     if e.ndim != 1 or e.shape != shape:
         raise DimensionError(f"embeddings must be matching 1-D vectors, got {shape}, {e.shape}")
-    if not np.isfinite(e).all():
-        raise ValidationError("embeddings contain non-finite values")
     square = np.vdot(e, e)  # the bits of e @ e, without a warning when it overflows
     if not _SMALLEST_NORMAL <= square < math.inf:
+        # a NaN or an infinity in e makes the square NaN or +inf (a sum of
+        # squares cannot cancel one), so only such a square needs this pass
+        if not np.isfinite(e).all():
+            raise ValidationError("embeddings contain non-finite values")
         top = float(np.max(np.abs(e)))
         if top == 0.0:
             raise ValidationError("cosine similarity is undefined for zero vectors")

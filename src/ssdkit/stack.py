@@ -16,13 +16,13 @@ layer across blocks.  The two schedules are two block lengths:
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
 
-Under the chunked kernel every layer call runs whole chunks: a ragged block
-(length not a multiple of Q, such as every embedding query) is padded with
-zero rows in the normalized buffer each layer makes anyway, its gates set to
-1 there, and trimmed from each layer's output (see ``layer_forward``).  So
-``infer`` never hands the kernel or ``_chunk_matmul`` a ragged length under
-that kernel, the kernel's own ragged path serves direct callers only, and a
-ragged block gives the bits of the same rows of any longer block.
+Under every kernel but dense, each layer call runs whole chunks: a ragged
+block (length not a multiple of Q, such as every embedding query) is padded
+with zero rows in the normalized buffer each layer makes anyway, its gates
+set to 1 there, and trimmed from each layer's output (see ``layer_forward``).
+So ``infer`` never hands the chunked or recurrent kernel or ``_chunk_matmul``
+a ragged length, the chunked kernel's own ragged path serves direct callers
+only, and a ragged block gives the bits of the same rows of any longer block.
 
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
@@ -36,6 +36,7 @@ import functools
 import json
 import os
 import uuid
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -243,7 +244,10 @@ def _normalize(u: np.ndarray, rows: int) -> np.ndarray:
     """u / rms(u) per position, as the first of ``rows`` rows; any later rows
     are zero.  gamma is folded into the projection operands."""
     b, t, d = u.shape
-    rms = np.sqrt(np.einsum("btd,btd->bt", u, u) / d + RMS_EPS)
+    rms = np.einsum("btd,btd->bt", u, u)
+    rms /= d
+    rms += RMS_EPS
+    np.sqrt(rms, out=rms)
     if rows == t:
         return u / rms[..., None]
     un = np.zeros((b, rows, d))
@@ -256,11 +260,11 @@ def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
     """out[:, i] = x[:, i] @ w, one batched product per chunk of positions.
 
     x is (batch, length, k) and out (batch, length, m), written in place: one
-    np.matmul over the full chunks of chunk_size positions (one chunk
-    spanning the call when None) and one more for a ragged tail, as one
-    chunk of its own length (for generate_coefficients' callers and the
-    recurrent and dense kernels: a chunked layer call pads to whole chunks
-    first).  A single product over all rows is not used
+    np.matmul over the (batch, chunks, chunk_size, k) view (one chunk
+    spanning the call when None), plus one for a ragged tail, as one chunk
+    of its own length (for generate_coefficients' callers and the dense
+    kernel: every other layer call pads to whole chunks first).  A single
+    product over all rows is not used
     because it is not row-slice invariant: the bits of a row can depend on
     how many rows share the call.  Fixing every product's shape to its chunk
     gives a position the same bits in any call whose chunks start where its
@@ -270,10 +274,11 @@ def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
     m = out.shape[-1]
     q = t if chunk_size is None else min(chunk_size, t)
     full = t - t % q
-    for lo, hi, rows in ((0, full, q), (full, t, t - full)):
-        if hi > lo:
-            np.matmul(x[:, lo:hi].reshape(b, -1, rows, k), w,
-                      out=out[:, lo:hi].reshape(b, -1, rows, m))
+    whole, whole_out = x, out
+    if full < t:  # the tail, as one chunk of its own length
+        np.matmul(x[:, None, full:], w, out=out[:, None, full:])
+        whole, whole_out = x[:, :full], out[:, :full]
+    np.matmul(whole.reshape(b, -1, q, k), w, out=whole_out.reshape(b, -1, q, m))
     return out
 
 
@@ -301,6 +306,11 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     return _project(params, _normalize(u, t), chunk_size, t)
 
 
+@np.errstate(over="ignore")  # as a decorator, half the cost of a with block per call
+def _exp_in_place(a: np.ndarray) -> None:
+    np.exp(a, out=a)
+
+
 def _project(params: LayerParams, un: np.ndarray, chunk_size: int | None, t: int):
     """generate_coefficients of the normalized rows un, of which those from
     t on are zero padding: their gates are set to 1, and B = C = x = 0 there,
@@ -314,8 +324,7 @@ def _project(params: LayerParams, un: np.ndarray, chunk_size: int | None, t: int
     # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
     # runs one H-long inner loop per position
     a += params.b_a[None].repeat(rows, 0)
-    with np.errstate(over="ignore"):
-        np.exp(a, out=a)
+    _exp_in_place(a)
     a += 1.0
     np.reciprocal(a, out=a)
     if rows > t:
@@ -343,8 +352,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
 
-    Under the chunked kernel a ragged length runs padded to a whole number
-    of chunks: the normalized rows gain zero rows, whose gates are 1 (see
+    Under every kernel but dense (whose one block spans the call) a ragged
+    length runs padded to a whole number of chunks when chunk_size is given:
+    the normalized rows gain zero rows, whose gates are 1 (see
     ``_project``), so every product and the kernel call are chunk-aligned,
     and v is the real rows of the padded output.  Its rows are those of any
     longer call over the same first positions, bit for bit.
@@ -361,12 +371,10 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     u = _check_channels(params, u)
     if chunk_size is not None:
         chunk_size = _as_int(chunk_size, "chunk size", 1)
+    if kernel == "chunked" and chunk_size is None:
+        raise ValidationError("chunk_size is required for the chunked kernel")
     b, t, d = u.shape
-    rows = t
-    if kernel == "chunked":
-        if chunk_size is None:
-            raise ValidationError("chunk_size is required for the chunked kernel")
-        rows = -(-t // chunk_size) * chunk_size
+    rows = t if kernel == "dense" or chunk_size is None else -(-t // chunk_size) * chunk_size
     coeffs, x = _project(params, _normalize(u, rows), chunk_size, t)
 
     if kernel == "chunked":
@@ -390,10 +398,10 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     The buffers live in order: the input u throughout; the normalized un
     until a, B, C and x exist; then the kernel's workspace, which for the
     recurrent kernel is its output y alone; then y and the output v.  Under
-    the chunked kernel each spans t rounded up to whole chunks (see
+    every kernel but dense each spans t rounded up to whole chunks (see
     layer_forward), and the kernel call is chunk-aligned.
     """
-    if kernel == "chunked":
+    if kernel != "dense":
         t = -(-t // q) * q
     P = batch * t * spec.d  # u, un, v
     E = batch * t * spec.H  # a, x, y
@@ -492,17 +500,21 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     if initial_states is not None:
         states[:] = _as_f64(initial_states, "initial_states", states.shape)
 
-    for start in range(0, t, step):
-        # the states entering the first block are zero unless carried in; None
-        # skips the kernels' state checks and the first chunk's correction
-        fresh = start == 0 and initial_states is None
-        n = min(step, t - start)
-        if kernel != "recurrent":
+    # the states entering the first block are zero unless carried in; None
+    # skips the kernels' state checks and the first chunk's correction
+    blocks = Counter((min(step, t - start), start == 0 and initial_states is None)
+                     for start in range(0, t, step))
+    if kernel != "recurrent":  # once per block shape, at most three
+        for (n, fresh), count in blocks.items():
             f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q,
                             carry_in=not fresh)
-            flops.intra += spec.L * f.intra
-            flops.propagate += spec.L * f.propagate
-            flops.inter += spec.L * f.inter
+            flops.intra += spec.L * count * f.intra
+            flops.propagate += spec.L * count * f.propagate
+            flops.inter += spec.L * count * f.inter
+
+    for start in range(0, t, step):
+        fresh = start == 0 and initial_states is None
+        n = min(step, t - start)
         # drop the previous block's output first: kept alive through this
         # block's layers, it would put the traced peak above the ledger's
         u = None
@@ -514,8 +526,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
             u = _split_forward(groups, model, rows, states, fresh, q, kernel, fault)
         if sink is not None:
             sink(start, u.copy())
-    peak = max(_block_elements(spec, batch, n, q, kernel)
-               for n in {min(step, t), (t - 1) % step + 1})
+    peak = max(_block_elements(spec, batch, n, q, kernel) for n, _ in blocks)
     ledger = MemoryLedger(peak_elements=states.size + peak,
                           per_layer_state_elements=states.size)
     return InferenceResult(u, ledger, flops, states)

@@ -456,6 +456,23 @@ class TestMaskTiles:
         assert np.array_equal(tiled[0], whole[0])
         assert np.array_equal(tiled[1], whole[1])
 
+    # a one-tile call lays out the call's own arrays, hands stage 3 whole
+    # arrays when a state is passed in and returns y as one copy; tiles of
+    # one chunk take the sliced path, one tile per chunk.  state-transition
+    # runs stage 2 with every multiplier 1
+    @pytest.mark.parametrize("fault", (None,) + FAULT_MODES)
+    @pytest.mark.parametrize("with_state", [False, True])
+    @pytest.mark.parametrize("b,t,h,q", [(1, 64, 2, 16), (3, 24, 3, 4), (2, 8, 1, 8)])
+    def test_one_aligned_tile_matches_one_chunk_tiles(self, b, t, h, q, with_state, fault):
+        coeffs, x, h0 = random_problem(t + q, b, t, h, 3, with_state=with_state)
+        assert chunked._tile_chunks(h, q) >= t // q  # one tile at the module's budget
+        y, hT = chunked_forward(coeffs, x, q, h0, fault=fault)
+        with mask_tiles(1, h, q):
+            y_tiled, h_tiled = chunked_forward(coeffs, x, q, h0, fault=fault)
+        assert y.shape == (b, t, h) and y.flags.c_contiguous
+        assert np.array_equal(y, y_tiled)
+        assert np.array_equal(hT, h_tiled)
+
     # a slice is one (batch, chunk, head) mask: a vertical block of 64
     # positions at H = 2, Q = 16 has 8 and takes the whole-array build, a
     # tile of a batch-8 horizontal call has 512 and takes the row loop

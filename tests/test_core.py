@@ -20,6 +20,7 @@ from ssdkit import (
     random_coefficients,
     recurrent_scan,
 )
+from ssdkit.core import _real_array
 
 
 def scalar_coeffs(a_vals, b_vals=None, c_vals=None):
@@ -337,3 +338,27 @@ class TestSsmCoefficients:
         bad[0, 0, 0, 0] = np.inf
         with pytest.raises(ValidationError):
             SsmCoefficients(a, bad, np.zeros((1, 4, 2, 3)))
+
+
+class TestRealArray:
+    # the kernel re-checks arrays it built itself: a float64 ndarray passes
+    # the shape test as it is, with no conversion
+    def test_a_float64_array_is_returned_itself(self):
+        arr = np.zeros((2, 3))
+        assert _real_array(arr, "x", (2, 3)) is arr
+        view = np.zeros((4, 3))[::2]
+        assert _real_array(view, "x") is view
+
+    @pytest.mark.parametrize("arr", [np.zeros((2, 3)), np.zeros((2, 3), np.int32),
+                                     np.zeros((2, 3), ">f8"), [[0.0] * 3] * 2])
+    def test_a_wrong_shape_is_refused(self, arr):
+        with pytest.raises(DimensionError, match=r"x shape \(2, 3\) does not match \(3, 2\)"):
+            _real_array(arr, "x", (3, 2))
+
+    @pytest.mark.parametrize("arr", [np.arange(3, dtype=np.int32), np.arange(3, dtype=np.float32),
+                                     np.arange(3.0).astype(">f8"), [0, 1, 2],
+                                     np.ma.masked_array([0.0, 1.0, 2.0])])
+    def test_other_real_input_is_converted(self, arr):
+        out = _real_array(arr, "x", (3,))
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.dtype.isnative
+        assert np.array_equal(out, [0.0, 1.0, 2.0])

@@ -296,6 +296,43 @@ class TestInfoNceLoss:
         with pytest.raises(ValidationError, match=message):
             info_nce_loss(query, self.P, [self.N1, negative])
 
+    # the finiteness pass runs only when a vector's square is not a normal
+    # number, which a NaN or an infinity anywhere always makes it
+    @staticmethod
+    def five_vectors():
+        rng = np.random.default_rng(11)
+        vectors = rng.uniform(-1.0, 1.0, (5, 6))
+        vectors[:, 0] = 0.75  # max-abs in [0.5, 1): a power-of-two scaling is undone exactly
+        return list(vectors)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("role", range(5))
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600], ids=["1", "2^600", "2^-600"])
+    def test_a_non_finite_element_anywhere_is_rejected(self, role, scale):
+        for position in range(6):
+            for value in (np.nan, np.inf, -np.inf):
+                vectors = [v * scale for v in self.five_vectors()]
+                vectors[role][position] = value
+                query, positive, *negatives = vectors
+                with pytest.raises(ValidationError, match="non-finite"):
+                    info_nce_loss(query, positive, negatives)
+                if role < 2:
+                    with pytest.raises(ValidationError, match="non-finite"):
+                        cosine_similarity(query, positive)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -520, 2.0 ** -600],
+                             ids=["2^600", "2^-520", "2^-600"])
+    @pytest.mark.parametrize("role", range(5))
+    def test_a_square_out_of_the_normal_range_scores_as_before(self, role, scale):
+        # the square overflows, is subnormal (2^-520), or underflows to zero
+        vectors = self.five_vectors()
+        expected = info_nce_loss(vectors[0], vectors[1], vectors[2:], temperature=0.5)
+        expected_cosine = cosine_similarity(vectors[0], vectors[1])
+        vectors[role] = vectors[role] * scale
+        assert info_nce_loss(vectors[0], vectors[1], vectors[2:], temperature=0.5) == expected
+        assert cosine_similarity(vectors[0], vectors[1]) == expected_cosine
+
     @pytest.mark.parametrize("field,args", [
         ("query", ([1j, 0, 0], P, [N1])),
         ("positive", (Q, ["1", "1", "0"], [N1])),

@@ -213,6 +213,19 @@ class TestProjectionRowInvariance:
                 assert np.array_equal(part, v[:, s:s + span])
             assert np.array_equal(state, hT)
 
+    # an aligned call is one np.matmul over the (batch, chunks, Q, k) view;
+    # its bits are those of one product per chunk
+    @pytest.mark.parametrize("operand", ["w_gate", "W_in", "W_out"])
+    @pytest.mark.parametrize("batch,t,q", [(1, 64, 16), (3, 24, 4), (2, 16, 16)])
+    def test_an_aligned_chunk_matmul_is_one_product_per_chunk(self, operand, batch, t, q):
+        w = getattr(self.LAYER, operand)
+        w = w if operand == "W_out" else w.T
+        x = np.random.default_rng(t).standard_normal((batch, t, w.shape[0]))
+        got = stack._chunk_matmul(x, w, np.empty((batch, t, w.shape[1])), q)
+        for i in range(batch):
+            for lo in range(0, t, q):
+                assert np.array_equal(got[i, lo:lo + q], np.matmul(x[i, lo:lo + q], w))
+
 
 class TestLayerForward:
     def test_zero_input_map_passes_residual_through(self):
@@ -531,6 +544,17 @@ class TestInferProperties:
             assert np.array_equal(tail.states, whole.states)
         assert np.array_equal(infer(model, tok, None, q).hidden[:, :t], hidden)
 
+    # the recurrent kernel runs a ragged call padded to whole chunks too, so
+    # its projections have the shapes of a longer call's and give its bits
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 16])
+    def test_ragged_recurrent_rows_match_a_longer_call(self, q):
+        tok = tokens_for(self.SPEC, 97 + q, seed=q)
+        for t in range(2, 98, 5):
+            if t % q:
+                short = infer(self.MODEL, tok[:, :t], None, q, kernel="recurrent")
+                longer = infer(self.MODEL, tok[:, :t + q], None, q, kernel="recurrent")
+                assert np.array_equal(short.hidden, longer.hidden[:, :t]), t
+
 
 def traced_peak_bytes(fn, *args, **kwargs):
     """Run fn under tracemalloc (NumPy reports its buffers to it); return
@@ -548,14 +572,15 @@ class TestLedgerPeaks:
     # and discharged when dropped) that the closed form replaced; the closed
     # form must keep reproducing them.  A ragged chunked block is charged at
     # its length rounded up to whole chunks, as layer_forward runs it, so the
-    # two ragged vertical cases peak at a full block's.  The recurrent case
-    # peaked while forming v until layer_forward freed a, B, C and x first
-    # (was 4116; now the projection phase, 960 + 2880 + 36).
+    # two ragged vertical cases peak at a full block's.  So is the ragged
+    # recurrent case (40 = 13 x 3 + 1, run as 42 rows): it peaks in the
+    # projection phase, 1008 + 3024 + 36, as layer_forward frees a, B, C and
+    # x before forming v.
     SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried,peak", [
         ("chunked", 1, 50, 16, None, False, 4004),
-        ("recurrent", 3, 40, 3, None, True, 3876),
+        ("recurrent", 3, 40, 3, None, True, 4068),
         ("dense", 1, 37, 1, None, False, 3866),
         ("chunked", 3, 96, 3, 24, False, 2772),
         ("chunked", 1, 64, 16, 32, True, 2008),
@@ -686,6 +711,16 @@ class TestLedgerAgainstTracedMemory:
         tok = tokens_for(self.SPEC, 2048)
         vertical_infer(model, tok, 256)  # warm lazy set-up
         result, peak = traced_peak_bytes(vertical_infer, model, tok, 256)
+        ratio = peak / (8 * result.ledger.peak_elements)
+        assert 0.95 <= ratio <= 1.10
+
+    def test_ragged_recurrent_traced_peak_matches_the_ledger(self):
+        # 17 positions run padded to 32 (measured 1.04); a ledger of the 17
+        # real rows alone would read about half the traced peak (1.93)
+        model = generate_model(self.SPEC)
+        tok = tokens_for(self.SPEC, 17, batch=64)
+        horizontal_infer(model, tok, kernel="recurrent")  # warm lazy set-up
+        result, peak = traced_peak_bytes(horizontal_infer, model, tok, kernel="recurrent")
         ratio = peak / (8 * result.ledger.peak_elements)
         assert 0.95 <= ratio <= 1.10
 

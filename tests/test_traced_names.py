@@ -1,4 +1,5 @@
-"""Every function the perfbench tracer wraps by name exists in the package.
+"""Every function the perfbench tracer wraps by name exists in the package,
+and ``infer`` reaches the kernel and its stages through those names.
 
 The tracer looks each name up with getattr when a traced run starts, so a
 renamed or deleted function would otherwise surface only there.
@@ -9,7 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ssdkit import ModelSpec, chunked, generate_model, infer
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +38,63 @@ def test_every_traced_name_is_a_callable_of_its_module(short):
     module = importlib.import_module(f"ssdkit.{short}")
     missing = [name for name in TRACED[short] if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+# The tracer's spans are only as good as the package's calls: it rebinds
+# module attributes, so a layer call that reached the kernel or a stage
+# through anything but its module attribute would run untraced, and the
+# per-stage metrics that divide by those spans would read nothing.
+WRAPPED = {"stack": ("layer_forward",),
+           "chunked": ("chunked_forward", "intra_chunk", "propagate_states",
+                       "inter_chunk_correction")}
+STAGES = ("chunked.intra_chunk", "chunked.propagate_states", "chunked.inter_chunk_correction")
+
+
+def record_calls(monkeypatch):
+    """Wrap every WRAPPED function wherever a package module binds it, as the
+    tracer does; return the list of (name, call id, parent call id) records."""
+    calls, open_ = [], []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ssdkit"]
+    for short, names in WRAPPED.items():
+        for fn_name in names:
+            fn = getattr(importlib.import_module(f"ssdkit.{short}"), fn_name)
+
+            def wrapper(*args, _fn=fn, _name=f"{short}.{fn_name}", **kwargs):
+                calls.append((_name, len(calls), open_[-1] if open_ else None))
+                open_.append(calls[-1][1])
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    open_.pop()
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("tiles", [1, 2])
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("block_len,blocks", [(None, 1), (16, 3)], ids=["horizontal", "vertical"])
+def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, block_len, blocks,
+                                                               carried, tiles):
+    spec = ModelSpec(seed=14, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=16)
+    model = generate_model(spec)
+    tok = np.random.default_rng(3).integers(0, spec.vocab_size - 1, 48)
+    states = np.full((spec.L, 1, spec.H, spec.N), 0.5) if carried else None
+    chunks = 48 // blocks // spec.Q  # per kernel call
+    if tiles > 1:
+        monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW",
+                            chunks // tiles * spec.H * spec.Q * spec.Q)
+    calls = record_calls(monkeypatch)
+    infer(model, tok, block_len, spec.Q, initial_states=states)
+
+    names = {cid: name for name, cid, _ in calls}
+    layers = [cid for name, cid, parent in calls if name == "stack.layer_forward"]
+    assert len(layers) == spec.L * blocks
+    kernels = [(cid, parent) for name, cid, parent in calls if name == "chunked.chunked_forward"]
+    assert [parent for _, parent in kernels] == layers
+    for cid, _ in kernels:
+        children = [names[c] for _, c, parent in calls if parent == cid]
+        assert children == list(STAGES) * tiles
