@@ -78,9 +78,12 @@ def _real_array(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndar
 
 
 def _as_f64(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """_real_array, refusing non-finite values too."""
+    """_real_array, refusing non-finite values too.  A NaN or an infinity makes
+    the sum of squares non-finite, so a C-contiguous array whose sum of squares
+    is finite skips the elementwise pass; any other array takes it."""
     out = _real_array(arr, name, shape)
-    if not np.isfinite(out).all():
+    cleared = out.flags.c_contiguous and math.isfinite(np.vdot(out, out))
+    if not cleared and not np.isfinite(out).all():
         raise ValidationError(f"{name} contains non-finite values")
     return out
 

@@ -12,8 +12,8 @@ log-sum-exp so small temperatures cannot overflow.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
+from zlib import crc32
 
 import numpy as np
 
@@ -56,8 +56,8 @@ def tokenize_words(text: str, vocab_size: int) -> list[int]:
     """
     if not isinstance(text, str):
         raise ValidationError(f"text must be a string, got {type(text).__name__}")
-    vocab_size = _as_int(vocab_size, "vocab_size", 2)  # one id is reserved
-    return [zlib.crc32(w.encode("utf-8")) % (vocab_size - 1) for w in text.split()]
+    ids = _as_int(vocab_size, "vocab_size", 2) - 1  # one id is reserved
+    return [crc32(w.encode()) % ids for w in text.split()]
 
 
 @dataclass
@@ -90,7 +90,8 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
     tokens = _check_tokens(tokens, model.spec.eos_id)  # ids stop below the terminal id
     if tokens.ndim != 1:
         raise DimensionError(f"embed_sequence takes a single 1-D sequence, got {tokens.shape}")
-    full = np.concatenate([tokens.astype(np.int64), [model.spec.eos_id]])
+    full = np.full(tokens.size + 1, model.spec.eos_id, np.int64)
+    full[:-1] = tokens
 
     if strategy == "horizontal":
         if block_len is not None:
@@ -130,7 +131,7 @@ def _checked(e, shape: tuple[int, ...], name: str) -> tuple[np.ndarray, float]:
 
 def _cosine(q: np.ndarray, q_norm: float, e: np.ndarray, e_norm: float) -> float:
     # value first, so a NaN (an overflowed dot product) passes through as np.clip's does
-    return min(max(float(q @ e) / (q_norm * e_norm), -1.0), 1.0)
+    return min(max(float(np.dot(q, e)) / (q_norm * e_norm), -1.0), 1.0)
 
 
 def cosine_similarity(e1, e2) -> float:
@@ -156,6 +157,6 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
     candidates += [_checked(e, q.shape, f"negatives[{i}]") for i, e in enumerate(negatives)]
     q, q_norm = _checked(q, q.shape, "query")
     sims = [_cosine(q, q_norm, e, e_norm) for e, e_norm in candidates]
-    scaled = np.asarray(sims, dtype=np.float64) / config.temperature
-    shift = np.max(scaled)
-    return float(shift + np.log(np.sum(np.exp(scaled - shift))) - scaled[0])
+    scaled = np.array(sims) / config.temperature
+    shift = scaled.max()
+    return float(shift + np.log(np.exp(scaled - shift).sum()) - scaled[0])

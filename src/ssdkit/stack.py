@@ -36,12 +36,12 @@ import functools
 import json
 import os
 import uuid
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import chunked
 from .chunked import (DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, stage_flops,
                       workspace_elements)
 from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
@@ -240,45 +240,28 @@ def _check_channels(params: LayerParams, u) -> np.ndarray:
     return u
 
 
-def _normalize(u: np.ndarray, rows: int) -> np.ndarray:
-    """u / rms(u) per position, as the first of ``rows`` rows; any later rows
-    are zero.  gamma is folded into the projection operands."""
-    b, t, d = u.shape
-    rms = np.einsum("btd,btd->bt", u, u)
-    rms /= d
-    rms += RMS_EPS
-    np.sqrt(rms, out=rms)
-    if rows == t:
-        return u / rms[..., None]
-    un = np.zeros((b, rows, d))
-    np.divide(u, rms[..., None], out=un[:, :t])
-    return un
+def _chunk_matmul(x: np.ndarray, w: np.ndarray, chunk_size: int | None) -> np.ndarray:
+    """x[:, i] @ w for every position i, one batched product per chunk.
 
-
-def _chunk_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray,
-                  chunk_size: int | None) -> np.ndarray:
-    """out[:, i] = x[:, i] @ w, one batched product per chunk of positions.
-
-    x is (batch, length, k) and out (batch, length, m), written in place: one
-    np.matmul over the (batch, chunks, chunk_size, k) view (one chunk
-    spanning the call when None), plus one for a ragged tail, as one chunk
-    of its own length (for generate_coefficients' callers and the dense
-    kernel: every other layer call pads to whole chunks first).  A single
-    product over all rows is not used
-    because it is not row-slice invariant: the bits of a row can depend on
-    how many rows share the call.  Fixing every product's shape to its chunk
-    gives a position the same bits in any call whose chunks start where its
-    own do.
+    x is (batch, length, k): one np.matmul over the (batch, chunks,
+    chunk_size, k) view (one chunk spanning the call when None), plus one
+    for a ragged tail, as one chunk of its own length (for
+    generate_coefficients' callers and the dense kernel: every other layer
+    call pads to whole chunks first).  A single product over all rows is not
+    used because it is not row-slice invariant: the bits of a row can depend
+    on how many rows share the call.  Fixing every product's shape to its
+    chunk gives a position the same bits in any call whose chunks start
+    where its own do.
     """
     b, t, k = x.shape
-    m = out.shape[-1]
     q = t if chunk_size is None else min(chunk_size, t)
     full = t - t % q
-    whole, whole_out = x, out
-    if full < t:  # the tail, as one chunk of its own length
-        np.matmul(x[:, None, full:], w, out=out[:, None, full:])
-        whole, whole_out = x[:, :full], out[:, :full]
-    np.matmul(whole.reshape(b, -1, q, k), w, out=whole_out.reshape(b, -1, q, m))
+    if full == t:
+        return np.matmul(x.reshape(b, -1, q, k), w).reshape(b, t, -1)
+    m = w.shape[-1]
+    out = np.empty((b, t, m))
+    np.matmul(x[:, None, full:], w, out=out[:, None, full:])  # the tail, as one chunk
+    np.matmul(x[:, :full].reshape(b, -1, q, k), w, out=out[:, :full].reshape(b, -1, q, m))
     return out
 
 
@@ -302,8 +285,7 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     u = _check_channels(params, u)
     if chunk_size is not None:
         _as_int(chunk_size, "chunk size", 1)
-    t = u.shape[1]
-    return _project(params, _normalize(u, t), chunk_size, t)
+    return _project(params, u, u.shape[1], chunk_size)
 
 
 @np.errstate(over="ignore")  # as a decorator, half the cost of a with block per call
@@ -311,15 +293,25 @@ def _exp_in_place(a: np.ndarray) -> None:
     np.exp(a, out=a)
 
 
-def _project(params: LayerParams, un: np.ndarray, chunk_size: int | None, t: int):
-    """generate_coefficients of the normalized rows un, of which those from
-    t on are zero padding: their gates are set to 1, and B = C = x = 0 there,
-    so they leave the state as it is and add zeros."""
-    b, rows, _ = un.shape
+def _project(params: LayerParams, u: np.ndarray, rows: int, chunk_size: int | None):
+    """generate_coefficients of the checked u (batch, t, d), normalized into
+    ``rows`` rows: those from t on are zero padding, their gates set to 1 and
+    B = C = x = 0 there, so they leave the state as it is and add zeros.
+    gamma is folded into the projection operands."""
+    b, t, d = u.shape
     h, n = params.heads, params.state_dim
-    a = _chunk_matmul(un, params.w_gate.T, np.empty((b, rows, h)), chunk_size)
-    proj = _chunk_matmul(un, params.W_in.T, np.empty((b, rows, params.W_in.shape[0])),
-                         chunk_size)
+    rms = np.einsum("btd,btd->bt", u, u)
+    rms /= d
+    rms += RMS_EPS
+    np.sqrt(rms, out=rms)
+    if rows == t:
+        un = u / rms[..., None]
+    else:
+        un = np.zeros((b, rows, d))
+        np.divide(u, rms[..., None], out=un[:, :t])
+    del rms  # not kept through the products
+    a = _chunk_matmul(un, params.w_gate.T, chunk_size)
+    proj = _chunk_matmul(un, params.W_in.T, chunk_size)
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
     # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
     # runs one H-long inner loop per position
@@ -373,9 +365,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         chunk_size = _as_int(chunk_size, "chunk size", 1)
     if kernel == "chunked" and chunk_size is None:
         raise ValidationError("chunk_size is required for the chunked kernel")
-    b, t, d = u.shape
+    t = u.shape[1]
     rows = t if kernel == "dense" or chunk_size is None else -(-t // chunk_size) * chunk_size
-    coeffs, x = _project(params, _normalize(u, rows), chunk_size, t)
+    coeffs, x = _project(params, u, rows, chunk_size)
 
     if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault)
@@ -385,7 +377,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
     del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
-    v = _chunk_matmul(y, params.W_out, np.empty((b, rows, d)), chunk_size)
+    v = _chunk_matmul(y, params.W_out, chunk_size)
     if rows > t:
         v = v[:, :t]
     v += u
@@ -411,6 +403,19 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
 
 
+@functools.lru_cache(maxsize=256)
+def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str, fresh: bool,
+                 tile_budget: int) -> tuple[tuple[int, int, int], int]:
+    """A block's per-stage flops over the L layers and its footprint, once per
+    block shape; the footprint also reads chunked's tile budget, so that is
+    part of the key."""
+    elements = _block_elements(spec, batch, n, q, kernel)
+    if kernel == "recurrent":
+        return (0, 0, 0), elements
+    f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q, carry_in=not fresh)
+    return (spec.L * f.intra, spec.L * f.propagate, spec.L * f.inter), elements
+
+
 def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
     """tokens as a 1-D or 2-D (batch, length) array of ids in [0, vocab_size)."""
     try:
@@ -421,7 +426,7 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
         raise DimensionError(f"tokens must be 1-D or 2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError("token sequence is empty")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValidationError(f"token ids must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= vocab_size:
         raise ValidationError(
@@ -500,21 +505,18 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     if initial_states is not None:
         states[:] = _as_f64(initial_states, "initial_states", states.shape)
 
-    # the states entering the first block are zero unless carried in; None
-    # skips the kernels' state checks and the first chunk's correction
-    blocks = Counter((min(step, t - start), start == 0 and initial_states is None)
-                     for start in range(0, t, step))
-    if kernel != "recurrent":  # once per block shape, at most three
-        for (n, fresh), count in blocks.items():
-            f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q,
-                            carry_in=not fresh)
-            flops.intra += spec.L * count * f.intra
-            flops.propagate += spec.L * count * f.propagate
-            flops.inter += spec.L * count * f.inter
-
+    peak = 0
     for start in range(0, t, step):
+        # the states entering the first block are zero unless carried in;
+        # None skips the kernels' state checks and the first chunk's correction
         fresh = start == 0 and initial_states is None
         n = min(step, t - start)
+        (intra, propagate, inter), elements = _block_forms(
+            spec, batch, n, q, kernel, fresh, chunked._MASK_ELEMENTS_PER_ROW)
+        flops.intra += intra
+        flops.propagate += propagate
+        flops.inter += inter
+        peak = max(peak, elements)
         # drop the previous block's output first: kept alive through this
         # block's layers, it would put the traced peak above the ledger's
         u = None
@@ -526,7 +528,6 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
             u = _split_forward(groups, model, rows, states, fresh, q, kernel, fault)
         if sink is not None:
             sink(start, u.copy())
-    peak = max(_block_elements(spec, batch, n, q, kernel) for n, _ in blocks)
     ledger = MemoryLedger(peak_elements=states.size + peak,
                           per_layer_state_elements=states.size)
     return InferenceResult(u, ledger, flops, states)

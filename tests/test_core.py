@@ -6,6 +6,8 @@ evaluates the unrolled sum term by term and never shares code with the
 library's vectorized paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from ssdkit import (
     random_coefficients,
     recurrent_scan,
 )
-from ssdkit.core import _real_array
+from ssdkit.core import _as_f64, _real_array
 
 
 def scalar_coeffs(a_vals, b_vals=None, c_vals=None):
@@ -362,3 +364,55 @@ class TestRealArray:
         out = _real_array(arr, "x", (3,))
         assert type(out) is np.ndarray and out.dtype == np.float64 and out.dtype.isnative
         assert np.array_equal(out, [0.0, 1.0, 2.0])
+
+
+class TestFiniteCheck:
+    """_as_f64 clears a finite C-contiguous array with one reduction, its sum
+    of squares, and runs the elementwise pass on any other layout and when
+    that reduction is not finite."""
+
+    BAD = {"nan": [np.nan], "inf": [np.inf], "-inf": [-np.inf], "inf and -inf": [np.inf, -np.inf]}
+    MODES = ["finite", "square overflows", "sum overflows", *BAD]
+
+    @staticmethod
+    def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+        if layout == "F":
+            return np.asfortranarray(values)
+        if layout == "strided":  # every other element of a larger array
+            every_other = (..., *[slice(None, None, 2)] * values.ndim)
+            out = np.zeros(tuple(2 * n for n in values.shape))[every_other]
+            out[...] = values
+            return out
+        return values
+
+    @given(shape=st.lists(st.integers(1, 4), max_size=3).map(tuple),
+           layout=st.sampled_from(["C", "F", "strided"]), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_the_non_finite_arrays(self, shape, layout, mode, seed, data):
+        rng = np.random.default_rng(seed)
+        if mode == "square overflows":
+            values = rng.uniform(0.5e200, 2e200, shape) * rng.choice([-1.0, 1.0], shape)
+        elif mode == "sum overflows":
+            values = rng.uniform(1e308, 1.7e308, shape)
+        else:
+            values = rng.standard_normal(shape)
+        values = np.array(values)  # a 0-d draw is a NumPy scalar
+        position = data.draw(st.integers(0, values.size - 1), label="position")
+        for i, value in enumerate(self.BAD.get(mode, [])):  # -inf next to +inf, cyclically
+            values.flat[(position + i) % values.size] = value
+        arr = self._laid_out(values, layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing reduction warns of nothing
+            if mode in self.BAD:
+                with pytest.raises(ValidationError, match=r"^x contains non-finite values$"):
+                    _as_f64(arr, "x")
+            else:
+                assert _as_f64(arr, "x") is arr
+
+    def test_the_overflow_cases_overflow_the_reduction(self):
+        # so the elementwise pass, not the reduction, accepts them
+        for value in (1e200, 1.5e308):
+            arr = np.full((2, 3), value)
+            assert not np.isfinite(np.vdot(arr, arr))
+            assert _as_f64(arr, "x") is arr

@@ -5,6 +5,7 @@ Template renderings are pinned byte for byte in tests/data/format_query_golden.j
 
 import json
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,14 @@ class TestTokenizeWords:
         # crc32 mod (vocab - 1); values frozen from one reference run
         assert tokenize_words("the quick brown fox", 256) == [213, 75, 111, 119]
         assert tokenize_words("hello world", 256) == [115, 6]
+
+    def test_words_are_str_split_words_unicode_included(self):
+        # str.split() splits on these four and bytes.split() does not, so
+        # a split of the encoded text would change the ids
+        text = "naïve\xa0café\u3000東京\u2028Ωmega\x1cend"
+        words = ["naïve", "café", "東京", "Ωmega", "end"]
+        assert text.split() == words and len(text.encode("utf-8").split()) == 1
+        assert tokenize_words(text, 256) == [zlib.crc32(w.encode("utf-8")) % 255 for w in words]
 
     def test_repeated_words_repeat_ids(self):
         assert tokenize_words("a b a b", 16) == [12, 11, 12, 11]

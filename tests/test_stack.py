@@ -21,6 +21,7 @@ from ssdkit import (
     FAULT_MODES,
     CapacityError,
     DimensionError,
+    FlopCounter,
     FormatError,
     LayerParams,
     ModelSpec,
@@ -221,7 +222,7 @@ class TestProjectionRowInvariance:
         w = getattr(self.LAYER, operand)
         w = w if operand == "W_out" else w.T
         x = np.random.default_rng(t).standard_normal((batch, t, w.shape[0]))
-        got = stack._chunk_matmul(x, w, np.empty((batch, t, w.shape[1])), q)
+        got = stack._chunk_matmul(x, w, q)
         for i in range(batch):
             for lo in range(0, t, q):
                 assert np.array_equal(got[i, lo:lo + q], np.matmul(x[i, lo:lo + q], w))
@@ -684,6 +685,61 @@ class TestFlopCounts:
         whole = stage_flops(batch, t, h, n, q, carry_in=carry_in)
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_tile)
+
+
+class TestClosedFormsPerShape:
+    # infer computes a block's flops and footprint once per block shape;
+    # every call still gets its own counter and ledger, equal to the closed
+    # forms of its blocks computed directly
+    SPEC = ModelSpec(seed=5, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+    MODEL = generate_model(SPEC)
+
+    @staticmethod
+    def closed_forms(spec, kernel, batch, t, q, v, carried):
+        step = v or t
+        blocks = [(min(step, t - start), carried or start > 0) for start in range(0, t, step)]
+        flops = FlopCounter()
+        for n, carry_in in blocks if kernel != "recurrent" else ():
+            f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q,
+                            carry_in=carry_in)
+            flops.intra += spec.L * f.intra
+            flops.propagate += spec.L * f.propagate
+            flops.inter += spec.L * f.inter
+        peak = max(stack._block_elements(spec, batch, n, q, kernel) for n, _ in blocks)
+        return flops, spec.L * batch * spec.H * spec.N + peak
+
+    @pytest.mark.parametrize("kernel,batch,t,q,v,carried", [
+        ("chunked", 2, 32, 4, None, False),  # fresh
+        ("chunked", 1, 70, 4, 16, True),     # carried, ragged last block
+        ("chunked", 3, 47, 3, 12, False),    # ragged chunks, carried from block 2 on
+        ("dense", 1, 37, 4, None, True),
+        ("recurrent", 2, 40, 4, 8, False),
+    ])
+    def test_each_call_gets_its_own_counter_and_ledger(self, kernel, batch, t, q, v, carried):
+        spec = self.SPEC
+        rng = np.random.default_rng(t)
+        tok = rng.integers(0, spec.vocab_size - 1, size=(batch, t))
+        states = rng.standard_normal((spec.L, batch, spec.H, spec.N)) if carried else None
+        flops, peak = self.closed_forms(spec, kernel, batch, t, q, v, carried)
+        first, second = (infer(self.MODEL, tok, v, q, kernel=kernel, initial_states=states)
+                         for _ in range(2))
+        assert first.flops is not second.flops and first.ledger is not second.ledger
+        for result in (first, second):
+            assert result.flops == flops and result.ledger.peak_elements == peak
+        first.flops.intra += 1
+        first.ledger.peak_elements += 1
+        third = infer(self.MODEL, tok, v, q, kernel=kernel, initial_states=states)
+        for result in (second, third):
+            assert result.flops == flops and result.ledger.peak_elements == peak
+
+    def test_the_tile_budget_is_part_of_the_key(self, monkeypatch):
+        # a (1, 64) block at Q = 4 runs as one tile, then as eight of two chunks
+        spec, tok = self.SPEC, np.arange(64) % (self.SPEC.vocab_size - 1)
+        states = spec.L * spec.H * spec.N
+        one_tile = infer(self.MODEL, tok, None, 4).ledger.peak_elements
+        monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", 2 * spec.H * 4 * 4)
+        tiled = infer(self.MODEL, tok, None, 4).ledger.peak_elements
+        assert tiled == states + stack._block_elements(spec, 1, 64, 4, "chunked") != one_tile
 
 
 class TestLedgerAgainstTracedMemory:
