@@ -401,7 +401,10 @@ def write_records(path, records: list[BenchRecord]) -> None:
 def read_records(path) -> list[BenchRecord]:
     header = CSV_HEADER.split(",")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        try:
+            rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path} is not a readable CSV: {exc}") from exc
     if not rows or rows[0] != header:
         raise ValidationError(f"unexpected CSV header in {path}")
     records = []

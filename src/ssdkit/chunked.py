@@ -28,13 +28,13 @@ rows; any others take the row loop, one contiguous row at a time.
 One tiling rule bounds a call: ``chunked_forward`` runs its chunks in tiles
 whose mask fits ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least
 one chunk), carries each tile's final state into the next as its h0 and
-writes each tile's output into one time-major y.  Every other buffer spans
-one tile, so the workspace stops growing with length but for y.  A one-tile
-call (every vertical block up to V = 1,024 at H = 2, Q = 16) takes the same
-loop once: it lays out the call's own arrays rather than tile slices, hands
-stage 3 whole arrays when a state is passed in, and returns y as one copy of
-its output's time-major view, so it allocates what an untiled call would.
-Tiling changes no bit.
+writes each tile's output into one time-major y of whole chunks.  Every
+other buffer spans one tile, so the workspace stops growing with length but
+for y.  A one-tile call (every vertical block up to V = 1,024 at H = 2,
+Q = 16) takes the same loop once: it lays out the call's own arrays rather
+than tile slices, hands stage 3 whole arrays when a state is passed in, and
+makes y as one copy of its output's time-major view, so it allocates what
+an untiled call would.  Tiling changes no bit.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
@@ -49,10 +49,10 @@ itself.
 A ragged tail (length not a multiple of chunk_size) is padded to a full
 chunk with a = 1 and B = C = x = 0: padded positions add exact zeros and
 multiply decay products by exactly one, so outputs and the final state are
-those of the unpadded sequence.  Only direct callers reach this path:
-``stack.layer_forward`` pads a ragged call's rows the same way before its
-projections, so every chunked kernel call ``infer`` makes is chunk-aligned
-and lays its inputs out as zero-copy views.
+those of the unpadded sequence; y is a trimmed view of the padded output.
+Only direct callers reach this path: ``stack._project`` pads a ragged
+call's rows the same way before its projections, so every chunked kernel
+call ``infer`` makes is chunk-aligned and lays its inputs out as views.
 
 ``dense_dual`` is the single-block special case (chunk_size = sequence
 length): the same code path, so the two agree bitwise, with a capacity guard
@@ -157,15 +157,6 @@ def _chunk_major(a, Bm, Cm, x, q: int):
             Bm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
             Cm.reshape(b, k, q, h, n).transpose(0, 1, 3, 2, 4),
             x.reshape(b, k, q, h).transpose(0, 1, 3, 2))
-
-
-def _time_major(arr: np.ndarray, out: np.ndarray) -> None:
-    """Inverse of chunk_major: arr (b, k, h, Q) into out (b, t, h), tail dropped."""
-    b, _, h, q = arr.shape
-    whole, tail = divmod(out.shape[1], q)
-    out[:, :whole * q].reshape(b, whole, q, h)[:] = arr[:, :whole].swapaxes(-1, -2)
-    if tail:
-        out[:, whole * q:] = arr[:, whole, :, :tail].swapaxes(-1, -2)
 
 
 def _tile_chunks(h: int, chunk_size: int) -> int:
@@ -312,14 +303,15 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
                     stage 3 reads it out through the first chunk.
 
     Returns:
-        (y, hT) matching recurrent_scan.  The float64 elements held beyond
-        the inputs, y included, peak at workspace_elements(...) of the shape.
+        (y, hT) matching recurrent_scan, y trimmed from whole chunks.  The
+        float64 elements held beyond the inputs, y included, peak at
+        workspace_elements(...) of the shape.
     """
     _check_fault(fault)
     x = _check_inputs(coeffs, x)
     b, t, h = x.shape
     n = coeffs.state_dim
-    _, q, _, _ = _partition(t, chunk_size)
+    _, q, chunks, _ = _partition(t, chunk_size)
     state = None if h0 is None else _as_f64(h0, "h0", (b, h, n))
     span = _tile_chunks(h, q) * q
     one = span >= t  # one tile: its inputs are the call's, and its output is y
@@ -343,14 +335,14 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
                                                  fault=fault)
         state = states[:, k].copy()
         del b_intra, entry, b0, states  # not kept through the next tile
-        if one:  # one copy of the time-major view, the padded tail dropped
-            y = y_c.swapaxes(-1, -2).reshape(b, -1, h)[:, :t]
+        if one:  # one copy of the time-major view
+            y = y_c.swapaxes(-1, -2).reshape(b, -1, h)
         else:
             if y is None:  # made once the first tile is done, so that tile's peak excludes it
-                y = np.empty((b, t, h))
-            _time_major(y_c, y[:, tile])
+                y = np.empty((b, chunks * q, h))
+            y[:, tile].reshape(b, k, q, h)[:] = y_c.swapaxes(-1, -2)
         del y_c
-    return y, state
+    return y[:, :t], state  # the padded tail dropped
 
 
 def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
@@ -360,8 +352,8 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     A tile peaks in the stage with the most live buffers, plus the padded
     copies of a, B, C and x if it is ragged.  A one-tile call holds that
     alone (its y, made at the end, is smaller); every later tile runs beside
-    y and the state carried in.  Temporaries inside one expression are not
-    counted.
+    y, b * chunks * Q * h elements however ragged the length, and the state
+    carried in.  Temporaries inside one expression are not counted.
     """
     b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
     t, q, k, last = _partition(t, chunk_size)
@@ -379,7 +371,7 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     if k == s:
         return tile(k, last < q)
     later = max(tile(min(s, k - s), False), tile(k - (k - 1) // s * s, last < q))
-    return max(tile(s, False), b * t * h + g + later)
+    return max(tile(s, False), b * k * q * h + g + later)  # y spans whole chunks
 
 
 def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,

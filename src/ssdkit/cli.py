@@ -269,11 +269,14 @@ def _cmd_embed(args) -> int:
     if args.v is not None and args.memory_cap:
         raise ValidationError("--memory-cap and --v both set the block length; give one")
     model = _load_model_arg(args)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}") from exc
     if args.format_query is not None:
         text = format_query(args.format_query, text)
     ids = tokenize_words(text, model.spec.vocab_size)

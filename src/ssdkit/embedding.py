@@ -57,7 +57,10 @@ def tokenize_words(text: str, vocab_size: int) -> list[int]:
     if not isinstance(text, str):
         raise ValidationError(f"text must be a string, got {type(text).__name__}")
     ids = _as_int(vocab_size, "vocab_size", 2) - 1  # one id is reserved
-    return [crc32(w.encode()) % ids for w in text.split()]
+    try:
+        return [crc32(w.encode()) % ids for w in text.split()]
+    except UnicodeEncodeError as exc:  # lone surrogates: undecodable stdin bytes in UTF-8 mode
+        raise ValidationError(f"text is not valid Unicode: {exc}") from exc
 
 
 @dataclass

@@ -148,7 +148,7 @@ def load_model_spec(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"model spec file is not valid JSON: {exc}") from exc
     return spec_from_config(doc)
 

@@ -16,13 +16,12 @@ layer across blocks.  The two schedules are two block lengths:
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
 
-Under every kernel but dense, each layer call runs whole chunks: a ragged
-block (length not a multiple of Q, such as every embedding query) is padded
-with zero rows in the normalized buffer each layer makes anyway, its gates
-set to 1 there, and trimmed from each layer's output (see ``layer_forward``).
-So ``infer`` never hands the chunked or recurrent kernel or ``_chunk_matmul``
-a ragged length, the chunked kernel's own ragged path serves direct callers
-only, and a ragged block gives the bits of the same rows of any longer block.
+One rule handles a ragged length (not a multiple of Q, such as every
+embedding query): ``_project`` pads it with zero rows in the normalized
+buffer each layer makes anyway, its gates 1 there, and its callers trim
+once.  Under the dense kernel one chunk spans the call, so it is the chunked
+kernel at Q = T bit for bit.  No product or kernel call sees a ragged
+length, and a ragged block gives the bits of the same rows of any longer one.
 
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
@@ -243,26 +242,16 @@ def _check_channels(params: LayerParams, u) -> np.ndarray:
 def _chunk_matmul(x: np.ndarray, w: np.ndarray, chunk_size: int | None) -> np.ndarray:
     """x[:, i] @ w for every position i, one batched product per chunk.
 
-    x is (batch, length, k): one np.matmul over the (batch, chunks,
-    chunk_size, k) view (one chunk spanning the call when None), plus one
-    for a ragged tail, as one chunk of its own length (for
-    generate_coefficients' callers and the dense kernel: every other layer
-    call pads to whole chunks first).  A single product over all rows is not
-    used because it is not row-slice invariant: the bits of a row can depend
-    on how many rows share the call.  Fixing every product's shape to its
-    chunk gives a position the same bits in any call whose chunks start
-    where its own do.
+    x is (batch, length, k), whole chunks of chunk_size (one when None):
+    one np.matmul over the (batch, chunks, chunk_size, k) view.  A single
+    product over all rows is not used because it is not row-slice invariant:
+    the bits of a row can depend on how many rows share the call.  Fixing
+    every product's shape to its chunk gives a position the same bits in any
+    call whose chunks start where its own do.
     """
     b, t, k = x.shape
-    q = t if chunk_size is None else min(chunk_size, t)
-    full = t - t % q
-    if full == t:
-        return np.matmul(x.reshape(b, -1, q, k), w).reshape(b, t, -1)
-    m = w.shape[-1]
-    out = np.empty((b, t, m))
-    np.matmul(x[:, None, full:], w, out=out[:, None, full:])  # the tail, as one chunk
-    np.matmul(x[:, :full].reshape(b, -1, q, k), w, out=out[:, :full].reshape(b, -1, q, m))
-    return out
+    q = t if chunk_size is None else chunk_size
+    return np.matmul(x.reshape(b, -1, q, k), w).reshape(b, t, -1)
 
 
 def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None):
@@ -276,16 +265,19 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     The projections are one BLAS product per chunk of ``chunk_size``
     positions (one chunk spanning the call when None, see ``_chunk_matmul``):
     one with w_gate for the gate logits and one with the stacked W_in for B,
-    C and x, both with gamma folded in.  Chunk-aligned vertical blocks and
-    split calls therefore reproduce one whole-sequence call exactly.
+    C and x, both with gamma folded in.  A ragged length is padded to whole
+    chunks, so these are the coefficients ``layer_forward``'s kernel reads,
+    and any prefix or chunk-aligned slice gives the whole call's rows exactly.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
-    channel; B, C and x are views of one (batch, length, H(2N+1)) buffer.
+    channel, views of the padded buffers; B, C and x share one.
     """
     u = _check_channels(params, u)
     if chunk_size is not None:
-        _as_int(chunk_size, "chunk size", 1)
-    return _project(params, u, u.shape[1], chunk_size)
+        chunk_size = _as_int(chunk_size, "chunk size", 1)
+    t = u.shape[1]
+    coeffs, x = _project(params, u, chunk_size)
+    return coeffs.slice_time(0, t), x[:, :t]
 
 
 @np.errstate(over="ignore")  # as a decorator, half the cost of a with block per call
@@ -293,13 +285,13 @@ def _exp_in_place(a: np.ndarray) -> None:
     np.exp(a, out=a)
 
 
-def _project(params: LayerParams, u: np.ndarray, rows: int, chunk_size: int | None):
-    """generate_coefficients of the checked u (batch, t, d), normalized into
-    ``rows`` rows: those from t on are zero padding, their gates set to 1 and
-    B = C = x = 0 there, so they leave the state as it is and add zeros.
-    gamma is folded into the projection operands."""
+def _project(params: LayerParams, u: np.ndarray, chunk_size: int | None):
+    """Coefficients of the checked u (batch, t, d), padded to whole chunks
+    (one when chunk_size is None): rows from t on have gates 1 and
+    B = C = x = 0, so they leave the state as it is and add zeros."""
     b, t, d = u.shape
     h, n = params.heads, params.state_dim
+    rows = t if chunk_size is None else -(-t // chunk_size) * chunk_size
     rms = np.einsum("btd,btd->bt", u, u)
     rms /= d
     rms += RMS_EPS
@@ -337,19 +329,17 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         params:     layer parameters.
         u:          (batch, length, d) input channels.
         state:      optional (batch, H, N) kernel state entering the layer.
-        chunk_size: chunk length for the chunked kernel and for the input
-                    and output projections of every kernel: each is one
-                    product per chunk (see generate_coefficients).
+        chunk_size: chunk length of the kernel and of the input and output
+                    projections, one product per chunk; under the dense
+                    kernel one chunk spans the call, as chunk_size = length.
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
 
-    Under every kernel but dense (whose one block spans the call) a ragged
-    length runs padded to a whole number of chunks when chunk_size is given:
-    the normalized rows gain zero rows, whose gates are 1 (see
-    ``_project``), so every product and the kernel call are chunk-aligned,
-    and v is the real rows of the padded output.  Its rows are those of any
-    longer call over the same first positions, bit for bit.
+    A ragged length runs padded to whole chunks by ``_project``, so every
+    product and the kernel call are chunk-aligned, and v is the real rows of
+    the padded output: those of any longer call over the same first
+    positions, bit for bit.  The dense kernel's one chunk is never ragged.
 
     Returns:
         (v, new_state): output channels and the kernel state at the end of
@@ -365,9 +355,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         chunk_size = _as_int(chunk_size, "chunk size", 1)
     if kernel == "chunked" and chunk_size is None:
         raise ValidationError("chunk_size is required for the chunked kernel")
-    t = u.shape[1]
-    rows = t if kernel == "dense" or chunk_size is None else -(-t // chunk_size) * chunk_size
-    coeffs, x = _project(params, u, rows, chunk_size)
+    if kernel == "dense":
+        chunk_size = None  # the products' one chunk spans the call, as the kernel's does
+    coeffs, x = _project(params, u, chunk_size)
 
     if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault)
@@ -377,9 +367,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
     del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
-    v = _chunk_matmul(y, params.W_out, chunk_size)
-    if rows > t:
-        v = v[:, :t]
+    v = _chunk_matmul(y, params.W_out, chunk_size)[:, :u.shape[1]]
     v += u
     return v, hT
 
@@ -649,6 +637,6 @@ def load_state_snapshot(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"state snapshot is not valid JSON: {exc}") from exc
     return import_state_snapshot(doc)

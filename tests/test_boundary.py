@@ -34,11 +34,15 @@ from ssdkit import (
     info_nce_loss,
     inter_chunk_correction,
     load_model,
+    load_model_spec,
+    load_state_snapshot,
     propagate_states,
     random_coefficients,
+    read_records,
     recurrent_scan,
     save_model,
     stage_flops,
+    tokenize_words,
 )
 from ssdkit.model_io import spec_from_config
 
@@ -69,6 +73,16 @@ def model_file(tmp_path, **header):
     save_model(path, MODEL)
     line, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps({**json.loads(line), **header}).encode() + b"\n" + payload)
+    return path
+
+
+NOT_UTF8 = b"hello \xff\xfe world\n"
+
+
+def text_file(tmp_path, data: bytes):
+    """A file holding data; returns its path."""
+    path = tmp_path / "text.txt"
+    path.write_bytes(data)
     return path
 
 
@@ -162,6 +176,8 @@ CASES = {
         lambda tmp: info_nce_loss(VEC, VEC, negatives=None), ValidationError),
     "cosine_similarity-lengths": (
         lambda tmp: cosine_similarity(VEC, np.ones(3)), DimensionError),
+    "tokenize_words-lone-surrogate": (
+        lambda tmp: tokenize_words("hello \udcff world", 16), ValidationError),
     # documents
     "export_state_snapshot-3d": (
         lambda tmp: export_state_snapshot(np.zeros((1, 2, 2))), DimensionError),
@@ -178,6 +194,14 @@ CASES = {
     "model-float-version": (lambda tmp: load_model(model_file(tmp, version=1.0)), FormatError),
     "model-string-payload-bytes": (
         lambda tmp: load_model(model_file(tmp, payload_bytes="3264")), FormatError),
+    "spec-file-not-utf8": (
+        lambda tmp: load_model_spec(text_file(tmp, NOT_UTF8)), FormatError),
+    "snapshot-file-not-utf8": (
+        lambda tmp: load_state_snapshot(text_file(tmp, NOT_UTF8)), FormatError),
+    "records-file-not-utf8": (
+        lambda tmp: read_records(text_file(tmp, NOT_UTF8)), ValidationError),
+    "records-field-over-the-csv-limit": (
+        lambda tmp: read_records(text_file(tmp, b"x" * 200_000)), ValidationError),
 }
 
 

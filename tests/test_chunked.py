@@ -511,7 +511,9 @@ class TestMaskTiles:
     @pytest.mark.parametrize("b,t,h,n,q,chunks", [
         (2, 4096, 2, 4, 16, None), (2, 4096, 2, 4, 16, 1), (2, 4096, 2, 4, 16, 256),
         (2, 1024, 2, 2, 4, 256),
-    ], ids=["None", "1", "256", "one-tile-q4-n2"])
+        # ragged lengths: y spans whole chunks, trimmed at the return
+        (2, 4100, 2, 4, 16, None), (3, 1001, 2, 2, 4, 7),
+    ], ids=["None", "1", "256", "one-tile-q4-n2", "None-ragged", "7-ragged-q4-n2"])
     def test_traced_peak_matches_the_closed_form(self, b, t, h, n, q, chunks):
         coeffs, x, _ = random_problem(7, b, t, h, n, with_state=False)
         if chunks is None:

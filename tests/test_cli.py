@@ -384,6 +384,31 @@ class TestEmbedCommand:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("args", [["embed", "{bad}"], ["embed", "-"],
+                                      ["embed", "--model", "{bad}.json", "{good}"],
+                                      ["report", "{bad}"]],
+                             ids=["embed-file", "embed-stdin", "model-spec", "report-csv"])
+    def test_text_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                      args):
+        raw = b"hello \xff\xfe world\n"
+        (tmp_path / "bad").write_bytes(raw)
+        (tmp_path / "bad.json").write_bytes(raw)
+        (tmp_path / "good").write_text(self.TEXT)
+        # stdin strict, as under a UTF-8 locale; under UTF-8 mode it would
+        # carry the bad bytes as lone surrogates, which the tokenizer refuses
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        rc = main([a.format(bad=tmp_path / "bad", good=tmp_path / "good") for a in args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "utf-8" in captured.err and captured.out == ""
+
+    def test_stdin_bytes_escaped_to_surrogates_are_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello \udcff\udcfe world\n"))
+        rc = main(["embed", "-"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err and captured.out == ""
+
     def test_model_file_argument(self, tmp_path, capsys):
         spec = ModelSpec(seed=5, L=2, d=8, H=2, N=2, vocab_size=32, Q=4, V=8)
         model_path = tmp_path / "m.ssdm"

@@ -214,6 +214,35 @@ class TestProjectionRowInvariance:
                 assert np.array_equal(part, v[:, s:s + span])
             assert np.array_equal(state, hT)
 
+    # a ragged call is padded to whole chunks and trimmed, so every prefix
+    # gives the first rows of the whole call, and those rows are the
+    # coefficients layer_forward's kernel reads
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_prefix_gives_the_rows_the_kernel_reads(self, data):
+        batch = data.draw(st.integers(1, 3), "batch")
+        t = data.draw(st.integers(1, 200), "T")
+        q = data.draw(st.sampled_from((1, 3, 4, 16, 32)), "Q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), "seed"))
+        u = rng.standard_normal((batch, t, 16))
+        coeffs, x = generate_coefficients(self.LAYER, u, q)
+        whole = (coeffs.a, coeffs.Bmat, coeffs.Cmat, x)
+        fed = []
+
+        def spy(c, xs, *args, **kwargs):
+            fed.append((c.a, c.Bmat, c.Cmat, xs))
+            return chunked_forward(c, xs, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stack, "chunked_forward", spy)
+            layer_forward(self.LAYER, u, None, q)
+        for got, ref in zip(whole, fed[0]):
+            assert np.array_equal(got, ref[:, :t])
+        for s in range(1, t):
+            part, xs = generate_coefficients(self.LAYER, u[:, :s], q)
+            for got, ref in zip((part.a, part.Bmat, part.Cmat, xs), whole):
+                assert np.array_equal(got, ref[:, :s]), s
+
     # an aligned call is one np.matmul over the (batch, chunks, Q, k) view;
     # its bits are those of one product per chunk
     @pytest.mark.parametrize("operand", ["w_gate", "W_in", "W_out"])
@@ -544,6 +573,27 @@ class TestInferProperties:
             assert np.array_equal(tail_hidden, hidden[:, s:])
             assert np.array_equal(tail.states, whole.states)
         assert np.array_equal(infer(model, tok, None, q).hidden[:, :t], hidden)
+
+    # the dense kernel runs one chunk spanning the call, its projections
+    # included, whatever chunk size it is given: the chunked map at Q = T
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_is_the_chunked_kernel_at_q_equal_to_t(self, data):
+        batch = data.draw(st.sampled_from((1, 2)), "batch")
+        t = data.draw(st.integers(1, 120), "T")
+        q = data.draw(st.sampled_from((1, 2, 3, 4, 8, 16)), "Q")
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        tok = tokens_for(self.SPEC, t, batch, seed=seed)
+        states = None
+        if data.draw(st.booleans(), "carried"):
+            states = np.random.default_rng(seed).standard_normal(
+                (self.SPEC.L, batch, self.SPEC.H, self.SPEC.N))
+        dense = infer(self.MODEL, tok, None, q, kernel="dense", initial_states=states)
+        ref = infer(self.MODEL, tok, None, t, initial_states=states)
+        assert np.array_equal(dense.hidden, ref.hidden)
+        assert np.array_equal(dense.states, ref.states)
+        assert dense.flops == ref.flops
+        assert dense.ledger == ref.ledger
 
     # the recurrent kernel runs a ragged call padded to whole chunks too, so
     # its projections have the shapes of a longer call's and give its bits
