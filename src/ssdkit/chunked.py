@@ -355,7 +355,7 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     y, b * chunks * Q * h elements however ragged the length, and the state
     carried in.  Temporaries inside one expression are not counted.
     """
-    b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
+    b, h, n = _as_int(b, "batch", 1), _as_int(h, "heads", 1), _as_int(n, "state size", 1)
     t, q, k, last = _partition(t, chunk_size)
     s = min(k, _tile_chunks(h, q))
     g = b * h * n  # one state
@@ -385,7 +385,7 @@ def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
     unless carry_in (a state h0 is passed).  These are the counts of the
     unfaulted kernel: a fault mode changes what a stage computes, not this.
     """
-    b, h, n = _as_int(b, "batch"), _as_int(h, "heads"), _as_int(n, "state size")
+    b, h, n = _as_int(b, "batch", 1), _as_int(h, "heads", 1), _as_int(n, "state size", 1)
     t, chunk_size, k, tail = _partition(t, chunk_size)
     if not isinstance(carry_in, bool):
         raise ValidationError(f"carry_in must be a bool, got {carry_in!r}")

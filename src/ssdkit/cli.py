@@ -281,8 +281,7 @@ def _cmd_embed(args) -> int:
         text = format_query(args.format_query, text)
     ids = tokenize_words(text, model.spec.vocab_size)
     if not ids:
-        print("error: input contains no tokens", file=sys.stderr)
-        return 2
+        raise ValidationError("input contains no tokens")
     chunk = args.q if args.q is not None else model.spec.Q
     # None under the horizontal schedule: --v and --memory-cap need --vertical
     block = args.v if args.v is not None else (chunk if args.memory_cap else None)

@@ -63,10 +63,11 @@ _F64 = np.dtype(np.float64)
 
 
 def _real_array(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """arr as a float64 array of exactly ``shape`` (when given): float and
+    """arr as a float64 array of exactly ``shape`` (when given) and no empty
+    extent, the one such check of every array from a caller: float and
     (unsigned) integer input is converted, any other dtype (complex, bool,
     strings, objects) refused.  A float64 ndarray, such as every array the
-    kernel builds for itself, is returned as it is after the shape test."""
+    kernel builds for itself, is returned as it is after these tests."""
     if type(arr) is not np.ndarray or arr.dtype != _F64:
         arr = np.asarray(arr)
         if arr.dtype.kind not in "fiu":
@@ -74,6 +75,8 @@ def _real_array(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndar
         arr = arr.astype(_F64, copy=False)
     if shape is not None and arr.shape != shape:
         raise DimensionError(f"{name} shape {arr.shape} does not match {shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{name} shape {arr.shape} has an empty extent")
     return arr
 
 
@@ -89,7 +92,9 @@ def _as_f64(arr, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
 
 
 class SsmCoefficients:
-    """Per-position coefficient tensors for one sequence layer.
+    """Per-position coefficient tensors for one sequence layer, checked on
+    construction unless ``validate=False``: finite, no empty extent, shapes
+    that agree and transitions in (0, 1].
 
     Attributes:
         a:    (batch, length, heads) transition scalars in (0, 1].
@@ -114,8 +119,6 @@ class SsmCoefficients:
                     f"coefficient extents disagree: a {a.shape}, "
                     f"Bmat {Bmat.shape}, Cmat {Cmat.shape}"
                 )
-            if a.shape[1] < 1:
-                raise ValidationError("sequence length must be at least 1")
             if not np.all((a > 0.0) & (a <= 1.0)):
                 raise ValidationError("transition scalars must lie in (0, 1]")
         self.a = a
@@ -205,8 +208,6 @@ def build_kernel_matrix(a) -> np.ndarray:
     a = _as_f64(a, "a")
     if a.ndim != 1:
         raise DimensionError(f"expected 1-D transition series, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValidationError("transition series must have length >= 1")
     if not np.all(a > 0.0):
         raise ValidationError("transition scalars must be positive")
     q = a.shape[0]

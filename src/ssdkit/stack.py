@@ -16,11 +16,13 @@ layer across blocks.  The two schedules are two block lengths:
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
 
-One rule handles a ragged length (not a multiple of Q, such as every
-embedding query): ``_project`` pads it with zero rows in the normalized
-buffer each layer makes anyway, its gates 1 there, and its callers trim
-once.  Under the dense kernel one chunk spans the call, so it is the chunked
-kernel at Q = T bit for bit.  No product or kernel call sees a ragged
+A layer call checks its input and resolves its chunk to one integer at its
+entry (``_layer_input``): the chunk size given, or one chunk spanning the
+call when None and under the dense kernel, which is therefore the chunked
+kernel at Q = T bit for bit.  One rule handles a ragged length (not a
+multiple of Q, such as every embedding query): ``_project`` pads it with
+zero rows in the normalized buffer each layer makes anyway, its gates 1
+there, and its callers trim once.  No product or kernel call sees a ragged
 length, and a ragged block gives the bits of the same rows of any longer one.
 
 Both return an InferenceResult with the final block's hidden states, the
@@ -229,28 +231,27 @@ class InferenceResult:
     states: np.ndarray | None
 
 
-def _check_channels(params: LayerParams, u) -> np.ndarray:
+def _layer_input(params: LayerParams, u, chunk_size) -> tuple[np.ndarray, int]:
+    """u checked as a layer input (batch, length, d), and the chunk of the
+    call's products: chunk_size, or the call's length when it is None."""
     u = _as_f64(u, "u")
     if u.ndim != 3 or u.shape[2] != params.d:
         raise DimensionError(
             f"layer input shape {u.shape} does not match (batch, length, {params.d})")
-    if u.shape[1] < 1:
-        raise ValidationError("sequence length must be at least 1")
-    return u
+    return u, u.shape[1] if chunk_size is None else _as_int(chunk_size, "chunk size", 1)
 
 
-def _chunk_matmul(x: np.ndarray, w: np.ndarray, chunk_size: int | None) -> np.ndarray:
+def _chunk_matmul(x: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
     """x[:, i] @ w for every position i, one batched product per chunk.
 
-    x is (batch, length, k), whole chunks of chunk_size (one when None):
-    one np.matmul over the (batch, chunks, chunk_size, k) view.  A single
-    product over all rows is not used because it is not row-slice invariant:
-    the bits of a row can depend on how many rows share the call.  Fixing
-    every product's shape to its chunk gives a position the same bits in any
-    call whose chunks start where its own do.
+    x is (batch, length, k), whole chunks of q positions: one np.matmul over
+    the (batch, chunks, q, k) view.  A single product over all rows is not
+    used because it is not row-slice invariant: the bits of a row can depend
+    on how many rows share the call.  Fixing every product's shape to its
+    chunk gives a position the same bits in any call whose chunks start where
+    its own do.
     """
     b, t, k = x.shape
-    q = t if chunk_size is None else chunk_size
     return np.matmul(x.reshape(b, -1, q, k), w).reshape(b, t, -1)
 
 
@@ -263,7 +264,7 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     a = 0.5, and logits beyond the float range saturate to exactly 0 or 1.
 
     The projections are one BLAS product per chunk of ``chunk_size``
-    positions (one chunk spanning the call when None, see ``_chunk_matmul``):
+    positions (one chunk spanning the call when None, see ``_layer_input``):
     one with w_gate for the gate logits and one with the stacked W_in for B,
     C and x, both with gamma folded in.  A ragged length is padded to whole
     chunks, so these are the coefficients ``layer_forward``'s kernel reads,
@@ -272,11 +273,9 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
     channel, views of the padded buffers; B, C and x share one.
     """
-    u = _check_channels(params, u)
-    if chunk_size is not None:
-        chunk_size = _as_int(chunk_size, "chunk size", 1)
+    u, q = _layer_input(params, u, chunk_size)
     t = u.shape[1]
-    coeffs, x = _project(params, u, chunk_size)
+    coeffs, x = _project(params, u, q)
     return coeffs.slice_time(0, t), x[:, :t]
 
 
@@ -285,13 +284,13 @@ def _exp_in_place(a: np.ndarray) -> None:
     np.exp(a, out=a)
 
 
-def _project(params: LayerParams, u: np.ndarray, chunk_size: int | None):
-    """Coefficients of the checked u (batch, t, d), padded to whole chunks
-    (one when chunk_size is None): rows from t on have gates 1 and
-    B = C = x = 0, so they leave the state as it is and add zeros."""
+def _project(params: LayerParams, u: np.ndarray, q: int):
+    """Coefficients of the checked u (batch, t, d), padded to whole chunks of
+    q: rows from t on have gates 1 and B = C = x = 0, so they leave the state
+    as it is and add zeros."""
     b, t, d = u.shape
     h, n = params.heads, params.state_dim
-    rows = t if chunk_size is None else -(-t // chunk_size) * chunk_size
+    rows = -(-t // q) * q
     rms = np.einsum("btd,btd->bt", u, u)
     rms /= d
     rms += RMS_EPS
@@ -302,8 +301,8 @@ def _project(params: LayerParams, u: np.ndarray, chunk_size: int | None):
         un = np.zeros((b, rows, d))
         np.divide(u, rms[..., None], out=un[:, :t])
     del rms  # not kept through the products
-    a = _chunk_matmul(un, params.w_gate.T, chunk_size)
-    proj = _chunk_matmul(un, params.W_in.T, chunk_size)
+    a = _chunk_matmul(un, params.w_gate.T, q)
+    proj = _chunk_matmul(un, params.W_in.T, q)
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
     # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
     # runs one H-long inner loop per position
@@ -330,8 +329,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         u:          (batch, length, d) input channels.
         state:      optional (batch, H, N) kernel state entering the layer.
         chunk_size: chunk length of the kernel and of the input and output
-                    projections, one product per chunk; under the dense
-                    kernel one chunk spans the call, as chunk_size = length.
+                    projections, one product per chunk; required by the
+                    chunked kernel.  One chunk spans the call when it is None
+                    and under the dense kernel, as chunk_size = length.
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
@@ -350,24 +350,22 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if fault is not None and kernel != "chunked":
         raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
                               f"not {kernel!r}")
-    u = _check_channels(params, u)
-    if chunk_size is not None:
-        chunk_size = _as_int(chunk_size, "chunk size", 1)
+    u, q = _layer_input(params, u, chunk_size)
     if kernel == "chunked" and chunk_size is None:
         raise ValidationError("chunk_size is required for the chunked kernel")
     if kernel == "dense":
-        chunk_size = None  # the products' one chunk spans the call, as the kernel's does
-    coeffs, x = _project(params, u, chunk_size)
+        q = u.shape[1]  # the products' one chunk spans the call, as the kernel's does
+    coeffs, x = _project(params, u, q)
 
     if kernel == "chunked":
-        y, hT = chunked_forward(coeffs, x, chunk_size, state, fault=fault)
+        y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
     else:
         y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
     del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
-    v = _chunk_matmul(y, params.W_out, chunk_size)[:, :u.shape[1]]
+    v = _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
     v += u
     return v, hT
 
@@ -377,17 +375,17 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
     The buffers live in order: the input u throughout; the normalized un
     until a, B, C and x exist; then the kernel's workspace, which for the
-    recurrent kernel is its output y alone; then y and the output v.  Under
-    every kernel but dense each spans t rounded up to whole chunks (see
-    layer_forward), and the kernel call is chunk-aligned.
+    recurrent kernel is its output y alone; then y and the output v.  Each
+    spans t rounded up to whole chunks of q, one chunk of t under the dense
+    kernel (see layer_forward), and the kernel call is chunk-aligned.
     """
-    if kernel != "dense":
-        t = -(-t // q) * q
+    if kernel == "dense":
+        q = t
+    t = -(-t // q) * q
     P = batch * t * spec.d  # u, un, v
     E = batch * t * spec.H  # a, x, y
     F = E * spec.N          # B, C
-    W = E if kernel == "recurrent" else workspace_elements(
-        batch, t, spec.H, spec.N, t if kernel == "dense" else q)
+    W = E if kernel == "recurrent" else workspace_elements(batch, t, spec.H, spec.N, q)
     return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
 
 
@@ -566,12 +564,12 @@ def export_state_snapshot(states) -> dict:
 def import_state_snapshot(doc: dict) -> np.ndarray:
     """Inverse of export_state_snapshot, with structural validation.
 
-    Dimensions must be non-negative integers and every state value a finite
-    JSON number; anything else is a FormatError, never coerced.
+    Dimensions must be positive integers and every state value a finite JSON
+    number; anything else is a FormatError, never coerced.
     """
     try:
         version = _as_int(doc["version"], "snapshot version", error=FormatError)
-        dims = tuple(_as_int(doc[k], k, 0, error=FormatError)
+        dims = tuple(_as_int(doc[k], k, 1, error=FormatError)
                      for k in ("layer_count", "b", "h", "n"))
         flat = doc["states"]
     except (KeyError, TypeError) as exc:

@@ -18,6 +18,7 @@ from ssdkit import (
     LossConfig,
     ModelSpec,
     SsdError,
+    SsmCoefficients,
     StackedModel,
     SweepConfig,
     ValidationError,
@@ -28,6 +29,7 @@ from ssdkit import (
     dense_dual,
     embed_sequence,
     export_state_snapshot,
+    generate_coefficients,
     generate_model,
     import_state_snapshot,
     infer,
@@ -36,6 +38,7 @@ from ssdkit import (
     load_model,
     load_model_spec,
     load_state_snapshot,
+    layer_forward,
     propagate_states,
     random_coefficients,
     read_records,
@@ -43,6 +46,7 @@ from ssdkit import (
     save_model,
     stage_flops,
     tokenize_words,
+    workspace_elements,
 )
 from ssdkit.model_io import spec_from_config
 
@@ -52,6 +56,7 @@ TOKENS = np.arange(6)[None, :]
 COEFFS = random_coefficients(np.random.default_rng(0), 1, 8, 2, 3)
 X = np.ones((1, 8, 2))
 VEC = np.ones(4)
+BATCH_0 = (COEFFS.a[:0], COEFFS.Bmat[:0], COEFFS.Cmat[:0])
 
 
 def layer(**overrides):
@@ -60,6 +65,12 @@ def layer(**overrides):
     tensors = {name: getattr(first, name)
                for name in ("w_a", "b_a", "W_B", "W_C", "W_x", "W_out", "gamma")}
     return LayerParams(**{**tensors, **overrides})
+
+
+def zero_heads():
+    """LayerParams of MODEL's shape with no heads."""
+    return layer(w_a=np.ones((0, 8)), b_a=np.ones(0), W_B=np.ones((0, 2, 8)),
+                 W_C=np.ones((0, 2, 8)), W_x=np.ones((0, 8)), W_out=np.ones((0, 8)))
 
 
 def snapshot(**overrides):
@@ -122,6 +133,26 @@ CASES = {
     "propagate_states-transitions-shape": (
         lambda tmp: propagate_states(np.ones((1, 2, 1, 1)), np.ones((1, 3, 1)),
                                      np.zeros((1, 1, 1))), DimensionError),
+    "SsmCoefficients-batch-0": (lambda tmp: SsmCoefficients(*BATCH_0), ValidationError),
+    "SsmCoefficients-length-0": (
+        lambda tmp: SsmCoefficients(COEFFS.a[:, :0], COEFFS.Bmat[:, :0], COEFFS.Cmat[:, :0]),
+        ValidationError),
+    "chunked_forward-batch-0-unchecked-coeffs": (
+        lambda tmp: chunked_forward(SsmCoefficients(*BATCH_0, validate=False), X[:0], 4),
+        ValidationError),
+    "recurrent_scan-batch-0-unchecked-coeffs": (
+        lambda tmp: recurrent_scan(SsmCoefficients(*BATCH_0, validate=False), X[:0]),
+        ValidationError),
+    "cumulative_transition-empty-series": (
+        lambda tmp: cumulative_transition(np.ones(0), 0, 0), ValidationError),
+    "stage_flops-batch--1": (
+        lambda tmp: stage_flops(-1, 8, 2, 3, 4, carry_in=False), ValidationError),
+    "stage_flops-zero-heads": (
+        lambda tmp: stage_flops(1, 8, 0, 3, 4, carry_in=False), ValidationError),
+    "workspace_elements-batch--1": (lambda tmp: workspace_elements(-1, 8, 2, 3, 4),
+                                    ValidationError),
+    "workspace_elements-zero-heads": (lambda tmp: workspace_elements(1, 8, 0, 3, 4),
+                                      ValidationError),
     "inter_chunk_correction-b_prev-shape": (
         lambda tmp: inter_chunk_correction(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4, 3)),
                                            np.ones((1, 2, 1, 2))), DimensionError),
@@ -130,6 +161,9 @@ CASES = {
     "LayerParams-3d-w_a": (lambda tmp: layer(w_a=np.ones((2, 8, 1))), DimensionError),
     "LayerParams-1d-W_B": (lambda tmp: layer(W_B=np.ones(8)), DimensionError),
     "LayerParams-W_C-shape": (lambda tmp: layer(W_C=np.ones((2, 3, 8))), DimensionError),
+    "LayerParams-zero-heads": (lambda tmp: zero_heads(), ValidationError),
+    "LayerParams-zero-state": (
+        lambda tmp: layer(W_B=np.ones((2, 0, 8)), W_C=np.ones((2, 0, 8))), ValidationError),
     "StackedModel-embedding-shape": (
         lambda tmp: StackedModel(SPEC, np.ones((15, 8)), MODEL.layers), DimensionError),
     "StackedModel-layer-count": (
@@ -140,7 +174,18 @@ CASES = {
                                                          W_C=np.ones((2, 3, 8)))]),
         DimensionError),
     "ModelSpec-float-L": (lambda tmp: ModelSpec(L=2.5), ValidationError),
-    # inference
+    # layers and inference
+    "layer_forward-batch-0-u": (
+        lambda tmp: layer_forward(MODEL.layers[0], np.ones((0, 4, 8)), None, 4), ValidationError),
+    "layer_forward-length-0-u": (
+        lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, 0, 8)), None, 4), ValidationError),
+    "generate_coefficients-batch-0-u": (
+        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((0, 4, 8)), 4),
+        ValidationError),
+    "generate_coefficients-length-0-u": (
+        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 0, 8)), 4),
+        ValidationError),
+    "infer-3d-tokens": (lambda tmp: infer(MODEL, np.zeros((1, 2, 3), int)), DimensionError),
     "infer-non-callable-sink": (lambda tmp: infer(MODEL, TOKENS, 4, sink=3), ValidationError),
     "infer-initial_states-shape": (
         lambda tmp: infer(MODEL, TOKENS, initial_states=np.zeros((2, 1, 2, 3))),
@@ -176,11 +221,19 @@ CASES = {
         lambda tmp: info_nce_loss(VEC, VEC, negatives=None), ValidationError),
     "cosine_similarity-lengths": (
         lambda tmp: cosine_similarity(VEC, np.ones(3)), DimensionError),
+    "cosine_similarity-empty": (lambda tmp: cosine_similarity([], []), ValidationError),
+    "info_nce_loss-empty": (lambda tmp: info_nce_loss([], []), ValidationError),
+    "info_nce_loss-empty-negative": (
+        lambda tmp: info_nce_loss(VEC, VEC, negatives=[[]]), ValidationError),
     "tokenize_words-lone-surrogate": (
         lambda tmp: tokenize_words("hello \udcff world", 16), ValidationError),
     # documents
     "export_state_snapshot-3d": (
         lambda tmp: export_state_snapshot(np.zeros((1, 2, 2))), DimensionError),
+    "export_state_snapshot-batch-0": (
+        lambda tmp: export_state_snapshot(np.zeros((2, 0, 2, 2))), ValidationError),
+    "snapshot-batch-0": (lambda tmp: import_state_snapshot(snapshot(b=0, states=[[], []])),
+                         FormatError),
     "snapshot-bool-version": (lambda tmp: import_state_snapshot(snapshot(version=True)),
                               FormatError),
     "snapshot-float-version": (lambda tmp: import_state_snapshot(snapshot(version=1.0)),

@@ -1,11 +1,16 @@
-"""Command-line interface: subcommands run in process, exit codes pinned.
+"""Command-line interface: subcommands run in process, exit codes pinned;
+``TestModuleEntryPoint`` runs ``python -m ssdkit`` in a fresh interpreter.
 
 0 = success, 1 = an equivalence check failed, 2 = usage or input error.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +94,23 @@ class TestEquivalenceCommand:
         assert rc == 2
         assert "[PASS]" not in captured.out
         assert "error:" in captured.err
+
+
+class TestModuleEntryPoint:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("args,rc,stream,text", [
+        (EQ_ARGS, 0, "stdout", "[PASS]"),
+        (["equivalence", "--grid-t", "4,x"], 2, "stderr", "expected comma-separated integers"),
+    ], ids=["equivalence", "bad-grid"])
+    def test_python_dash_m_runs_main(self, args, rc, stream, text):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "ssdkit", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        assert text in getattr(proc, stream)
 
 
 class TestSweepAndReportCommands:

@@ -1,5 +1,5 @@
 """Every function the perfbench tracer wraps by name exists in the package,
-and ``infer`` reaches the kernel and its stages through those names.
+and ``infer`` reaches the kernels and the stages through those names.
 
 The tracer looks each name up with getattr when a traced run starts, so a
 renamed or deleted function would otherwise surface only there.
@@ -45,7 +45,7 @@ def test_every_traced_name_is_a_callable_of_its_module(short):
 # through anything but its module attribute would run untraced, and the
 # per-stage metrics that divide by those spans would read nothing.
 WRAPPED = {"stack": ("layer_forward",),
-           "chunked": ("chunked_forward", "intra_chunk", "propagate_states",
+           "chunked": ("chunked_forward", "dense_dual", "intra_chunk", "propagate_states",
                        "inter_chunk_correction")}
 STAGES = ("chunked.intra_chunk", "chunked.propagate_states", "chunked.inter_chunk_correction")
 
@@ -98,3 +98,19 @@ def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, bloc
     for cid, _ in kernels:
         children = [names[c] for _, c, parent in calls if parent == cid]
         assert children == list(STAGES) * tiles
+
+
+def test_the_dense_route_reaches_the_kernel_through_dense_dual(monkeypatch):
+    spec = ModelSpec(seed=14, L=2, d=8, H=2, N=3, vocab_size=32, Q=4)
+    model = generate_model(spec)
+    tok = np.random.default_rng(3).integers(0, spec.vocab_size - 1, 48)
+    states = np.full((spec.L, 1, spec.H, spec.N), 0.5)  # so stage 3 runs
+    calls = record_calls(monkeypatch)
+    infer(model, tok, kernel="dense", initial_states=states)
+
+    names = {cid: name for name, cid, _ in calls}
+    tree = [(name, names.get(parent)) for name, _, parent in calls]
+    assert tree == [("stack.layer_forward", None),
+                    ("chunked.dense_dual", "stack.layer_forward"),
+                    ("chunked.chunked_forward", "chunked.dense_dual"),
+                    *[(stage, "chunked.chunked_forward") for stage in STAGES]] * spec.L
