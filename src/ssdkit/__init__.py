@@ -7,8 +7,11 @@ set never exceeds chunk-sized blocks) plus two cross-layer schedules
 layers with carried states, activation memory independent of sequence
 length).  Instrumentation (activation-memory ledger, per-stage flop counts),
 deterministic model generation/serialization, a text-embedding head, and a
-benchmarking CLI sit on top.
+benchmarking CLI sit on top.  The sweep and equivalence harness
+(``ssdkit.bench``) is loaded on first use of one of its names, not on import.
 """
+
+import importlib
 
 from .errors import (CapacityError, DimensionError, FormatError, IntegrityError,
                      SsdError, ValidationError)
@@ -26,9 +29,11 @@ from .embedding import (EmbeddingOutput, LossConfig, QUERY_TEMPLATE, cosine_simi
                         embed_sequence, format_query, info_nce_loss, tokenize_words)
 from .model_io import (expected_payload_bytes, generate_model, load_model,
                        load_model_spec, model_payload, save_model, save_model_spec)
-from .bench import (BenchRecord, CSV_HEADER, EquivalenceConfig, EquivalenceReport,
-                    STRATEGIES, SweepConfig, read_records, run_equivalence, run_sweep,
-                    summarize_records, write_records)
+
+# the names of ssdkit.bench, which no inference or embedding call uses
+_BENCH_NAMES = ("STRATEGIES", "CSV_HEADER", "EquivalenceConfig", "EquivalenceReport",
+                "run_equivalence", "SweepConfig", "BenchRecord", "run_sweep", "write_records",
+                "read_records", "summarize_records")
 
 __version__ = "0.1.0"
 
@@ -50,7 +55,17 @@ __all__ = [
     "tokenize_words", "embed_sequence", "cosine_similarity", "info_nce_loss",
     "generate_model", "model_payload", "expected_payload_bytes", "save_model",
     "load_model", "save_model_spec", "load_model_spec",
-    "STRATEGIES", "CSV_HEADER", "EquivalenceConfig", "EquivalenceReport",
-    "run_equivalence", "SweepConfig", "BenchRecord", "run_sweep", "write_records",
-    "read_records", "summarize_records",
+    *_BENCH_NAMES,
 ]
+
+
+def __getattr__(name):
+    """``ssdkit.bench`` and its names, imported on first access (PEP 562)."""
+    if name == "bench" or name in _BENCH_NAMES:
+        bench = importlib.import_module(".bench", __name__)
+        return bench if name == "bench" else getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "bench", *_BENCH_NAMES})

@@ -159,6 +159,8 @@ def random_coefficients(rng: np.random.Generator, batch: int, length: int,
     products stay positive and bounded; B and C are scaled to keep readouts
     O(1) at any state size.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     counts = dict(batch=batch, length=length, heads=heads, state_dim=state_dim)
     batch, length, heads, state_dim = (_as_int(v, k, 1) for k, v in counts.items())
     z = rng.standard_normal((batch, length, heads))

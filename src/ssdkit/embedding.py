@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import _as_int, _positive_real, _real_array
 from .errors import DimensionError, ValidationError
-from .stack import StackedModel, _check_tokens, horizontal_infer, vertical_infer
+from .stack import StackedModel, _check_tokens, _model_spec, horizontal_infer, vertical_infer
 
 __all__ = [
     "QUERY_TEMPLATE",
@@ -90,10 +90,11 @@ def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
                   under the horizontal strategy, whose one block spans the
                   sequence.
     """
-    tokens = _check_tokens(tokens, model.spec.eos_id)  # ids stop below the terminal id
+    eos = _model_spec(model).eos_id
+    tokens = _check_tokens(tokens, eos)  # ids stop below the terminal id
     if tokens.ndim != 1:
         raise DimensionError(f"embed_sequence takes a single 1-D sequence, got {tokens.shape}")
-    full = np.full(tokens.size + 1, model.spec.eos_id, np.int64)
+    full = np.full(tokens.size + 1, eos, np.int64)
     full[:-1] = tokens
 
     if strategy == "horizontal":

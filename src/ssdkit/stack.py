@@ -202,8 +202,13 @@ class StackedModel:
     layers: list[LayerParams] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.spec, ModelSpec):
+            raise ValidationError(f"spec must be a ModelSpec, got {type(self.spec).__name__}")
         self.embedding = _as_f64(self.embedding, "embedding",
                                  (self.spec.vocab_size, self.spec.d))
+        if not isinstance(self.layers, (list, tuple)) or not all(
+                isinstance(layer, LayerParams) for layer in self.layers):
+            raise ValidationError("layers must be a list of LayerParams")
         if len(self.layers) != self.spec.L:
             raise DimensionError(
                 f"model has {len(self.layers)} layers, spec says {self.spec.L}")
@@ -229,6 +234,13 @@ class InferenceResult:
     ledger: MemoryLedger
     flops: FlopCounter
     states: np.ndarray | None
+
+
+def _model_spec(model) -> ModelSpec:
+    """The spec of model, checked once per call to be a StackedModel."""
+    if not isinstance(model, StackedModel):
+        raise ValidationError(f"model must be a StackedModel, got {type(model).__name__}")
+    return model.spec
 
 
 def _layer_input(params: LayerParams, u, chunk_size) -> tuple[np.ndarray, int]:
@@ -376,11 +388,10 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     The buffers live in order: the input u throughout; the normalized un
     until a, B, C and x exist; then the kernel's workspace, which for the
     recurrent kernel is its output y alone; then y and the output v.  Each
-    spans t rounded up to whole chunks of q, one chunk of t under the dense
-    kernel (see layer_forward), and the kernel call is chunk-aligned.
+    spans t rounded up to whole chunks of q, the block's resolved chunk (t
+    under the dense kernel, see ``_block_forms``), and the kernel call is
+    chunk-aligned.
     """
-    if kernel == "dense":
-        q = t
     t = -(-t // q) * q
     P = batch * t * spec.d  # u, un, v
     E = batch * t * spec.H  # a, x, y
@@ -395,10 +406,12 @@ def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str, fresh
     """A block's per-stage flops over the L layers and its footprint, once per
     block shape; the footprint also reads chunked's tile budget, so that is
     part of the key."""
+    if kernel == "dense":
+        q = n  # one chunk spans a dense layer call (see layer_forward)
     elements = _block_elements(spec, batch, n, q, kernel)
     if kernel == "recurrent":
         return (0, 0, 0), elements
-    f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q, carry_in=not fresh)
+    f = stage_flops(batch, n, spec.H, spec.N, q, carry_in=not fresh)
     return (spec.L * f.intra, spec.L * f.propagate, spec.L * f.inter), elements
 
 
@@ -473,7 +486,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     Rows never interact and every operation works per row, so the results
     keep their bits; the ledger, linear in the batch, is unchanged.
     """
-    spec = model.spec
+    spec = _model_spec(model)
     q = _as_int(chunk_size, "chunk size", 1) if chunk_size is not None else spec.Q
     if block_len is not None:
         block_len = _as_int(block_len, "block length", 1)
@@ -530,7 +543,7 @@ def vertical_infer(model: StackedModel, tokens, block_len: int | None = None,
                    sink=None, fault=None) -> InferenceResult:
     """Bounded-memory inference: ``infer`` with blocks of block_len positions
     (default model.spec.V), so activation memory is flat in sequence length."""
-    return infer(model, tokens, block_len if block_len is not None else model.spec.V,
+    return infer(model, tokens, block_len if block_len is not None else _model_spec(model).V,
                  chunk_size, initial_states=initial_states, sink=sink, fault=fault)
 
 

@@ -31,6 +31,7 @@ from ssdkit import (
     export_state_snapshot,
     generate_coefficients,
     generate_model,
+    horizontal_infer,
     import_state_snapshot,
     infer,
     info_nce_loss,
@@ -46,6 +47,7 @@ from ssdkit import (
     save_model,
     stage_flops,
     tokenize_words,
+    vertical_infer,
     workspace_elements,
 )
 from ssdkit.model_io import spec_from_config
@@ -113,6 +115,8 @@ CASES = {
         lambda tmp: cumulative_transition(np.ones(3), 1.0, 0), ValidationError),
     "random_coefficients-zero-state": (
         lambda tmp: random_coefficients(np.random.default_rng(0), 1, 4, 2, 0), ValidationError),
+    "random_coefficients-none-rng": (
+        lambda tmp: random_coefficients(None, 1, 2, 1, 1), ValidationError),
     "random_coefficients-float-length": (
         lambda tmp: random_coefficients(np.random.default_rng(0), 1, 2.5, 2, 2), ValidationError),
     "recurrent_scan-h0-shape": (
@@ -173,6 +177,12 @@ CASES = {
                                  [MODEL.layers[0], layer(W_B=np.ones((2, 3, 8)),
                                                          W_C=np.ones((2, 3, 8)))]),
         DimensionError),
+    "StackedModel-dict-spec": (
+        lambda tmp: StackedModel({}, MODEL.embedding, MODEL.layers), ValidationError),
+    "StackedModel-none-layers": (
+        lambda tmp: StackedModel(SPEC, MODEL.embedding, None), ValidationError),
+    "StackedModel-dict-layers": (
+        lambda tmp: StackedModel(SPEC, MODEL.embedding, [dict()] * SPEC.L), ValidationError),
     "ModelSpec-float-L": (lambda tmp: ModelSpec(L=2.5), ValidationError),
     # layers and inference
     "layer_forward-batch-0-u": (
@@ -185,6 +195,11 @@ CASES = {
     "generate_coefficients-length-0-u": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 0, 8)), 4),
         ValidationError),
+    "infer-none-model": (lambda tmp: infer(None, TOKENS), ValidationError),
+    "horizontal_infer-string-model": (
+        lambda tmp: horizontal_infer("model", TOKENS), ValidationError),
+    "vertical_infer-none-model": (lambda tmp: vertical_infer(None, TOKENS), ValidationError),
+    "embed_sequence-none-model": (lambda tmp: embed_sequence(None, [1, 2]), ValidationError),
     "infer-3d-tokens": (lambda tmp: infer(MODEL, np.zeros((1, 2, 3), int)), DimensionError),
     "infer-non-callable-sink": (lambda tmp: infer(MODEL, TOKENS, 4, sink=3), ValidationError),
     "infer-initial_states-shape": (

@@ -748,14 +748,16 @@ class TestClosedFormsPerShape:
     def closed_forms(spec, kernel, batch, t, q, v, carried):
         step = v or t
         blocks = [(min(step, t - start), carried or start > 0) for start in range(0, t, step)]
+        # (length, chunk, carried in) per block; a dense block is one chunk
+        blocks = [(n, n if kernel == "dense" else q, carry_in) for n, carry_in in blocks]
         flops = FlopCounter()
-        for n, carry_in in blocks if kernel != "recurrent" else ():
-            f = stage_flops(batch, n, spec.H, spec.N, n if kernel == "dense" else q,
-                            carry_in=carry_in)
+        for n, chunk, carry_in in blocks if kernel != "recurrent" else ():
+            f = stage_flops(batch, n, spec.H, spec.N, chunk, carry_in=carry_in)
             flops.intra += spec.L * f.intra
             flops.propagate += spec.L * f.propagate
             flops.inter += spec.L * f.inter
-        peak = max(stack._block_elements(spec, batch, n, q, kernel) for n, _ in blocks)
+        peak = max(stack._block_elements(spec, batch, n, chunk, kernel)
+                   for n, chunk, _ in blocks)
         return flops, spec.L * batch * spec.H * spec.N + peak
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried", [
