@@ -11,7 +11,9 @@ once, on chunk-major arrays (batch, chunks, heads, chunk_size, ...):
                the chunk's inputs at its right boundary;
   2. propagate - boundary states are carried across chunks by one
                multiply-add per chunk (the only sequential stage), on a
-               chunk-first buffer so each step is a contiguous block;
+               chunk-first buffer and over chunk-first increments, so each
+               step reads and writes contiguous blocks (the increments cost
+               one copy of b_intra at batch > 1 over several chunks);
   3. correct - each chunk's output is completed by reading out the state
                carried in from everything before it (one batched C @ state),
                weighted by the decay from the previous boundary to each
@@ -204,7 +206,13 @@ def intra_chunk(a, Bm, Cm, x, *, fault=None):
                  weighted by the decay from its position to that boundary.
     """
     _check_fault(fault)
-    b, k, h, q = x.shape
+    Bm = _real_array(Bm, "Bm")  # every other shape follows from it
+    if Bm.ndim != 5:
+        raise DimensionError(f"Bm must be (b,k,h,Q,n), got {Bm.shape}")
+    b, k, h, q, _ = Bm.shape
+    Cm = _real_array(Cm, "Cm", Bm.shape)
+    x = _real_array(x, "x", (b, k, h, q))
+    a = _real_array(a, "a", x.shape)
     M = np.empty((q, b, k, h, q))
     if _short_build(q, b * k * h):
         # each column j holds x_j in row 0, 1.0 down to the diagonal and a_i
@@ -252,6 +260,12 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
         (batch, num_chunks + 1, heads, state), a view of a chunk-first
         buffer; index 0 is b0, index c is the state at chunk c's left
         boundary for c >= 1.
+
+    The steps also read the increments chunk-first: a b_intra whose
+    chunk-first view is not contiguous (intra_chunk's, at batch > 1 over
+    several chunks) is copied once into a chunk-first buffer, which
+    ``workspace_elements`` counts.  Each step makes the same two operations
+    per element either way, so the copy changes no bit.
     """
     _check_fault(fault)
     b_intra = _real_array(b_intra, "b_intra")
@@ -261,13 +275,15 @@ def propagate_states(b_intra: np.ndarray, transitions: np.ndarray, b0: np.ndarra
     transitions = _real_array(transitions, "transitions", (b, k, h))
     b0 = _real_array(b0, "b0", (b, h, n))
 
-    # chunk-first, so each step works on one contiguous (b, h, n) block; the
+    # chunk-first, so each step works on contiguous (b, h, n) blocks; the
     # blocks are filled with their chunk's transition at once, so the loop
-    # multiplies in place without a broadcast (1 * s is s exactly)
+    # multiplies in place without a broadcast (1 * s is s exactly).  Strided
+    # increments took 1.5x as long on a (4, 64, 2, 4) b_intra (2-CPU host).
     states = np.empty((k + 1, b, h, n))
     states[0] = b0
     states[1:] = 1.0 if fault == FAULT_TRANSITION else transitions.swapaxes(0, 1)[..., None]
-    for s_c, s_next, b_c in zip(states[:-1], states[1:], b_intra.swapaxes(0, 1)):
+    increments = np.ascontiguousarray(b_intra.swapaxes(0, 1))  # a view if already chunk-first
+    for s_c, s_next, b_c in zip(states[:-1], states[1:], increments):
         s_next *= s_c
         s_next += b_c
     return states.swapaxes(0, 1)
@@ -284,8 +300,11 @@ def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
         b_prev: (batch, chunks, heads, state) state entering each chunk.
     """
     _check_fault(fault)
-    b, k, h, q = entry.shape
-    n = Cm.shape[-1]
+    Cm = _real_array(Cm, "Cm")  # every other shape follows from it
+    if Cm.ndim != 5:
+        raise DimensionError(f"Cm must be (b,k,h,Q,n), got {Cm.shape}")
+    b, k, h, q, n = Cm.shape
+    entry = _real_array(entry, "entry", (b, k, h, q))
     b_prev = _real_array(b_prev, "b_prev", (b, k, h, n))
     if fault == FAULT_CORRECTION:
         return np.zeros((b, k, h, q), dtype=np.float64)
@@ -353,7 +372,9 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     copies of a, B, C and x if it is ragged.  A one-tile call holds that
     alone (its y, made at the end, is smaller); every later tile runs beside
     y, b * chunks * Q * h elements however ragged the length, and the state
-    carried in.  Temporaries inside one expression are not counted.
+    carried in.  Stage 2 holds a chunk-first copy of b_intra when batch > 1
+    and the tile has more than one chunk (see ``propagate_states``).
+    Temporaries inside one expression are not counted.
     """
     b, h, n = _as_int(b, "batch", 1), _as_int(h, "heads", 1), _as_int(n, "state size", 1)
     t, q, k, last = _partition(t, chunk_size)
@@ -364,9 +385,10 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
         c = b * m * h * q  # a chunk-major (b, m, h, Q) buffer
         p = b * m * h * n  # one state per chunk
         pad = 2 * c * (1 + n) if ragged else 0
-        return pad + max(c * q + c * n + p,    # stage 1: mask, Z, b_intra
-                         2 * c + 2 * p + g,    # y_intra, entry, b_intra, states
-                         3 * c + p + g)        # stage 3: y_intra, entry, correction, states
+        copy = p if b > 1 and m > 1 else 0  # stage 2's chunk-first increments
+        return pad + max(c * q + c * n + p,          # stage 1: mask, Z, b_intra
+                         2 * c + 2 * p + g + copy,   # y_intra, entry, b_intra, states
+                         3 * c + p + g)              # stage 3: y_intra, entry, correction, states
 
     if k == s:
         return tile(k, last < q)

@@ -9,6 +9,7 @@ kernel's materialization limit: for sweep, in the spec of the model it times
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -170,21 +171,45 @@ def _environment() -> dict:
                                                                   "--untracked-files=no"))}
 
 
-def _blas_threads() -> int | None:
-    """The thread count of the OpenBLAS bundled with NumPy, or None."""
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with NumPy, or None."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*blas*")
     for path in glob.glob(libs):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn()
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with NumPy, or None."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block, its count restored after it;
+    nothing is set when NumPy's OpenBLAS cannot be asked."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _bench_document(model: StackedModel, config: SweepConfig, log) -> dict:
@@ -240,7 +265,8 @@ def _cmd_sweep(args) -> int:
         print(msg, file=sys.stderr)
 
     if bench:
-        doc = _bench_document(model, _given(args, SweepConfig, SweepConfig.bench), log)
+        with _one_blas_thread():  # as every committed BENCH file was timed
+            doc = _bench_document(model, _given(args, SweepConfig, SweepConfig.bench), log)
         with atomic_write(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         print(f"wrote {len(doc['cells'])} cells to {args.out}", file=sys.stderr)

@@ -36,6 +36,7 @@ from ssdkit import (
     infer,
     info_nce_loss,
     inter_chunk_correction,
+    intra_chunk,
     load_model,
     load_model_spec,
     load_state_snapshot,
@@ -59,6 +60,8 @@ COEFFS = random_coefficients(np.random.default_rng(0), 1, 8, 2, 3)
 X = np.ones((1, 8, 2))
 VEC = np.ones(4)
 BATCH_0 = (COEFFS.a[:0], COEFFS.Bmat[:0], COEFFS.Cmat[:0])
+A4, BM4, CM4, X4 = chunk_major(COEFFS, X, 4)  # (1, 2, 2, 4) and (1, 2, 2, 4, 3)
+ENTRY4 = np.cumprod(A4, axis=-1)
 
 
 def layer(**overrides):
@@ -157,6 +160,21 @@ CASES = {
                                     ValidationError),
     "workspace_elements-zero-heads": (lambda tmp: workspace_elements(1, 8, 0, 3, 4),
                                       ValidationError),
+    "intra_chunk-x-one-position-short": (
+        lambda tmp: intra_chunk(A4, BM4, CM4, X4[..., :3]), DimensionError),
+    "intra_chunk-Cm-state-size": (
+        lambda tmp: intra_chunk(A4, BM4, CM4[..., :2], X4), DimensionError),
+    "intra_chunk-complex-a": (
+        lambda tmp: intra_chunk(A4.astype(complex), BM4, CM4, X4), ValidationError),
+    "intra_chunk-3d-x": (lambda tmp: intra_chunk(A4, BM4, CM4, X4[0]), DimensionError),
+    "intra_chunk-empty-chunk-axis": (
+        lambda tmp: intra_chunk(A4[:, :0], BM4[:, :0], CM4[:, :0], X4[:, :0]), ValidationError),
+    "inter_chunk_correction-3d-entry": (
+        lambda tmp: inter_chunk_correction(ENTRY4[0], CM4, np.ones((1, 2, 2, 3))),
+        DimensionError),
+    "inter_chunk_correction-Cm-chunk-size": (
+        lambda tmp: inter_chunk_correction(ENTRY4, CM4[..., :3, :], np.ones((1, 2, 2, 3))),
+        DimensionError),
     "inter_chunk_correction-b_prev-shape": (
         lambda tmp: inter_chunk_correction(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4, 3)),
                                            np.ones((1, 2, 1, 2))), DimensionError),

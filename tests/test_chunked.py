@@ -167,6 +167,15 @@ class TestIntraChunk:
             assert rel_err(got, y_ref) <= 1e-12
             assert rel_err(b_intra[:, c], h_ref) <= 1e-12
 
+    def test_takes_plain_lists(self):
+        # every array passes core._real_array, as stage 2's and stage 3's do;
+        # the lists are read as C-ordered arrays (a product over a strided
+        # view may take another BLAS path)
+        coeffs, x, _ = random_problem(4, 2, 8, 2, 3)
+        arrays = [np.ascontiguousarray(v) for v in chunk_major(coeffs, x, 4)]
+        for got, want in zip(intra_chunk(*[v.tolist() for v in arrays]), intra_chunk(*arrays)):
+            assert np.array_equal(got, want)
+
     def test_flop_count_is_the_closed_form(self):
         # b*h * (q(q-1)/2 mask products + q^2 n for M @ B + q n for the C . Z
         #        readout + q n for the boundary matvec), per chunk of its real
@@ -197,6 +206,52 @@ class TestPropagateStates:
         b0 = np.ones((1, 1, 1))
         states = propagate_states(b_intra, transitions, b0, fault="state-transition")
         assert np.array_equal(states[0, :, 0, 0], [1.0, 2.0, 3.0])
+
+    @staticmethod
+    def stepwise(b_intra, transitions, b0, fault):
+        """The carry one chunk at a time: s_{c+1} = t_c s_c + b_c (t_c = 1 under the fault)."""
+        states = [b0]
+        for c in range(b_intra.shape[1]):
+            carry = states[-1] if fault else transitions[:, c, :, None] * states[-1]
+            states.append(carry + b_intra[:, c])
+        return np.stack(states, axis=1)
+
+    # every layout of the same increments steps to the same bits: intra_chunk's
+    # C order (copied chunk-first at batch > 1), already chunk-first (stepped
+    # over as a view), Fortran order and a strided slice
+    @pytest.mark.parametrize("layout", ["c", "chunk-first", "fortran", "strided"])
+    @pytest.mark.parametrize("fault", [None, "state-transition"])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_every_layout_matches_the_stepwise_carry(self, b, fault, layout):
+        rng = np.random.default_rng(b)
+        k, h, n = 5, 2, 3
+        b_intra = rng.standard_normal((b, k, h, n))
+        transitions, b0 = rng.random((b, k, h)), rng.standard_normal((b, h, n))
+        given = {
+            "c": b_intra,
+            "chunk-first": np.ascontiguousarray(b_intra.swapaxes(0, 1)).swapaxes(0, 1),
+            "fortran": np.asfortranarray(b_intra),
+            "strided": np.repeat(b_intra, 2, axis=-1)[..., ::2],
+        }[layout]
+        assert np.array_equal(given, b_intra)
+        states = propagate_states(given, transitions, b0, fault=fault)
+        assert np.array_equal(states, self.stepwise(b_intra, transitions, b0, fault))
+
+    # at Q = 1 stage 2 is a tile's peak: y_intra and entry (one element per
+    # chunk), b_intra, the k + 1 states and, at batch > 1 over several
+    # chunks, b_intra's chunk-first copy
+    @pytest.mark.parametrize("b,t,copied", [(3, 16, True), (1, 16, False), (3, 1, False)])
+    def test_workspace_counts_the_chunk_first_copy(self, b, t, copied):
+        h, n = 2, 3
+        c, g = b * t * h, b * h * n
+        assert workspace_elements(b, t, h, n, 1) == 2 * c + 2 * c * n + g + copied * c * n
+
+    def test_one_chunk_tiles_hold_no_copy(self):
+        # y and the state carried in, beside one chunk's stage 2
+        b, t, h, n = 3, 16, 2, 3
+        g = b * h * n
+        with mask_tiles(1, h, 1):
+            assert workspace_elements(b, t, h, n, 1) == b * t * h + g + (2 * b * h + 3 * g)
 
     def test_flop_count(self):
         # one multiply-add of a state per chunk, ragged tail included
@@ -234,6 +289,13 @@ class TestInterChunkCorrection:
         y_inter = inter_chunk_correction(np.cumprod(a[:, 1:], axis=-1), Cm[:, 1:], h0[:, None])
         y_ref, _ = recurrent_scan(coeffs.slice_time(4, 8), np.zeros((2, 4, 2)), h0)
         assert rel_err(y_inter[:, 0].transpose(0, 2, 1), y_ref) <= 1e-12
+
+    def test_takes_plain_lists(self):
+        coeffs, x, h0 = random_problem(5, 2, 8, 2, 4)
+        a, _, Cm, _ = chunk_major(coeffs, x, 4)
+        arrays = (np.cumprod(a, axis=-1), np.ascontiguousarray(Cm), np.stack([h0, h0], axis=1))
+        assert np.array_equal(inter_chunk_correction(*[v.tolist() for v in arrays]),
+                              inter_chunk_correction(*arrays))
 
     def test_rejects_a_complex_carried_state(self):
         coeffs, x, _ = random_problem(6, 1, 8, 2, 3)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ssdkit.cli as cli
 from ssdkit import (
     CSV_HEADER,
     EquivalenceConfig,
@@ -33,6 +34,8 @@ from ssdkit.model_io import spec_to_config
 
 ENVIRONMENT_KEYS = {"python", "numpy", "blas", "blas_threads", "cpus", "git_revision",
                     "git_dirty"}
+BENCH_ARGS = ["sweep", "--preset", "bench", "--grid-t", "8", "--grid-batch", "1",
+              "--strategy", "recurrent", "--reps", "1", "--warmup", "0"]
 EQ_ARGS = ["equivalence", "--grid-t", "4,16", "--grid-q", "2,4", "--grid-v", "16"]
 
 
@@ -153,6 +156,38 @@ class TestSweepAndReportCommands:
             assert set(cell["flops"]) == {"intra", "propagate", "inter"}
             ratio = cell["traced_peak_bytes"] / (8 * cell["peak_elems"])
             assert cell["traced_over_ledger"] == ratio
+
+    @staticmethod
+    def bench_environment(tmp_path):
+        """The environment block of a small bench-preset run."""
+        out_path = tmp_path / "BENCH.json"
+        assert main([*BENCH_ARGS, "--out", str(out_path)]) == 0
+        return json.loads(out_path.read_text())["environment"]
+
+    # every BENCH file is timed with BLAS on one thread: the preset sets that
+    # itself and gives the process its own count back
+    def test_bench_preset_times_on_one_blas_thread(self, tmp_path, capsys):
+        blas = cli._openblas()
+        if blas is None:
+            pytest.skip("NumPy's OpenBLAS thread count cannot be set on this platform")
+        get, put = blas
+        was = get()
+        put(2)
+        try:
+            before = get()
+            environment = self.bench_environment(tmp_path)
+            after = get()
+        finally:
+            put(was)
+        capsys.readouterr()
+        assert environment["blas_threads"] == 1
+        assert after == before
+
+    def test_bench_preset_without_a_blas_handle_records_none(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        assert self.bench_environment(tmp_path)["blas_threads"] is None
+        capsys.readouterr()
 
     def test_sweep_records_parse_back(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
