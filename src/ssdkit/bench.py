@@ -99,13 +99,12 @@ class EquivalenceConfig:
     q_grid: tuple[int, ...] = (2, 4, 8)
     v_grid: tuple[int, ...] = (16, 32)
     layers: int = 3
-    dense_limit: int = DEFAULT_DENSE_LIMIT
     fault: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tolerance", _positive_real(self.tolerance, "tolerance"))
         _check_fault(self.fault)
-        _check_ints(self, {"seed": 0, "layers": 1, "dense_limit": 1},
+        _check_ints(self, {"seed": 0, "layers": 1},
                     ("t_grid", "q_grid", "v_grid"))
         if any(v % EQ_MODEL_Q for v in self.v_grid):
             raise ValidationError(f"v_grid entries must be multiples of the suite model's "
@@ -225,7 +224,7 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
         h0 = rng.standard_normal((EQ_BATCH, EQ_HEADS, EQ_STATE_DIM))
         ref = recurrent_scan(coeffs, x, h0)
 
-        if t <= config.dense_limit:
+        if t <= DEFAULT_DENSE_LIMIT:
             err = _pair_err(dense_dual(coeffs, x, h0), ref)
             add(CheckResult(instance, "dense-vs-recurrent", False, err, tol))
 
@@ -240,8 +239,7 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
 
     # Model-level: schedules over a stacked model, recurrent kernel as oracle.
     spec = ModelSpec(seed=config.seed, L=config.layers, d=EQ_D, H=EQ_HEADS,
-                     N=EQ_STATE_DIM, vocab_size=64, Q=EQ_MODEL_Q, V=2 * EQ_MODEL_Q,
-                     dense_limit=config.dense_limit)
+                     N=EQ_STATE_DIM, vocab_size=64, Q=EQ_MODEL_Q, V=2 * EQ_MODEL_Q)
     model = generate_model(spec)
     for t in config.t_grid:
         instance = f"T={t}"
@@ -252,7 +250,7 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
         got = horizontal_infer(model, tokens, EQ_MODEL_Q, fault=config.fault).hidden
         add(CheckResult(instance, "model-chunked", multi, relative_error(got, ref.hidden), tol))
 
-        if t <= config.dense_limit:
+        if t <= DEFAULT_DENSE_LIMIT:
             got = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="dense").hidden
             add(CheckResult(instance, "model-dense", False, relative_error(got, ref.hidden), tol))
 
@@ -329,16 +327,15 @@ class BenchRecord:
 CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
-def _cell_list(model: StackedModel, config: SweepConfig, log) -> list[tuple]:
+def _cell_list(config: SweepConfig, log) -> list[tuple]:
     """Expand the grids into (strategy, T, batch, Q, V) cells, pruned; dense
-    cells by the model's dense limit."""
-    limit = model.spec.dense_limit
+    cells by ``DEFAULT_DENSE_LIMIT``."""
     cells = []
     for strategy in config.strategies:
         kernel, uses_q, uses_v = _ROUTES[strategy]
         for t in config.t_grid:
-            if kernel == "dense" and t > limit:
-                log(f"skip {strategy} T={t}: exceeds dense limit {limit}")
+            if kernel == "dense" and t > DEFAULT_DENSE_LIMIT:
+                log(f"skip {strategy} T={t}: exceeds dense limit {DEFAULT_DENSE_LIMIT}")
                 continue
             for batch in config.batch_grid:
                 for q in config.q_grid if uses_q else (0,):
@@ -385,7 +382,7 @@ def run_sweep(model: StackedModel, config: SweepConfig = SweepConfig(),
     """Time every grid cell, one after another; returns records sorted by the
     CSV column order."""
     log = log if log is not None else (lambda msg: None)
-    records = [rec for cell in _cell_list(model, config, log)
+    records = [rec for cell in _cell_list(config, log)
                for rec in _time_cell(model, config, cell)]
     records.sort(key=BenchRecord.sort_key)
     return records

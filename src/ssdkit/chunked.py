@@ -421,17 +421,15 @@ def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
     return FlopCounter(intra, b * h * n * k, inter)
 
 
-def dense_dual(coeffs: SsmCoefficients, x, h0=None, *,
-               dense_limit: int = DEFAULT_DENSE_LIMIT):
+def dense_dual(coeffs: SsmCoefficients, x, h0=None):
     """Single-operator evaluation: one kernel block spanning the sequence.
 
-    Materializes a (length, length) block per batch/head slice, so it is
-    guarded by ``dense_limit``.  This is literally chunked_forward with one
-    chunk, which is what makes the two agree bitwise at chunk_size = length.
+    Materializes a (length, length) block per batch/head slice, so a length
+    above DEFAULT_DENSE_LIMIT is refused.  This is literally chunked_forward
+    with one chunk, which is what makes the two agree bitwise at chunk_size = length.
     """
     _check_inputs(coeffs, x)
-    dense_limit = _as_int(dense_limit, "dense limit", 1)
-    if coeffs.length > dense_limit:
+    if coeffs.length > DEFAULT_DENSE_LIMIT:
         raise CapacityError(
-            f"sequence length {coeffs.length} exceeds dense limit {dense_limit}")
+            f"sequence length {coeffs.length} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     return chunked_forward(coeffs, x, coeffs.length, h0)

@@ -1,15 +1,15 @@
 """Command-line harness: equivalence checks, timing sweeps, text embedding.
 
 Exit codes: 0 on success, 1 when an equivalence check fails, 2 for usage or
-input errors.  The environment variable SSD_CHUNK_DENSE_LIMIT sets the dense
-kernel's materialization limit: for sweep, in the spec of the model it times
-(and so in its .meta.json); for equivalence, in its EquivalenceConfig.
+input errors, among them an --out whose directory does not exist, found
+before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -50,17 +50,6 @@ def _load_model_arg(args) -> StackedModel:
             return generate_model(load_model_spec(args.model))
         return load_model(args.model)
     return generate_model(_given(args, ModelSpec))
-
-
-def _dense_limit_env() -> dict:
-    """{"dense_limit": n} from SSD_CHUNK_DENSE_LIMIT, or {} when it is unset."""
-    raw = os.environ.get("SSD_CHUNK_DENSE_LIMIT")
-    if raw is None:
-        return {}
-    try:
-        return {"dense_limit": int(raw)}
-    except ValueError:
-        raise SsdError(f"SSD_CHUNK_DENSE_LIMIT must be an integer, got {raw!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_equivalence(args) -> int:
-    config = _given(args, EquivalenceConfig, **_dense_limit_env())
+    config = _given(args, EquivalenceConfig)
     report = run_equivalence(config)
     for check in report.checks:
         print(check.line())
@@ -141,11 +130,22 @@ def _cmd_equivalence(args) -> int:
     return 0 if report.passed else 1
 
 
+def _source_sha256() -> str:
+    """sha256 of the package's ``*.py`` files in name order, hashed as the
+    lines ``<sha256 of the file>  <name>`` that ``sha256sum`` prints."""
+    root = os.path.dirname(__file__)
+    lines = []
+    for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
+        with open(os.path.join(root, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def _environment() -> dict:
     """Where a timing ran: Python, NumPy, its BLAS and BLAS threads (None when
-    the library cannot be asked), CPUs usable, and the git revision of the
+    the library cannot be asked), CPUs usable, the git revision of the
     source with whether it had uncommitted changes ("unknown" and None
-    outside a checkout)."""
+    outside a checkout), and ``_source_sha256`` of the code that ran."""
     import platform
     import subprocess
 
@@ -168,7 +168,8 @@ def _environment() -> dict:
             "blas_threads": _blas_threads(), "cpus": _CPUS,
             "git_revision": revision or "unknown",
             "git_dirty": None if revision is None else bool(git("status", "--porcelain",
-                                                                  "--untracked-files=no"))}
+                                                                  "--untracked-files=no")),
+            "source_sha256": _source_sha256()}
 
 
 def _openblas():
@@ -256,10 +257,6 @@ def _cmd_sweep(args) -> int:
         model = generate_model(_given(args, ModelSpec, lambda **f: replace(BENCH_SPEC, **f)))
     else:
         model = _load_model_arg(args)
-    # the limit goes into the timed model's spec, so the sidecar records it
-    limit = _dense_limit_env()
-    if limit:
-        model = StackedModel(replace(model.spec, **limit), model.embedding, model.layers)
 
     def log(msg):
         print(msg, file=sys.stderr)
@@ -349,6 +346,9 @@ def main(argv=None) -> int:
     handlers = {"equivalence": _cmd_equivalence, "sweep": _cmd_sweep,
                 "embed": _cmd_embed, "report": _cmd_report}
     try:
+        folder = os.path.dirname(args.out or "")
+        if folder and not os.path.isdir(folder):
+            raise ValidationError(f"--out {args.out}: directory {folder} does not exist")
         return handlers[args.command](args)
     except (SsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .core import _as_int
-from .errors import FormatError, IntegrityError
-from .stack import LayerParams, ModelSpec, StackedModel, atomic_write, layer_shapes
+from .errors import FormatError, IntegrityError, ValidationError
+from .stack import LayerParams, ModelSpec, StackedModel, _model_spec, atomic_write, layer_shapes
 
 __all__ = [
     "generate_model",
@@ -66,12 +66,13 @@ def _uniform_signed(seed: int, start: int, count: int) -> np.ndarray:
     return u * (2.0 / 9007199254740992.0) - 1.0  # [0, 2^53) -> [-1, 1)
 
 
-def _layout(spec: ModelSpec):
+def _layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every tensor, in payload and draw order: the
-    embedding table, then each layer's ``layer_shapes``."""
-    yield "embedding", (spec.vocab_size, spec.d)
-    for _ in range(spec.L):
-        yield from layer_shapes(spec.H, spec.d, spec.N).items()
+    embedding table, then each layer's ``layer_shapes``; spec is checked."""
+    if not isinstance(spec, ModelSpec):
+        raise ValidationError(f"spec must be a ModelSpec, got {type(spec).__name__}")
+    return ([("embedding", (spec.vocab_size, spec.d))]
+            + list(layer_shapes(spec.H, spec.d, spec.N).items()) * spec.L)
 
 
 def _split(flat: np.ndarray, shapes: list) -> list[np.ndarray]:
@@ -94,7 +95,7 @@ def generate_model(spec: ModelSpec) -> StackedModel:
 
     Calling twice with the same spec yields bit-identical parameters.
     """
-    layout = list(_layout(spec))
+    layout = _layout(spec)
     drawn = [shape for name, shape in layout if name != "gamma"]  # gamma draws nothing
     values = iter(_split(_uniform_signed(spec.seed, 0, sum(map(math.prod, drawn))), drawn))
 
@@ -108,7 +109,8 @@ def generate_model(spec: ModelSpec) -> StackedModel:
 
 def model_payload(model: StackedModel) -> bytes:
     """Parameter payload: row-major float64, little-endian, in ``_layout`` order."""
-    names = layer_shapes(model.spec.H, model.spec.d, model.spec.N)
+    spec = _model_spec(model)
+    names = layer_shapes(spec.H, spec.d, spec.N)
     tensors = [model.embedding] + [getattr(layer, n) for layer in model.layers for n in names]
     return b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
 
@@ -128,10 +130,12 @@ def spec_to_config(spec: ModelSpec) -> dict:
 def spec_from_config(doc: dict) -> ModelSpec:
     if not isinstance(doc, dict):
         raise FormatError("model spec document must be a JSON object")
-    extra = set(doc) - {f.name for f in fields(ModelSpec)}
+    extra = set(doc) - {f.name for f in fields(ModelSpec)} - {"dense_limit"}
     if extra:
         raise FormatError(f"unknown model spec fields: {sorted(extra)}")
     values = {k: _as_int(v, f"model spec field {k}", error=FormatError) for k, v in doc.items()}
+    # older documents carry the dense limit, now chunked.DEFAULT_DENSE_LIMIT: check, then drop it
+    _as_int(values.pop("dense_limit", 1), "model spec field dense_limit", 1, error=FormatError)
     try:
         return ModelSpec(**values)
     except (TypeError, ValueError) as exc:

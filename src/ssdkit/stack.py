@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import chunked
-from .chunked import (DEFAULT_DENSE_LIMIT, chunked_forward, dense_dual, stage_flops,
-                      workspace_elements)
+from .chunked import chunked_forward, dense_dual, stage_flops, workspace_elements
 from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
 from .instrumentation import FlopCounter, MemoryLedger
@@ -111,7 +110,6 @@ class ModelSpec:
                      end-of-sequence marker used for pooling.
         Q:           default chunk size.
         V:           default vertical block length (multiple of Q).
-        dense_limit: maximum length the dense kernel will materialize.
     """
 
     seed: int = 42
@@ -122,7 +120,6 @@ class ModelSpec:
     vocab_size: int = 256
     Q: int = 16
     V: int = 32
-    dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
         # every other field is at least 1; vocab_size keeps one id for the marker
@@ -332,8 +329,7 @@ def _project(params: LayerParams, u: np.ndarray, q: int):
 
 
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
-                  kernel: str = "chunked", dense_limit: int = DEFAULT_DENSE_LIMIT,
-                  fault=None):
+                  kernel: str = "chunked", fault=None):
     """One residual layer: v = u + head outputs mapped back to channels.
 
     Args:
@@ -374,7 +370,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     elif kernel == "recurrent":
         y, hT = recurrent_scan(coeffs, x, state)
     else:
-        y, hT = dense_dual(coeffs, x, state, dense_limit=dense_limit)
+        y, hT = dense_dual(coeffs, x, state)
     del coeffs, x  # a, B, C and x are dead: free them before v is allocated
 
     v = _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
@@ -440,8 +436,7 @@ def _block_forward(model: StackedModel, tok: np.ndarray, states: np.ndarray, fre
     u = model.embedding[tok]
     for li, layer in enumerate(model.layers):
         u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                      kernel=kernel, dense_limit=model.spec.dense_limit,
-                                      fault=fault)
+                                      kernel=kernel, fault=fault)
     return u
 
 
@@ -469,7 +464,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
                         None runs one block spanning the whole sequence.
         chunk_size:     chunk length (default model.spec.Q).
         kernel:         "chunked", "recurrent", or "dense" (see layer_forward);
-                        the dense kernel is guarded by model.spec.dense_limit.
+                        dense refuses blocks over chunked.DEFAULT_DENSE_LIMIT.
         initial_states: optional (L, batch, H, N) states from a previous call
                         on the preceding positions.
         sink:           optional callable(start, hidden_block) receiving every

@@ -1,12 +1,11 @@
 """Equivalence suite behavior, fault sensitivity, timing sweeps, CSV round trips."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from ssdkit import (
     CSV_HEADER,
+    DEFAULT_DENSE_LIMIT,
     FAULT_MODES,
     STRATEGIES,
     BenchRecord,
@@ -108,12 +107,14 @@ class TestEquivalenceSuite:
         assert report.passed
 
     def test_dense_checks_drop_out_beyond_the_limit(self):
-        config = EquivalenceConfig(t_grid=(16, 33), q_grid=(4,), v_grid=(16,),
-                                   layers=1, dense_limit=16)
+        long = f"T={DEFAULT_DENSE_LIMIT + 1}"
+        config = EquivalenceConfig(t_grid=(16, DEFAULT_DENSE_LIMIT + 1), q_grid=(64,),
+                                   v_grid=(16,), layers=1)
         report = run_equivalence(config)
         names = {(c.instance, c.name) for c in report.checks}
-        assert ("T=16", "dense-vs-recurrent") in names
-        assert ("T=33", "dense-vs-recurrent") not in names
+        assert {("T=16", "dense-vs-recurrent"), ("T=16", "model-dense")} <= names
+        assert (long, "dense-vs-recurrent") not in names and (long, "model-dense") not in names
+        assert (long, "chunked-q64") in names
         assert report.passed
 
     def test_stage_checks_run_at_the_smallest_multi_chunk_q(self):
@@ -126,7 +127,7 @@ class TestEquivalenceSuite:
         ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", 0.0),
         ("tolerance", -1e-9), ("t_grid", ()), ("q_grid", ()), ("v_grid", ()),
         ("t_grid", (4, 0)), ("q_grid", (-2,)), ("v_grid", (16, 0)), ("layers", 0),
-        ("dense_limit", 0), ("layers", 2.5), ("tolerance", True), ("tolerance", "1e-9"),
+        ("layers", 2.5), ("tolerance", True), ("tolerance", "1e-9"),
         ("fault", "gremlins"), ("fault", 3), ("v_grid", (12,)), ("v_grid", (16, 20)),
     ])
     def test_config_rejects_bad_tolerance_and_non_positive_fields(self, field, value):
@@ -173,13 +174,14 @@ class TestSweep:
                        (r.flops_intra, r.flops_prop, r.flops_inter)
 
     def test_dense_cells_are_pruned_beyond_the_limit(self):
-        model = generate_model(replace(SWEEP_MODEL_SPEC, dense_limit=16))
+        model = generate_model(SWEEP_MODEL_SPEC)
         messages = []
-        config = SweepConfig(t_grid=(16, 32), batch_grid=(1,), q_grid=(4,), v_grid=(8,),
-                             strategies=("dense",), reps=1, warmup=0)
+        config = SweepConfig(t_grid=(16, DEFAULT_DENSE_LIMIT + 1), batch_grid=(1,),
+                             q_grid=(4,), v_grid=(8,), strategies=("dense",), reps=1,
+                             warmup=0)
         records = run_sweep(model, config, log=messages.append)
         assert {r.T for r in records} == {16}
-        assert any("skip dense T=32" in m for m in messages)
+        assert "skip dense T=4097: exceeds dense limit 4096" in messages
 
     def test_misaligned_vertical_cells_are_pruned(self):
         model = generate_model(SWEEP_MODEL_SPEC)

@@ -28,6 +28,7 @@ from ssdkit import (
     cumulative_transition,
     dense_dual,
     embed_sequence,
+    expected_payload_bytes,
     export_state_snapshot,
     generate_coefficients,
     generate_model,
@@ -41,6 +42,7 @@ from ssdkit import (
     load_model_spec,
     load_state_snapshot,
     layer_forward,
+    model_payload,
     propagate_states,
     random_coefficients,
     read_records,
@@ -130,10 +132,6 @@ CASES = {
         lambda tmp: chunked_forward(COEFFS, X, 4, np.zeros((2, 2, 3))), DimensionError),
     "chunked_forward-string-chunk": (
         lambda tmp: chunked_forward(COEFFS, X, "4"), ValidationError),
-    "dense_dual-string-limit": (
-        lambda tmp: dense_dual(COEFFS, X, dense_limit="9"), ValidationError),
-    "dense_dual-bool-limit": (
-        lambda tmp: dense_dual(COEFFS, X, dense_limit=True), ValidationError),
     "propagate_states-3d-b_intra": (
         lambda tmp: propagate_states(np.ones((1, 2, 1)), np.ones((1, 2, 1)),
                                      np.zeros((1, 1, 1))), DimensionError),
@@ -202,6 +200,10 @@ CASES = {
     "StackedModel-dict-layers": (
         lambda tmp: StackedModel(SPEC, MODEL.embedding, [dict()] * SPEC.L), ValidationError),
     "ModelSpec-float-L": (lambda tmp: ModelSpec(L=2.5), ValidationError),
+    "generate_model-dict-spec": (lambda tmp: generate_model({"seed": 1}), ValidationError),
+    "expected_payload_bytes-int-spec": (lambda tmp: expected_payload_bytes(3), ValidationError),
+    "model_payload-int-model": (lambda tmp: model_payload(3), ValidationError),
+    "save_model-int-model": (lambda tmp: save_model(tmp / "m.ssdm", 3), ValidationError),
     # layers and inference
     "layer_forward-batch-0-u": (
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((0, 4, 8)), None, 4), ValidationError),
@@ -296,3 +298,9 @@ def test_malformed_input_raises_its_ssd_error(call, error, tmp_path):
     with pytest.raises(SsdError) as caught:
         call(tmp_path)
     assert isinstance(caught.value, error)
+
+
+def test_a_refused_model_save_leaves_no_file(tmp_path):
+    with pytest.raises(ValidationError):
+        save_model(tmp_path / "m.ssdm", MODEL.spec)
+    assert list(tmp_path.iterdir()) == []

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import ssdkit.chunked as chunked
 from ssdkit import (
+    DEFAULT_DENSE_LIMIT,
     CapacityError,
     FAULT_MODES,
     SsmCoefficients,
@@ -378,11 +379,13 @@ class TestChunkedForward:
             assert sum(seen) == num_chunks - (state is None)
 
     def test_dense_guard_trips_above_the_limit(self):
-        coeffs, x, _ = random_problem(16, 1, 8, 1, 2)
-        with pytest.raises(CapacityError):
-            dense_dual(coeffs, x, dense_limit=4)
-        y, _ = dense_dual(coeffs, x, dense_limit=8)  # at the limit is fine
-        assert y.shape == (1, 8, 1)
+        # the guard fires before any quadratic work, so the long call is cheap
+        coeffs, x, _ = random_problem(16, 1, DEFAULT_DENSE_LIMIT + 1, 1, 1)
+        with pytest.raises(CapacityError, match="^sequence length 4097 exceeds dense limit 4096$"):
+            dense_dual(coeffs, x)
+        coeffs, x, _ = random_problem(16, 1, DEFAULT_DENSE_LIMIT, 1, 1)
+        y, _ = dense_dual(coeffs, x)  # at the limit is fine
+        assert y.shape == (1, DEFAULT_DENSE_LIMIT, 1)
 
     def test_unknown_fault_name_rejected(self):
         coeffs, x, _ = random_problem(17, 1, 8, 1, 2)

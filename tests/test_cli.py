@@ -4,9 +4,11 @@
 0 = success, 1 = an equivalence check failed, 2 = usage or input error.
 """
 
+import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -18,6 +20,7 @@ import pytest
 import ssdkit.cli as cli
 from ssdkit import (
     CSV_HEADER,
+    DEFAULT_DENSE_LIMIT,
     EquivalenceConfig,
     ModelSpec,
     SweepConfig,
@@ -33,7 +36,7 @@ from ssdkit.cli import _build_parser, main
 from ssdkit.model_io import spec_to_config
 
 ENVIRONMENT_KEYS = {"python", "numpy", "blas", "blas_threads", "cpus", "git_revision",
-                    "git_dirty"}
+                    "git_dirty", "source_sha256"}
 BENCH_ARGS = ["sweep", "--preset", "bench", "--grid-t", "8", "--grid-batch", "1",
               "--strategy", "recurrent", "--reps", "1", "--warmup", "0"]
 EQ_ARGS = ["equivalence", "--grid-t", "4,16", "--grid-q", "2,4", "--grid-v", "16"]
@@ -68,26 +71,19 @@ class TestEquivalenceCommand:
         assert doc["passed"] is True
         assert doc["checks"]
 
-    def test_dense_limit_env_var_prunes_dense_checks(self, capsys, monkeypatch):
+    def test_the_old_dense_limit_env_var_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "8")
         rc = main(["equivalence", "--grid-t", "16", "--grid-q", "4", "--grid-v", "16"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "dense-vs-recurrent" not in out
-        assert "model-dense" not in out
+        assert "dense-vs-recurrent" in out
+        assert "model-dense" in out
 
     def test_model_flag_is_a_usage_error(self, tmp_path):
         # the suite builds its own model; a --model would be read and ignored
         with pytest.raises(SystemExit) as exc:
             main(EQ_ARGS + ["--model", str(tmp_path / "absent.ssdm")])
         assert exc.value.code == 2
-
-    def test_malformed_dense_limit_env_var_errors(self, capsys, monkeypatch):
-        monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "lots")
-        rc = main(["equivalence", "--grid-t", "4", "--grid-q", "2", "--grid-v", "16"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "SSD_CHUNK_DENSE_LIMIT" in err
 
     @pytest.mark.parametrize("flags", [["--tolerance", "nan"], ["--tolerance", "-1"],
                                        ["--grid-t", ""]])
@@ -298,32 +294,52 @@ class TestSweepAndReportCommands:
         assert "error:" in captured.err and str(row.split(",")) in captured.err
         assert captured.out == ""
 
-    def test_dense_limit_env_var_sets_the_timed_model_spec(self, tmp_path, capsys,
-                                                             monkeypatch):
-        monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "8")
+    def test_sweep_skips_dense_cells_above_the_limit(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--strategy", "dense", "--grid-t", "8,16", "--grid-batch", "1",
-                   "--reps", "1", "--warmup", "0", "--out", str(out_path)])
+        rc = main(["sweep", "--strategy", "dense", "--grid-t", f"8,{DEFAULT_DENSE_LIMIT + 1}",
+                   "--grid-batch", "1", "--reps", "1", "--warmup", "0", "--out", str(out_path)])
         assert rc == 0
-        assert "skip dense T=16: exceeds dense limit 8" in capsys.readouterr().err
+        assert "skip dense T=4097: exceeds dense limit 4096" in capsys.readouterr().err
         assert [r.T for r in read_records(out_path)] == [8]
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert meta["model_spec"]["dense_limit"] == 8
+        assert meta["model_spec"] == spec_to_config(ModelSpec())
+        assert "dense_limit" not in meta["model_spec"]
 
-    def test_zero_dense_limit_env_var_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
-        # a zero limit would prune every dense cell without a word
-        monkeypatch.setenv("SSD_CHUNK_DENSE_LIMIT", "0")
-        rc = main(["sweep", "--grid-t", "8", "--grid-q", "4", "--grid-v", "8",
-                   "--grid-batch", "1", "--strategy", "dense", "--out",
-                   str(tmp_path / "sweep.csv")])
+    def test_environment_hashes_the_package_source(self):
+        if shutil.which("sha256sum") is None:
+            pytest.skip("sha256sum is not installed")
+        package = Path(cli.__file__).parent
+        names = sorted(p.name for p in package.glob("*.py"))
+        listing = subprocess.run(["sha256sum", *names], cwd=package, capture_output=True,
+                                 check=True, timeout=60).stdout
+        assert cli._environment()["source_sha256"] == hashlib.sha256(listing).hexdigest()
+
+
+class TestOutDirectory:
+    # a missing --out directory is found before any work, not after a long sweep
+    @pytest.mark.parametrize("argv", [
+        EQ_ARGS, ["sweep", "--grid-t", "8", "--strategy", "recurrent"], BENCH_ARGS,
+        ["embed", "input.txt"], ["report", "sweep.csv"],
+    ], ids=["equivalence", "sweep", "bench-preset", "embed", "report"])
+    def test_missing_out_directory_exits_two_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_equivalence", "run_sweep", "embed_sequence", "read_records"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input.txt").write_text("some words\n")
+        out = str(tmp_path / "no-such-dir" / "result.out")
+        rc = main([*argv, "--out", out])
         assert rc == 2
-        assert "dense_limit" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert f"error: --out {out}: directory " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["input.txt"]
 
 
 class TestConfigFlags:
     # every field is set from a flag, except layers (set by the acceptance
-    # tests only) and dense_limit (set from SSD_CHUNK_DENSE_LIMIT)
+    # tests only)
     @pytest.mark.parametrize("argv,config", [
         (["equivalence", "--seed", "1", "--tolerance", "1e-8", "--grid-t", "4",
           "--grid-q", "2", "--grid-v", "16", "--inject-fault", "state-transition",
@@ -334,7 +350,7 @@ class TestConfigFlags:
     ])
     def test_every_config_field_has_a_flag(self, argv, config):
         args = vars(_build_parser().parse_args(argv))
-        names = {f.name for f in fields(config)} - {"layers", "dense_limit"}
+        names = {f.name for f in fields(config)} - {"layers"}
         assert names <= set(args)
         config(**{name: args[name] for name in names})  # each flag parses to its field
 

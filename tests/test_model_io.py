@@ -127,6 +127,20 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_header_spec_with_a_dense_limit_still_loads(self, tmp_path):
+        # files written while the dense limit was a spec field carry it
+        model = generate_model(self.SPEC)
+        path = tmp_path / "m.ssdm"
+        save_model(path, model)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        assert "dense_limit" not in doc["spec"]
+        doc["spec"]["dense_limit"] = 4096
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        back = load_model(path)
+        assert back.spec == self.SPEC
+        assert model_payload(back) == payload
+
     def test_missing_header_line_rejected(self, tmp_path):
         path = tmp_path / "m.ssdm"
         path.write_bytes(b"\x00" * 64)
@@ -189,6 +203,20 @@ class TestSpecFiles:
         doc = spec_to_config(ModelSpec())
         doc[field] = value
         with pytest.raises(FormatError, match=field):
+            spec_from_config(doc)
+
+    def test_a_dense_limit_field_is_read_and_dropped(self, tmp_path):
+        spec = ModelSpec(seed=13, L=2, d=8, H=2, N=2, vocab_size=64, Q=8, V=16)
+        doc = {**spec_to_config(spec), "dense_limit": 4096}
+        assert spec_from_config(doc) == spec
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert load_model_spec(path) == spec
+
+    @pytest.mark.parametrize("value", [0, -8, "lots", 4096.0, True, None])
+    def test_a_bad_dense_limit_field_is_still_refused(self, value):
+        doc = {**spec_to_config(ModelSpec()), "dense_limit": value}
+        with pytest.raises(FormatError, match="dense_limit"):
             spec_from_config(doc)
 
     def test_file_roundtrip(self, tmp_path):

@@ -9,7 +9,6 @@ import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdkit import (
+    DEFAULT_DENSE_LIMIT,
     FAULT_MODES,
     CapacityError,
     DimensionError,
@@ -97,10 +97,10 @@ class TestModelSpec:
         with pytest.raises(ValidationError, match=field):
             ModelSpec(**{field: value})
 
-    @pytest.mark.parametrize("limit", [0, -8])
-    def test_rejects_non_positive_dense_limit(self, limit):
-        with pytest.raises(ValidationError, match="dense_limit"):
-            ModelSpec(dense_limit=limit)
+    def test_the_dense_limit_is_not_a_field(self):
+        # DEFAULT_DENSE_LIMIT is the one dense limit; no spec carries another
+        with pytest.raises(TypeError, match="dense_limit"):
+            ModelSpec(dense_limit=DEFAULT_DENSE_LIMIT)
 
     def test_accepts_numpy_integers_as_python_ints(self):
         spec = ModelSpec(seed=np.uint64(3), L=np.int32(2), Q=np.int64(8), V=np.int8(16))
@@ -382,12 +382,17 @@ class TestHorizontalInfer:
             assert rel_err(got.hidden, ref.hidden) <= 1e-9
             assert rel_err(got.states, ref.states) <= 1e-9
 
-    def test_dense_kernel_is_guarded_by_the_spec_limit(self):
-        spec = ModelSpec(seed=8, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8, dense_limit=8)
+    def test_dense_kernel_is_guarded_per_block_by_the_constant(self):
+        spec = ModelSpec(seed=8, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
         model = generate_model(spec)
-        horizontal_infer(model, tokens_for(spec, 8), kernel="dense")  # at the limit
-        with pytest.raises(CapacityError, match="exceeds dense limit 8"):
-            horizontal_infer(model, tokens_for(spec, 9), kernel="dense")
+        tok = tokens_for(spec, DEFAULT_DENSE_LIMIT + spec.Q)
+        message = "^sequence length {} exceeds dense limit 4096$"
+        with pytest.raises(CapacityError, match=message.format(DEFAULT_DENSE_LIMIT + 1)):
+            horizontal_infer(model, tok[:, :DEFAULT_DENSE_LIMIT + 1], kernel="dense")
+        with pytest.raises(CapacityError, match=message.format(DEFAULT_DENSE_LIMIT + spec.Q)):
+            infer(model, tok, DEFAULT_DENSE_LIMIT + spec.Q, kernel="dense")
+        # blocks under the limit run over a sequence above it
+        assert infer(model, tok, spec.V, kernel="dense").states.shape == (2, 1, 2, 3)
 
 
 class TestVerticalInfer:
@@ -893,18 +898,17 @@ class TestRowGroups:
         assert split.flops == whole.flops
 
     @pytest.mark.parametrize("kwargs,error", [
-        (dict(kernel="dense"), CapacityError),  # 80 positions over a limit of 64
+        (dict(kernel="dense"), CapacityError),  # one position over the dense limit
         (dict(fault="no-such-fault"), ValidationError),
         (dict(kernel="no-such-kernel"), ValidationError),
         (dict(kernel="recurrent", fault=FAULT_MODES[0]), ValidationError),
     ])
     def test_split_call_raises_the_unsplit_error(self, kwargs, error):
-        model = generate_model(replace(self.SPEC, dense_limit=64))
-        tok = tokens_for(self.SPEC, 80, batch=5)
+        tok = tokens_for(self.SPEC, DEFAULT_DENSE_LIMIT + 1, batch=5)
         raised = {}
         for groups in (1, 3):
             with row_groups(groups), pytest.raises(error) as exc:
-                infer(model, tok, **kwargs)
+                infer(self.MODEL, tok, **kwargs)
             raised[groups] = exc
         assert raised[3].type is raised[1].type
         assert str(raised[3].value) == str(raised[1].value)
