@@ -1,8 +1,8 @@
 """Block-decomposed evaluation of the state-space kernel.
 
-The sequence is partitioned into chunks of ``chunk_size`` positions, and the
-chunks into tiles.  Every stage runs once per tile over all its chunks at
-once, on chunk-major arrays (batch, chunks, heads, chunk_size, ...):
+The sequence is partitioned into chunks of ``chunk_size`` positions.  Every
+stage runs once per call over all its chunks at once, on chunk-major arrays
+(batch, chunks, heads, chunk_size, ...):
 
   1. intra   - the x-weighted decay mask M[i, j] = L[i, j] x_j of every
                chunk, times B, gives the local state after each position
@@ -27,16 +27,11 @@ so the same bits: few short masks (Q >= 8, at most min(16, 256 / Q)) take
 five whole-array operations, ending in one np.multiply.accumulate down the
 rows; any others take the row loop, one contiguous row at a time.
 
-One tiling rule bounds a call: ``chunked_forward`` runs its chunks in tiles
-whose mask fits ``_MASK_ELEMENTS_PER_ROW`` elements per batch row (at least
-one chunk), carries each tile's final state into the next as its h0 and
-writes each tile's output into one time-major y of whole chunks.  Every
-other buffer spans one tile, so the workspace stops growing with length but
-for y.  A one-tile call (every vertical block up to V = 1,024 at H = 2,
-Q = 16) takes the same loop once: it lays out the call's own arrays rather
-than tile slices, hands stage 3 whole arrays when a state is passed in, and
-makes y as one copy of its output's time-major view, so it allocates what
-an untiled call would.  Tiling changes no bit.
+A call holds its buffers over every chunk it is given: the workspace is
+linear in the length (``workspace_elements``).  The bound on a long call is
+its caller's: ``stack.layer_forward`` runs a layer in tiles of whole chunks
+whose stage-1 mask fits a per-row budget, each tile one kernel call with
+the state carried in, so every kernel call ``infer`` makes spans one tile.
 
 Stage 3 reads out the first chunk only when a state is passed in, zero or
 not, so a call's flops are a closed form of its shape and that one bit
@@ -90,14 +85,6 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 4096
-
-# chunked_forward runs tiles of chunks whose stage-1 mask holds at most this
-# many elements per batch row (256 KB).  A mask spanning a long call (4 MB
-# per row group at 8 x 4,096) was handed back to the kernel and page-faulted
-# in again on every call.  Of 16,384, 32,768 and 65,536 on the benchmark
-# model (H = 2, Q = 16), 65,536 still page-faulted at 16 x 4,096 and 16,384
-# was the slowest at 1 x 65,536.
-_MASK_ELEMENTS_PER_ROW = 32768
 
 # `slices` (batch, chunk, head) masks of size Q take the whole-array build
 # when Q >= 8 and slices <= min(16, 256 // Q), else the row loop (see
@@ -161,11 +148,6 @@ def _chunk_major(a, Bm, Cm, x, q: int):
             x.reshape(b, k, q, h).transpose(0, 1, 3, 2))
 
 
-def _tile_chunks(h: int, chunk_size: int) -> int:
-    """Chunks per tile: the most whose stage-1 mask fits the per-row budget."""
-    return max(1, _MASK_ELEMENTS_PER_ROW // (h * chunk_size * chunk_size))
-
-
 def _short_build(q: int, slices: int) -> bool:
     """Whether ``slices`` masks of size q take the whole-array build."""
     return q >= _SHORT_MASK_MIN_Q and slices <= min(_SHORT_MASK_SLICES,
@@ -191,8 +173,7 @@ def intra_chunk(a, Bm, Cm, x, *, fault=None):
     M[i, ..., j] = L[i, j] x_j: x_j on the diagonal, ((x_j a_{j+1}) a_{j+2})
     ... a_i below it and +0.0 above it, built in the mask buffer alone by
     either build (``_short_build``), with the same bits.  The buffers span
-    every chunk given: the workspace bound is chunked_forward's, which
-    passes one tile at a time (see ``workspace_elements``).
+    every chunk given (see ``workspace_elements``).
 
     Args:
         a, x:   (batch, chunks, heads, Q) chunk-major transitions and inputs.
@@ -312,7 +293,7 @@ def inter_chunk_correction(entry, Cm, b_prev, *, fault=None) -> np.ndarray:
 
 
 def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fault=None):
-    """Full block-decomposed forward pass.
+    """Full block-decomposed forward pass over every chunk of the call at once.
 
     Args:
         coeffs:     per-position coefficients.
@@ -330,70 +311,48 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
     x = _check_inputs(coeffs, x)
     b, t, h = x.shape
     n = coeffs.state_dim
-    _, q, chunks, _ = _partition(t, chunk_size)
+    _, q, k, _ = _partition(t, chunk_size)
     state = None if h0 is None else _as_f64(h0, "h0", (b, h, n))
-    span = _tile_chunks(h, q) * q
-    one = span >= t  # one tile: its inputs are the call's, and its output is y
-    inputs = (coeffs.a, coeffs.Bmat, coeffs.Cmat, x)
-    y = None
-    for lo in range(0, t, span):
-        tile = slice(lo, lo + span)
-        a, Bm, Cm, xs = _chunk_major(*(inputs if one else [v[:, tile] for v in inputs]), q)
-        k = xs.shape[1]
-        y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
-        entry = np.empty(xs.shape)
-        np.multiply.accumulate(a, axis=-1, out=entry)  # np.cumprod, without its wrapper
-        b0 = np.zeros((b, h, n)) if state is None else state
-        states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
-        if state is not None:
-            y_c += inter_chunk_correction(entry, Cm, states[:, :k], fault=fault)
-        elif k > 1:
-            # without a state passed in, the state entering the call's first
-            # chunk is zero, and so is its correction: stage 3 skips that chunk
-            y_c[:, 1:] += inter_chunk_correction(entry[:, 1:], Cm[:, 1:], states[:, 1:k],
-                                                 fault=fault)
-        state = states[:, k].copy()
-        del b_intra, entry, b0, states  # not kept through the next tile
-        if one:  # one copy of the time-major view
-            y = y_c.swapaxes(-1, -2).reshape(b, -1, h)
-        else:
-            if y is None:  # made once the first tile is done, so that tile's peak excludes it
-                y = np.empty((b, chunks * q, h))
-            y[:, tile].reshape(b, k, q, h)[:] = y_c.swapaxes(-1, -2)
-        del y_c
-    return y[:, :t], state  # the padded tail dropped
+    a, Bm, Cm, xs = _chunk_major(coeffs.a, coeffs.Bmat, coeffs.Cmat, x, q)
+    y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
+    entry = np.empty(xs.shape)
+    np.multiply.accumulate(a, axis=-1, out=entry)  # np.cumprod, without its wrapper
+    b0 = np.zeros((b, h, n)) if state is None else state
+    states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
+    if state is not None:
+        y_c += inter_chunk_correction(entry, Cm, states[:, :k], fault=fault)
+    elif k > 1:
+        # without a state passed in, the state entering the call's first
+        # chunk is zero, and so is its correction: stage 3 skips that chunk
+        y_c[:, 1:] += inter_chunk_correction(entry[:, 1:], Cm[:, 1:], states[:, 1:k],
+                                             fault=fault)
+    hT = states[:, k].copy()
+    del b_intra, entry, b0, states  # freed before y is made
+    y = y_c.swapaxes(-1, -2).reshape(b, -1, h)  # one copy of the time-major view
+    return y[:, :t], hT  # the padded tail dropped
 
 
 def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
     """Peak float64 elements chunked_forward holds beyond its inputs, y included.
 
     Batch b, length t, heads h, state size n; dense_dual is chunk_size = t.
-    A tile peaks in the stage with the most live buffers, plus the padded
-    copies of a, B, C and x if it is ragged.  A one-tile call holds that
-    alone (its y, made at the end, is smaller); every later tile runs beside
-    y, b * chunks * Q * h elements however ragged the length, and the state
-    carried in.  Stage 2 holds a chunk-first copy of b_intra when batch > 1
-    and the tile has more than one chunk (see ``propagate_states``).
-    Temporaries inside one expression are not counted.
+    The call peaks in the stage with the most live buffers, plus the padded
+    copies of a, B, C and x if it is ragged; y, made once the stage buffers
+    are freed, is smaller.  Stage 2 holds a chunk-first copy of b_intra when
+    batch > 1 and the call has more than one chunk (see
+    ``propagate_states``).  Temporaries inside one expression are not
+    counted.
     """
     b, h, n = _as_int(b, "batch", 1), _as_int(h, "heads", 1), _as_int(n, "state size", 1)
     t, q, k, last = _partition(t, chunk_size)
-    s = min(k, _tile_chunks(h, q))
-    g = b * h * n  # one state
-
-    def tile(m, ragged):  # a tile of m chunks
-        c = b * m * h * q  # a chunk-major (b, m, h, Q) buffer
-        p = b * m * h * n  # one state per chunk
-        pad = 2 * c * (1 + n) if ragged else 0
-        copy = p if b > 1 and m > 1 else 0  # stage 2's chunk-first increments
-        return pad + max(c * q + c * n + p,          # stage 1: mask, Z, b_intra
-                         2 * c + 2 * p + g + copy,   # y_intra, entry, b_intra, states
-                         3 * c + p + g)              # stage 3: y_intra, entry, correction, states
-
-    if k == s:
-        return tile(k, last < q)
-    later = max(tile(min(s, k - s), False), tile(k - (k - 1) // s * s, last < q))
-    return max(tile(s, False), b * k * q * h + g + later)  # y spans whole chunks
+    c = b * k * h * q  # a chunk-major (b, k, h, Q) buffer
+    p = b * k * h * n  # one state per chunk
+    g = b * h * n      # one state
+    pad = 2 * c * (1 + n) if last < q else 0
+    copy = p if b > 1 and k > 1 else 0  # stage 2's chunk-first increments
+    return pad + max(c * q + c * n + p,          # stage 1: mask, Z, b_intra
+                     2 * c + 2 * p + g + copy,   # y_intra, entry, b_intra, states
+                     3 * c + p + g)              # stage 3: y_intra, entry, correction, states
 
 
 def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,

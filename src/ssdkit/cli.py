@@ -349,6 +349,8 @@ def main(argv=None) -> int:
         folder = os.path.dirname(args.out or "")
         if folder and not os.path.isdir(folder):
             raise ValidationError(f"--out {args.out}: directory {folder} does not exist")
+        if os.path.isdir(args.out or ""):
+            raise ValidationError(f"--out {args.out} is a directory")
         return handlers[args.command](args)
     except (SsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,11 +66,15 @@ def _uniform_signed(seed: int, start: int, count: int) -> np.ndarray:
     return u * (2.0 / 9007199254740992.0) - 1.0  # [0, 2^53) -> [-1, 1)
 
 
+def _check_spec(spec) -> None:
+    if not isinstance(spec, ModelSpec):
+        raise ValidationError(f"spec must be a ModelSpec, got {type(spec).__name__}")
+
+
 def _layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every tensor, in payload and draw order: the
     embedding table, then each layer's ``layer_shapes``; spec is checked."""
-    if not isinstance(spec, ModelSpec):
-        raise ValidationError(f"spec must be a ModelSpec, got {type(spec).__name__}")
+    _check_spec(spec)
     return ([("embedding", (spec.vocab_size, spec.d))]
             + list(layer_shapes(spec.H, spec.d, spec.N).items()) * spec.L)
 
@@ -124,6 +128,7 @@ def _checksum(payload: bytes) -> str:
 
 
 def spec_to_config(spec: ModelSpec) -> dict:
+    _check_spec(spec)
     return asdict(spec)
 
 
@@ -143,8 +148,9 @@ def spec_from_config(doc: dict) -> ModelSpec:
 
 
 def save_model_spec(path, spec: ModelSpec) -> None:
+    doc = spec_to_config(spec)
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_config(spec), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

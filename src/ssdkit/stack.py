@@ -10,11 +10,16 @@ One block loop, ``infer``, evaluates a stack: it runs each block of
 layer across blocks.  The two schedules are two block lengths:
 
   horizontal - one block spanning the whole sequence, i.e. layer at a time.
-               Activation footprint grows linearly with sequence length;
-               exactly one layer's input and output buffers are live at once.
+               Activation footprint grows linearly with sequence length, by
+               one residual stream (and its RMS vector).
   vertical   - blocks of ``V`` positions.  Activation footprint is
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
+
+One tile rule bounds a layer call: ``layer_forward`` runs it in tiles of
+whole chunks, and ``infer``, which owns each block's residual stream, has
+every layer write its output over it, so a block holds one stream plus one
+tile's buffers.
 
 A layer call checks its input and resolves its chunk to one integer at its
 entry (``_layer_input``): the chunk size given, or one chunk spanning the
@@ -42,7 +47,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import chunked
 from .chunked import chunked_forward, dense_dual, stage_flops, workspace_elements
 from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
@@ -70,6 +74,17 @@ __all__ = [
 
 RMS_EPS = 1e-8
 KERNELS = ("chunked", "recurrent", "dense")
+
+# layer_forward runs tiles of whole chunks whose stage-1 mask holds at most
+# this many elements per batch row (384 KB), so no layer buffer but the
+# residual stream spans a long call (a whole-call mask, 4 MB per row group at
+# 8 x 4,096, page-faulted in again on every call).  Interleaved at 8 x 4,096
+# on the benchmark model (H = 2, Q = 16, two row groups, BLAS on one thread)
+# against layers holding whole-call buffers (13.7 MB traced peak): 32,768
+# took 0.99x the time at 8.5 MB, 49,152 0.96x at 10.5 MB and 65,536 0.91x at
+# 12.4 MB.  Fewer tiles make fewer NumPy calls, each a point where the row
+# groups' threads trade the interpreter lock.
+_MASK_ELEMENTS_PER_ROW = 49152
 
 # positions per row group at least (see infer): in smaller groups, small-array
 # NumPy calls serialize on the interpreter lock
@@ -293,17 +308,32 @@ def _exp_in_place(a: np.ndarray) -> None:
     np.exp(a, out=a)
 
 
-def _project(params: LayerParams, u: np.ndarray, q: int):
+def _tile_chunks(h: int, q: int) -> int:
+    """Chunks per layer tile: the most whose stage-1 mask fits the per-row
+    budget, at least one."""
+    return max(1, _MASK_ELEMENTS_PER_ROW // (h * q * q))
+
+
+def _rms(u: np.ndarray) -> np.ndarray:
+    """The RMS of each position of u (batch, t, d), as (batch, t)."""
+    rms = np.einsum("btd,btd->bt", u, u)
+    rms /= u.shape[2]
+    rms += RMS_EPS
+    np.sqrt(rms, out=rms)
+    return rms
+
+
+def _project(params: LayerParams, u: np.ndarray, q: int, rms=None, bias=None):
     """Coefficients of the checked u (batch, t, d), padded to whole chunks of
     q: rows from t on have gates 1 and B = C = x = 0, so they leave the state
-    as it is and add zeros."""
+    as it is and add zeros.  A tile of a longer call passes the call's RMS
+    rows and gate-bias tile (see ``layer_forward``); otherwise both are made
+    here and the RMS is freed before the products."""
     b, t, d = u.shape
     h, n = params.heads, params.state_dim
     rows = -(-t // q) * q
-    rms = np.einsum("btd,btd->bt", u, u)
-    rms /= d
-    rms += RMS_EPS
-    np.sqrt(rms, out=rms)
+    if rms is None:
+        rms = _rms(u)
     if rows == t:
         un = u / rms[..., None]
     else:
@@ -315,7 +345,7 @@ def _project(params: LayerParams, u: np.ndarray, q: int):
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
     # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
     # runs one H-long inner loop per position
-    a += params.b_a[None].repeat(rows, 0)
+    a += params.b_a[None].repeat(rows, 0) if bias is None else bias[:rows]
     _exp_in_place(a)
     a += 1.0
     np.reciprocal(a, out=a)
@@ -328,8 +358,25 @@ def _project(params: LayerParams, u: np.ndarray, q: int):
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
+def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str, fault,
+                  out, rms=None, bias=None):
+    """One tile of a layer call: project u, run the kernel from state, and
+    write u plus the output projection into out (a new buffer when None).
+    Returns (v, the state at the end of the tile)."""
+    coeffs, x = _project(params, u, q, rms, bias)
+    if kernel == "chunked":
+        y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
+    elif kernel == "recurrent":
+        y, hT = recurrent_scan(coeffs, x, state)
+    else:
+        y, hT = dense_dual(coeffs, x, state)
+    del coeffs, x  # a, B, C and x are dead: free them before the output is made
+    p = _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
+    return np.add(p, u, out=p if out is None else out), hT
+
+
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
-                  kernel: str = "chunked", fault=None):
+                  kernel: str = "chunked", fault=None, overwrite_input: bool = False):
     """One residual layer: v = u + head outputs mapped back to channels.
 
     Args:
@@ -343,11 +390,22 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         kernel:     "chunked", "recurrent", or "dense"; all three compute the
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
+        overwrite_input: write v over u and return u's own buffer, which
+                    must be writeable; v is a new buffer when False.
+
+    The call runs in tiles of whole chunks whose stage-1 mask fits
+    ``_MASK_ELEMENTS_PER_ROW`` per batch row (at least one chunk; a dense
+    call is one chunk).  Each tile is projected, run through the kernel from
+    the state the previous tile left, projected back and added to its input
+    rows, so beside u and v a call holds its RMS vector and one tile's
+    buffers.  A tile's output may overwrite its input because no later tile
+    reads it.  A one-tile call makes the buffers of an untiled one, and
+    tiling changes no bit.
 
     A ragged length runs padded to whole chunks by ``_project``, so every
     product and the kernel call are chunk-aligned, and v is the real rows of
     the padded output: those of any longer call over the same first
-    positions, bit for bit.  The dense kernel's one chunk is never ragged.
+    positions, bit for bit.
 
     Returns:
         (v, new_state): output channels and the kernel state at the end of
@@ -358,50 +416,60 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if fault is not None and kernel != "chunked":
         raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
                               f"not {kernel!r}")
+    if not isinstance(overwrite_input, bool):
+        raise ValidationError(f"overwrite_input must be a bool, got {overwrite_input!r}")
     u, q = _layer_input(params, u, chunk_size)
     if kernel == "chunked" and chunk_size is None:
         raise ValidationError("chunk_size is required for the chunked kernel")
+    if overwrite_input and not u.flags.writeable:
+        raise ValidationError("overwrite_input needs a writeable u")
+    t = u.shape[1]
     if kernel == "dense":
-        q = u.shape[1]  # the products' one chunk spans the call, as the kernel's does
-    coeffs, x = _project(params, u, q)
-
-    if kernel == "chunked":
-        y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
-    elif kernel == "recurrent":
-        y, hT = recurrent_scan(coeffs, x, state)
-    else:
-        y, hT = dense_dual(coeffs, x, state)
-    del coeffs, x  # a, B, C and x are dead: free them before v is allocated
-
-    v = _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
-    v += u
-    return v, hT
+        q = t  # the products' one chunk spans the call, as the kernel's does
+    span = _tile_chunks(params.heads, q) * q
+    if span >= t:
+        return _tile_forward(params, u, q, state, kernel, fault, u if overwrite_input else None)
+    # per call, not per tile: the RMS of every position and the gate bias
+    # rows of a whole tile, sliced by each tile
+    rms = _rms(u)
+    bias = params.b_a[None].repeat(span, 0)
+    v = u if overwrite_input else np.empty_like(u)
+    for lo in range(0, t, span):
+        tile = slice(lo, lo + span)
+        _, state = _tile_forward(params, u[:, tile], q, state, kernel, fault, v[:, tile],
+                                 rms[:, tile], bias)
+    return v, state
 
 
 def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) -> int:
     """Peak float64 elements one block of t positions holds in a layer call.
 
-    The buffers live in order: the input u throughout; the normalized un
-    until a, B, C and x exist; then the kernel's workspace, which for the
-    recurrent kernel is its output y alone; then y and the output v.  Each
-    spans t rounded up to whole chunks of q, the block's resolved chunk (t
-    under the dense kernel, see ``_block_forms``), and the kernel call is
-    chunk-aligned.
+    The residual stream u, which each tile's output overwrites, is live
+    throughout beside one tile of s positions, whose buffers live in order:
+    the normalized un until a, B, C and x exist; then the kernel's
+    workspace (for the recurrent kernel its output y alone); then y and the
+    output projection.  Several tiles also hold the call's RMS vector, the
+    gate-bias tile and the state carried between them.  u and the RMS
+    vector span the t real positions, a tile whole chunks of q, the block's
+    resolved chunk (t under the dense kernel, see ``_block_forms``).
     """
-    t = -(-t // q) * q
-    P = batch * t * spec.d  # u, un, v
-    E = batch * t * spec.H  # a, x, y
+    rows = -(-t // q) * q
+    s = min(rows, _tile_chunks(spec.H, q) * q)
+    P = batch * s * spec.d  # un, the output projection
+    E = batch * s * spec.H  # a, x, y
     F = E * spec.N          # B, C
-    W = E if kernel == "recurrent" else workspace_elements(batch, t, spec.H, spec.N, q)
-    return P + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
+    W = E if kernel == "recurrent" else workspace_elements(batch, s, spec.H, spec.N, q)
+    tiles = 0 if s == rows else batch * t + s * spec.H + batch * spec.H * spec.N
+    return batch * t * spec.d + tiles + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
 
 
 @functools.lru_cache(maxsize=256)
 def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str, fresh: bool,
                  tile_budget: int) -> tuple[tuple[int, int, int], int]:
     """A block's per-stage flops over the L layers and its footprint, once per
-    block shape; the footprint also reads chunked's tile budget, so that is
-    part of the key."""
+    block shape; the footprint also reads the layer tile budget, so that is
+    part of the key.  Tiles leave the flops those of one kernel call over
+    the block: a later tile's first-chunk correction is the whole call's."""
     if kernel == "dense":
         q = n  # one chunk spans a dense layer call (see layer_forward)
     elements = _block_elements(spec, batch, n, q, kernel)
@@ -430,28 +498,29 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: StackedModel, tok: np.ndarray, states: np.ndarray, fresh: bool,
-                   q: int, kernel: str, fault) -> np.ndarray:
-    """One block's token rows through every layer, updating states (L, rows, H, N)."""
-    u = model.embedding[tok]
+def _block_forward(model: StackedModel, u: np.ndarray, states: np.ndarray, fresh: bool,
+                   q: int, kernel: str, fault) -> None:
+    """One block's residual stream u (rows, n, d) through every layer, in
+    place: the block owns it, so every layer writes its output over it.
+    Updates states (L, rows, H, N)."""
     for li, layer in enumerate(model.layers):
-        u, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                      kernel=kernel, fault=fault)
-    return u
+        _, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
+                                      kernel=kernel, fault=fault, overwrite_input=True)
 
 
-def _split_forward(groups: int, model: StackedModel, tok: np.ndarray, states: np.ndarray,
-                   *args) -> np.ndarray:
-    """``_block_forward`` on row groups at once; all finish before the first
-    group's error, in row order, is raised."""
-    batch = tok.shape[0]
+def _split_forward(groups: int, model: StackedModel, u: np.ndarray, states: np.ndarray,
+                   *args) -> None:
+    """``_block_forward`` on row groups of u at once, each on its own rows;
+    all finish before the first group's error, in row order, is raised."""
+    batch = u.shape[0]
     pool = _row_pool(os.getpid())
-    futures = [pool.submit(_block_forward, model, tok[lo:hi], states[:, lo:hi], *args)
+    futures = [pool.submit(_block_forward, model, u[lo:hi], states[:, lo:hi], *args)
                for lo, hi in ((i * batch // groups, (i + 1) * batch // groups)
                               for i in range(groups))]
     for future in futures:
         future.exception()  # waits without raising
-    return np.concatenate([future.result() for future in futures])
+    for future in futures:
+        future.result()
 
 
 def infer(model: StackedModel, tokens, block_len: int | None = None,
@@ -477,7 +546,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     the final block only.
 
     A block of n positions runs as g = min(CPUs available, batch, batch * n
-    // 8192) contiguous row groups, at once on a thread pool when g >= 2.
+    // 8192) contiguous row groups, at once on a thread pool when g >= 2,
+    each writing over its own rows of the block's one residual stream.
     Rows never interact and every operation works per row, so the results
     keep their bits; the ledger, linear in the batch, is unchanged.
     """
@@ -506,7 +576,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         fresh = start == 0 and initial_states is None
         n = min(step, t - start)
         (intra, propagate, inter), elements = _block_forms(
-            spec, batch, n, q, kernel, fresh, chunked._MASK_ELEMENTS_PER_ROW)
+            spec, batch, n, q, kernel, fresh, _MASK_ELEMENTS_PER_ROW)
         flops.intra += intra
         flops.propagate += propagate
         flops.inter += inter
@@ -515,11 +585,11 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         # block's layers, it would put the traced peak above the ledger's
         u = None
         groups = min(_CPUS, batch, batch * n // _MIN_GROUP_POSITIONS)
-        rows = tok[:, start:start + n]
+        u = model.embedding[tok[:, start:start + n]]
         if groups < 2:
-            u = _block_forward(model, rows, states, fresh, q, kernel, fault)
+            _block_forward(model, u, states, fresh, q, kernel, fault)
         else:
-            u = _split_forward(groups, model, rows, states, fresh, q, kernel, fault)
+            _split_forward(groups, model, u, states, fresh, q, kernel, fault)
         if sink is not None:
             sink(start, u.copy())
     ledger = MemoryLedger(peak_elements=states.size + peak,

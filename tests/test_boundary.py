@@ -53,7 +53,7 @@ from ssdkit import (
     vertical_infer,
     workspace_elements,
 )
-from ssdkit.model_io import spec_from_config
+from ssdkit.model_io import save_model_spec, spec_from_config, spec_to_config
 
 SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
 MODEL = generate_model(SPEC)
@@ -204,6 +204,10 @@ CASES = {
     "expected_payload_bytes-int-spec": (lambda tmp: expected_payload_bytes(3), ValidationError),
     "model_payload-int-model": (lambda tmp: model_payload(3), ValidationError),
     "save_model-int-model": (lambda tmp: save_model(tmp / "m.ssdm", 3), ValidationError),
+    "spec_to_config-config-spec": (
+        lambda tmp: spec_to_config(EquivalenceConfig()), ValidationError),
+    "save_model_spec-int-spec": (
+        lambda tmp: save_model_spec(tmp / "spec.json", 3), ValidationError),
     # layers and inference
     "layer_forward-batch-0-u": (
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((0, 4, 8)), None, 4), ValidationError),
@@ -303,4 +307,10 @@ def test_malformed_input_raises_its_ssd_error(call, error, tmp_path):
 def test_a_refused_model_save_leaves_no_file(tmp_path):
     with pytest.raises(ValidationError):
         save_model(tmp_path / "m.ssdm", MODEL.spec)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_spec_save_leaves_no_file(tmp_path):
+    with pytest.raises(ValidationError):
+        save_model_spec(tmp_path / "spec.json", 3)
     assert list(tmp_path.iterdir()) == []

@@ -247,13 +247,6 @@ class TestPropagateStates:
         c, g = b * t * h, b * h * n
         assert workspace_elements(b, t, h, n, 1) == 2 * c + 2 * c * n + g + copied * c * n
 
-    def test_one_chunk_tiles_hold_no_copy(self):
-        # y and the state carried in, beside one chunk's stage 2
-        b, t, h, n = 3, 16, 2, 3
-        g = b * h * n
-        with mask_tiles(1, h, 1):
-            assert workspace_elements(b, t, h, n, 1) == b * t * h + g + (2 * b * h + 3 * g)
-
     def test_flop_count(self):
         # one multiply-add of a state per chunk, ragged tail included
         for t, carry_in in ((16, False), (14, True)):
@@ -460,10 +453,9 @@ class TestChunkMajorEvaluation:
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_chunk)
 
-    # 16 chunks run as one tile, or as tiles of 3 chunks: each stage then
-    # runs once per tile
-    @pytest.mark.parametrize("chunks,tiles", [(16, 1), (3, 6)])
-    def test_stages_run_once_per_call(self, monkeypatch, chunks, tiles):
+    # the kernel runs every chunk of a call at once: each stage once per
+    # call (a long layer call is tiled by stack.layer_forward instead)
+    def test_stages_run_once_per_call(self, monkeypatch):
         calls = {name: 0 for name in ("intra_chunk", "propagate_states",
                                       "inter_chunk_correction")}
         for name in calls:
@@ -475,17 +467,8 @@ class TestChunkMajorEvaluation:
 
             monkeypatch.setattr(chunked, name, counted)
         coeffs, x, h0 = random_problem(33, 1, 64, 2, 3)
-        with mask_tiles(chunks, 2, 4):
-            chunked_forward(coeffs, x, 4, h0)
-        assert calls == {name: tiles for name in calls}
-
-
-@contextlib.contextmanager
-def mask_tiles(chunks, h, q):
-    """Make chunked_forward run its chunks in tiles of ``chunks``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
-        yield
+        chunked_forward(coeffs, x, 4, h0)
+        assert calls == {name: 1 for name in calls}
 
 
 @contextlib.contextmanager
@@ -501,46 +484,28 @@ BUILDS = ("never", "always")
 
 
 class TestMaskTiles:
+    # the two mask builds make the same products, so the same bits, under
+    # every fault mode and whether a state is passed in or not
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_tiles_keep_every_bit(self, data):
+    def test_both_builds_keep_every_bit(self, data):
         batch = data.draw(st.integers(1, 3), "batch")
         t = data.draw(st.integers(1, 120), "T")
         h = data.draw(st.integers(1, 3), "heads")
         q = data.draw(st.sampled_from((1, 2, 3, 4, 8, 16)), "Q")
         fault = data.draw(st.sampled_from((None,) + FAULT_MODES), "fault")
-        k = -(-t // q)
-        chunks = data.draw(st.sampled_from((1, 2, 3, k)), "chunks per tile")
-        build = data.draw(st.sampled_from(BUILDS), "mask build")
         coeffs, x, h0 = random_problem(data.draw(st.integers(0, 2**16), "seed"), batch, t, h,
                                        3, with_state=data.draw(st.booleans(), "h0"))
-        with mask_tiles(k, h, q), mask_build("never"):
+        with mask_build("never"):
+            rows = chunked_forward(coeffs, x, q, h0, fault=fault)
+        with mask_build("always"):
             whole = chunked_forward(coeffs, x, q, h0, fault=fault)
-        with mask_tiles(chunks, h, q), mask_build(build):
-            tiled = chunked_forward(coeffs, x, q, h0, fault=fault)
-        assert np.array_equal(tiled[0], whole[0])
-        assert np.array_equal(tiled[1], whole[1])
-
-    # a one-tile call lays out the call's own arrays, hands stage 3 whole
-    # arrays when a state is passed in and returns y as one copy; tiles of
-    # one chunk take the sliced path, one tile per chunk.  state-transition
-    # runs stage 2 with every multiplier 1
-    @pytest.mark.parametrize("fault", (None,) + FAULT_MODES)
-    @pytest.mark.parametrize("with_state", [False, True])
-    @pytest.mark.parametrize("b,t,h,q", [(1, 64, 2, 16), (3, 24, 3, 4), (2, 8, 1, 8)])
-    def test_one_aligned_tile_matches_one_chunk_tiles(self, b, t, h, q, with_state, fault):
-        coeffs, x, h0 = random_problem(t + q, b, t, h, 3, with_state=with_state)
-        assert chunked._tile_chunks(h, q) >= t // q  # one tile at the module's budget
-        y, hT = chunked_forward(coeffs, x, q, h0, fault=fault)
-        with mask_tiles(1, h, q):
-            y_tiled, h_tiled = chunked_forward(coeffs, x, q, h0, fault=fault)
-        assert y.shape == (b, t, h) and y.flags.c_contiguous
-        assert np.array_equal(y, y_tiled)
-        assert np.array_equal(hT, h_tiled)
+        assert np.array_equal(whole[0], rows[0])
+        assert np.array_equal(whole[1], rows[1])
 
     # a slice is one (batch, chunk, head) mask: a vertical block of 64
     # positions at H = 2, Q = 16 has 8 and takes the whole-array build, a
-    # tile of a batch-8 horizontal call has 512 and takes the row loop
+    # layer tile of a batch-8 horizontal call has 1,536 and takes the row loop
     @pytest.mark.parametrize("q,slices,short", [
         (16, 8, True), (16, 16, True), (16, 17, False), (16, 512, False), (16, 128, False),
         (8, 16, True), (8, 32, False), (4, 2, False), (1, 1, False),
@@ -567,34 +532,25 @@ class TestMaskTiles:
                     tracemalloc.stop()
         assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
 
-    # the kernel and workspace_elements share one tile rule: the traced peak
-    # of a call stays within the ledger's bounds (see test_stack's
-    # TestLedgerAgainstTracedMemory) whether it runs as one tile, as tiles of
-    # one chunk, or at the module's budget
-    # one tile at Q = 4, N = 2, where the mask is the largest stage-1 buffer:
-    # a mask kept alive into y_intra puts the peak 17% above the closed form
-    @pytest.mark.parametrize("b,t,h,n,q,chunks", [
-        (2, 4096, 2, 4, 16, None), (2, 4096, 2, 4, 16, 1), (2, 4096, 2, 4, 16, 256),
-        (2, 1024, 2, 2, 4, 256),
+    # the traced peak of a kernel call stays within the ledger's bounds (see
+    # test_stack's TestLedgerAgainstTracedMemory); at Q = 4, N = 2 the mask
+    # is the largest stage-1 buffer: a mask kept alive into y_intra puts the
+    # peak 17% above the closed form
+    @pytest.mark.parametrize("b,t,h,n,q", [
+        (2, 4096, 2, 4, 16), (2, 1024, 2, 2, 4),
         # ragged lengths: y spans whole chunks, trimmed at the return
-        (2, 4100, 2, 4, 16, None), (3, 1001, 2, 2, 4, 7),
-    ], ids=["None", "1", "256", "one-tile-q4-n2", "None-ragged", "7-ragged-q4-n2"])
-    def test_traced_peak_matches_the_closed_form(self, b, t, h, n, q, chunks):
+        (2, 4100, 2, 4, 16), (3, 1001, 2, 2, 4),
+    ], ids=["aligned", "q4-n2", "ragged", "ragged-q4-n2"])
+    def test_traced_peak_matches_the_closed_form(self, b, t, h, n, q):
         coeffs, x, _ = random_problem(7, b, t, h, n, with_state=False)
-        if chunks is None:
-            assert chunked._tile_chunks(h, q) < t // q  # the budget splits this call
-            tiles = contextlib.nullcontext()
-        else:
-            tiles = mask_tiles(chunks, h, q)
-        with tiles:
-            chunked_forward(coeffs, x, q)  # warm lazy set-up
-            tracemalloc.start()
-            try:
-                chunked_forward(coeffs, x, q)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            ratio = peak / (8 * workspace_elements(b, t, h, n, q))
+        chunked_forward(coeffs, x, q)  # warm lazy set-up
+        tracemalloc.start()
+        try:
+            chunked_forward(coeffs, x, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (8 * workspace_elements(b, t, h, n, q))
         assert 0.95 <= ratio <= 1.10
 
 

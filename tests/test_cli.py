@@ -336,6 +336,27 @@ class TestOutDirectory:
         assert f"error: --out {out}: directory " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["input.txt"]
 
+    # an existing directory as --out is refused before any work too, naming
+    # the path given rather than the temp file an atomic write would rename
+    @pytest.mark.parametrize("argv", [
+        EQ_ARGS, ["sweep", "--grid-t", "8", "--strategy", "recurrent"], BENCH_ARGS,
+        ["embed", "input.txt"], ["report", "sweep.csv"],
+    ], ids=["equivalence", "sweep", "bench-preset", "embed", "report"])
+    def test_existing_directory_out_exits_two_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_equivalence", "run_sweep", "embed_sequence", "read_records"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input.txt").write_text("some words\n")
+        (tmp_path / "outdir").mkdir()
+        rc = main([*argv, "--out", "outdir"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --out outdir is a directory\n"
+        assert list((tmp_path / "outdir").iterdir()) == []
+
 
 class TestConfigFlags:
     # every field is set from a flag, except layers (set by the acceptance

@@ -325,6 +325,99 @@ class TestLayerForward:
         with pytest.raises(ValidationError):
             layer_forward(p, np.zeros((1, 4, 8)), chunk_size=2, kernel="fft")
 
+    # one tile at the module's budget, and tiles of one chunk
+    @pytest.mark.parametrize("chunks", [None, 1])
+    def test_the_input_is_left_untouched_by_default(self, chunks):
+        p = tiny_params(12)
+        u = np.random.default_rng(12).standard_normal((2, 22, 8))
+        kept = u.copy()
+        with layer_tiles(chunks, 2, 4):
+            v, _ = layer_forward(p, u, chunk_size=4)
+            assert not np.shares_memory(v, u)
+            assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("chunks", [None, 1])
+    def test_overwrite_input_returns_the_input_buffer_with_the_same_bits(self, kernel, chunks):
+        p = tiny_params(13)
+        rng = np.random.default_rng(13)
+        u, h0 = rng.standard_normal((2, 22, 8)), rng.standard_normal((2, 2, 3))
+        with layer_tiles(chunks, 2, 4):
+            v, hT = layer_forward(p, u, h0, 4, kernel=kernel)
+            u_out, h_out = layer_forward(p, u, h0, 4, kernel=kernel, overwrite_input=True)
+        assert u_out is u
+        assert np.array_equal(u, v)
+        assert np.array_equal(h_out, hT)
+
+    @pytest.mark.parametrize("value", [1, 0, None, "yes", np.True_])
+    def test_overwrite_input_must_be_a_bool(self, value):
+        with pytest.raises(ValidationError, match="overwrite_input must be a bool"):
+            layer_forward(tiny_params(14), np.zeros((1, 4, 8)), chunk_size=2,
+                          overwrite_input=value)
+
+    def test_overwrite_input_refuses_a_read_only_input(self):
+        u = np.zeros((1, 4, 8))
+        u.flags.writeable = False
+        with pytest.raises(ValidationError, match="writeable"):
+            layer_forward(tiny_params(14), u, chunk_size=2, overwrite_input=True)
+        assert layer_forward(tiny_params(14), u, chunk_size=2)[0].flags.writeable
+
+
+@contextmanager
+def layer_tiles(chunks, h, q):
+    """Make layer_forward run its calls in tiles of ``chunks`` chunks (the
+    module's budget when None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunks is not None:
+            mp.setattr(stack, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
+        yield
+
+
+class TestLayerTiles:
+    # a layer call split into tiles of whole chunks gives the bits of the
+    # one-tile call: each tile's products and kernel call see the chunks
+    # the whole call would, and the state carried between tiles is the one
+    # the kernel carries between those chunks
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tiles_keep_every_bit(self, data):
+        batch = data.draw(st.integers(1, 3), "batch")
+        t = data.draw(st.integers(1, 120), "T")
+        h = data.draw(st.integers(1, 3), "heads")
+        q = data.draw(st.sampled_from((1, 2, 3, 4, 8, 16)), "Q")
+        kernel = data.draw(st.sampled_from(KERNELS), "kernel")
+        fault = (data.draw(st.sampled_from((None,) + FAULT_MODES), "fault")
+                 if kernel == "chunked" else None)
+        chunks = data.draw(st.sampled_from((1, 2, 3)), "chunks per tile")
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        p = tiny_params(seed, h=h)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((batch, t, 8))
+        h0 = rng.standard_normal((batch, h, 3)) if data.draw(st.booleans(), "h0") else None
+        with layer_tiles(-(-t // q), h, q):
+            whole = layer_forward(p, u, h0, q, kernel=kernel, fault=fault)
+        with layer_tiles(chunks, h, q):
+            tiled = layer_forward(p, u, h0, q, kernel=kernel, fault=fault)
+        assert np.array_equal(tiled[0], whole[0])
+        assert np.array_equal(tiled[1], whole[1])
+
+    # one tile at the module's budget against tiles of one chunk, under
+    # every fault mode; state-transition runs stage 2 with every multiplier 1
+    @pytest.mark.parametrize("fault", (None,) + FAULT_MODES)
+    @pytest.mark.parametrize("with_state", [False, True])
+    @pytest.mark.parametrize("b,t,h,q", [(1, 64, 2, 16), (3, 24, 3, 4), (2, 8, 1, 8), (2, 13, 2, 4)])
+    def test_one_tile_matches_one_chunk_tiles(self, b, t, h, q, with_state, fault):
+        p = tiny_params(t + q, h=h)
+        rng = np.random.default_rng(t + q)
+        u = rng.standard_normal((b, t, 8))
+        h0 = rng.standard_normal((b, h, 3)) if with_state else None
+        assert stack._tile_chunks(h, q) * q >= t  # one tile at the module's budget
+        v, hT = layer_forward(p, u, h0, q, fault=fault)
+        with layer_tiles(1, h, q):
+            v_tiled, h_tiled = layer_forward(p, u, h0, q, fault=fault)
+        assert np.array_equal(v, v_tiled)
+        assert np.array_equal(hT, h_tiled)
+
 
 class TestHorizontalInfer:
     def test_single_layer_stack_is_one_layer_call(self):
@@ -626,18 +719,20 @@ def traced_peak_bytes(fn, *args, **kwargs):
 class TestLedgerPeaks:
     # Literal peaks of the per-buffer ledger (every buffer charged when made
     # and discharged when dropped) that the closed form replaced; the closed
-    # form must keep reproducing them.  A ragged chunked block is charged at
-    # its length rounded up to whole chunks, as layer_forward runs it, so the
-    # two ragged vertical cases peak at a full block's.  So is the ragged
-    # recurrent case (40 = 13 x 3 + 1, run as 42 rows): it peaks in the
-    # projection phase, 1008 + 3024 + 36, as layer_forward frees a, B, C and
-    # x before forming v.  The Q = 1 case at batch 3 peaks in stage 2, which
-    # holds a chunk-first copy of b_intra (288 elements) beside its states.
+    # form must keep reproducing them.  A ragged chunked block's layer
+    # buffers are charged at its length rounded up to whole chunks, as
+    # layer_forward runs it, so the two ragged vertical cases peak at a full
+    # block's; its residual stream, written over by each layer's output, is
+    # charged at the real length.  So is the ragged recurrent case (40 = 13 x
+    # 3 + 1, run as 42 rows): it peaks in the projection phase, 960 + 3024 +
+    # 36, as layer_forward frees a, B, C and x before forming v.  The Q = 1
+    # case at batch 3 peaks in stage 2, which holds a chunk-first copy of
+    # b_intra (288 elements) beside its states.
     SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried,peak", [
-        ("chunked", 1, 50, 16, None, False, 4004),
-        ("recurrent", 3, 40, 3, None, True, 4068),
+        ("chunked", 1, 50, 16, None, False, 3892),
+        ("recurrent", 3, 40, 3, None, True, 4020),
         ("dense", 1, 37, 1, None, False, 3866),
         ("chunked", 3, 96, 3, 24, False, 2772),
         ("chunked", 1, 64, 16, 32, True, 2008),
@@ -709,35 +804,35 @@ class TestFlopCounts:
         assert np.array_equal(zero.hidden, fresh.hidden)
         assert np.array_equal(zero.states, fresh.states)
 
-    # a call longer than one tile counts the sum of its tiles: tile 0 carries
-    # a state in when the call does, every later tile carries one in
+    # a layer call longer than one tile runs one kernel call per tile, whose
+    # flops sum to the whole call's: tile 0 carries a state in when the
+    # call does, every later tile carries one in
     @pytest.mark.parametrize("batch,t,q,chunks,tiles", [
-        (2, 4096, 16, None, 4),  # the kernel's own budget: tiles of 64 chunks
+        (2, 4096, 16, None, 3),  # the module's budget: tiles of 96 chunks
         (3, 47, 3, 4, 4),        # tiles of 4 chunks, the last one ragged
     ])
     @pytest.mark.parametrize("carry_in", [False, True])
     def test_a_multi_tile_call_counts_its_tiles(self, monkeypatch, batch, t, q, chunks, tiles,
                                                 carry_in):
         h, n = 2, 4
-        if chunks is not None:
-            monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", chunks * h * q * q)
         seen = []
-        original = chunked.intra_chunk
+        original = stack.chunked_forward
 
-        def recorded(a, *args, **kwargs):
-            seen.append(a.shape[1])
-            return original(a, *args, **kwargs)
+        def recorded(coeffs, x, chunk_size, h0=None, **kwargs):
+            seen.append((x.shape[1], h0 is not None))
+            return original(coeffs, x, chunk_size, h0, **kwargs)
 
-        monkeypatch.setattr(chunked, "intra_chunk", recorded)
+        monkeypatch.setattr(stack, "chunked_forward", recorded)
         rng = np.random.default_rng(t)
         h0 = rng.standard_normal((batch, h, n)) if carry_in else None
-        chunked_forward(random_coefficients(rng, batch, t, h, n),
-                        rng.standard_normal((batch, t, h)), q, h0)
+        with layer_tiles(chunks, h, q):
+            layer_forward(tiny_params(t, h=h, n=n), rng.standard_normal((batch, t, 8)), h0, q)
         assert len(seen) == tiles
-        lengths = [c * q for c in seen]
+        assert [carried for _, carried in seen] == [carry_in] + [True] * (tiles - 1)
+        lengths = [m for m, _ in seen]
         lengths[-1] -= sum(lengths) - t  # the padded tail of the last tile
-        by_tile = [stage_flops(batch, m, h, n, q, carry_in=carry_in or i > 0)
-                   for i, m in enumerate(lengths)]
+        by_tile = [stage_flops(batch, m, h, n, q, carry_in=carried)
+                   for m, (_, carried) in zip(lengths, seen)]
         whole = stage_flops(batch, t, h, n, q, carry_in=carry_in)
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_tile)
@@ -795,7 +890,7 @@ class TestClosedFormsPerShape:
         spec, tok = self.SPEC, np.arange(64) % (self.SPEC.vocab_size - 1)
         states = spec.L * spec.H * spec.N
         one_tile = infer(self.MODEL, tok, None, 4).ledger.peak_elements
-        monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW", 2 * spec.H * 4 * 4)
+        monkeypatch.setattr(stack, "_MASK_ELEMENTS_PER_ROW", 2 * spec.H * 4 * 4)
         tiled = infer(self.MODEL, tok, None, 4).ledger.peak_elements
         assert tiled == states + stack._block_elements(spec, 1, 64, 4, "chunked") != one_tile
 
@@ -804,12 +899,13 @@ class TestLedgerAgainstTracedMemory:
     # The ledger charges every buffer the schedules keep alive and skips
     # transient temporaries, so it should sit just under the measured peak.
     # Bounds: traced / (8 bytes x ledger peak) within [0.95, 1.10] for one
-    # horizontal call (measured 1.003-1.035) and for one multi-block vertical
-    # call (measured 1.03 at V = 256), and a vertical traced peak at T = 4096
-    # within 1.10x of the one at T = 256 (measured within 2%).
+    # horizontal call (measured 1.001-1.035; 1 x 65,536 runs as 43 layer
+    # tiles) and for one multi-block vertical call (measured 1.03 at V =
+    # 256), and a vertical traced peak at T = 4096 within 1.10x of the one at
+    # T = 256 (measured within 2%).
     SPEC = ModelSpec(seed=42, L=4, d=16, H=2, N=4, vocab_size=64, Q=16, V=64)
 
-    @pytest.mark.parametrize("batch,t", [(1, 256), (2, 1000), (2, 4096)])
+    @pytest.mark.parametrize("batch,t", [(1, 256), (2, 1000), (2, 4096), (1, 65536)])
     def test_horizontal_traced_peak_matches_the_ledger(self, batch, t):
         model = generate_model(self.SPEC)
         tok = tokens_for(self.SPEC, t, batch)
@@ -837,6 +933,20 @@ class TestLedgerAgainstTracedMemory:
         result, peak = traced_peak_bytes(horizontal_infer, model, tok, kernel="recurrent")
         ratio = peak / (8 * result.ledger.peak_elements)
         assert 0.95 <= ratio <= 1.10
+
+    def test_horizontal_traced_peak_grows_by_the_residual_stream(self):
+        # a horizontal call holds one residual stream plus one layer tile, so
+        # its peak grows with length by the stream (8 b T d bytes) and the
+        # RMS vector (1/d of it): measured 1.06x the stream's growth, against
+        # 3.37x when each layer held u, un, a and the projections whole
+        model = generate_model(self.SPEC)
+        peaks = {}
+        for t in (16384, 65536):
+            tok = tokens_for(self.SPEC, t)
+            horizontal_infer(model, tok)  # warm lazy set-up
+            _, peaks[t] = traced_peak_bytes(horizontal_infer, model, tok)
+        stream = 8 * (65536 - 16384) * self.SPEC.d
+        assert peaks[65536] - peaks[16384] <= 1.10 * stream
 
     def test_vertical_traced_peak_is_flat_in_length(self):
         model = generate_model(self.SPEC)
@@ -945,6 +1055,18 @@ class TestRowGroups:
             infer(model, tok, block_len)  # warm lazy set-up and the pool
             result, peak = traced_peak_bytes(infer, model, tok, block_len)
         assert peak <= 1.10 * 8 * result.ledger.peak_elements
+
+    def test_split_groups_write_one_stream(self):
+        # with small layer tiles the ledger is about one residual stream: the
+        # groups overwrite their rows of one block stream in place, where a
+        # concatenation of their outputs put the traced peak at 1.8x
+        spec = TestLedgerAgainstTracedMemory.SPEC
+        model = generate_model(spec)
+        tok = tokens_for(spec, 2048, batch=4)
+        with row_groups(2), layer_tiles(1, spec.H, spec.Q):
+            infer(model, tok)  # warm lazy set-up and the pool
+            result, peak = traced_peak_bytes(infer, model, tok)
+        assert 0.95 <= peak / (8 * result.ledger.peak_elements) <= 1.10
 
 
 ROOT = Path(__file__).resolve().parent.parent

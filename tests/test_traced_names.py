@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdkit import ModelSpec, chunked, generate_model, infer
+from ssdkit import ModelSpec, generate_model, infer, stack
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,6 +74,8 @@ def record_calls(monkeypatch):
     return calls
 
 
+# A layer call runs in tiles (see stack.layer_forward): it reaches the
+# kernel once per tile, and each kernel call reaches each stage once.
 @pytest.mark.parametrize("tiles", [1, 2])
 @pytest.mark.parametrize("carried", [False, True])
 @pytest.mark.parametrize("block_len,blocks", [(None, 1), (16, 3)], ids=["horizontal", "vertical"])
@@ -83,9 +85,9 @@ def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, bloc
     model = generate_model(spec)
     tok = np.random.default_rng(3).integers(0, spec.vocab_size - 1, 48)
     states = np.full((spec.L, 1, spec.H, spec.N), 0.5) if carried else None
-    chunks = 48 // blocks // spec.Q  # per kernel call
+    chunks = 48 // blocks // spec.Q  # per layer call
     if tiles > 1:
-        monkeypatch.setattr(chunked, "_MASK_ELEMENTS_PER_ROW",
+        monkeypatch.setattr(stack, "_MASK_ELEMENTS_PER_ROW",
                             chunks // tiles * spec.H * spec.Q * spec.Q)
     calls = record_calls(monkeypatch)
     infer(model, tok, block_len, spec.Q, initial_states=states)
@@ -94,10 +96,10 @@ def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, bloc
     layers = [cid for name, cid, parent in calls if name == "stack.layer_forward"]
     assert len(layers) == spec.L * blocks
     kernels = [(cid, parent) for name, cid, parent in calls if name == "chunked.chunked_forward"]
-    assert [parent for _, parent in kernels] == layers
+    assert [parent for _, parent in kernels] == [cid for cid in layers for _ in range(tiles)]
     for cid, _ in kernels:
         children = [names[c] for _, c, parent in calls if parent == cid]
-        assert children == list(STAGES) * tiles
+        assert children == list(STAGES)
 
 
 def test_the_dense_route_reaches_the_kernel_through_dense_dual(monkeypatch):
