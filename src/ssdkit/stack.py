@@ -11,7 +11,7 @@ layer across blocks.  The two schedules are two block lengths:
 
   horizontal - one block spanning the whole sequence, i.e. layer at a time.
                Activation footprint grows linearly with sequence length, by
-               one residual stream (and its RMS vector).
+               one residual stream.
   vertical   - blocks of ``V`` positions.  Activation footprint is
                independent of sequence length once it exceeds the block
                length; a sequence within one block is the horizontal case.
@@ -80,10 +80,9 @@ KERNELS = ("chunked", "recurrent", "dense")
 # residual stream spans a long call (a whole-call mask, 4 MB per row group at
 # 8 x 4,096, page-faulted in again on every call).  Interleaved at 8 x 4,096
 # on the benchmark model (H = 2, Q = 16, two row groups, BLAS on one thread)
-# against layers holding whole-call buffers (13.7 MB traced peak): 32,768
-# took 0.99x the time at 8.5 MB, 49,152 0.96x at 10.5 MB and 65,536 0.91x at
-# 12.4 MB.  Fewer tiles make fewer NumPy calls, each a point where the row
-# groups' threads trade the interpreter lock.
+# against 49,152 (10.1 MB traced peak): 32,768 took 1.06x the time at 8.2 MB
+# and 65,536 0.94x at 12.1 MB.  Fewer tiles make fewer NumPy calls, each a
+# point where the row groups' threads trade the interpreter lock.
 _MASK_ELEMENTS_PER_ROW = 49152
 
 # positions per row group at least (see infer): in smaller groups, small-array
@@ -314,26 +313,19 @@ def _tile_chunks(h: int, q: int) -> int:
     return max(1, _MASK_ELEMENTS_PER_ROW // (h * q * q))
 
 
-def _rms(u: np.ndarray) -> np.ndarray:
-    """The RMS of each position of u (batch, t, d), as (batch, t)."""
-    rms = np.einsum("btd,btd->bt", u, u)
-    rms /= u.shape[2]
-    rms += RMS_EPS
-    np.sqrt(rms, out=rms)
-    return rms
-
-
-def _project(params: LayerParams, u: np.ndarray, q: int, rms=None, bias=None):
+def _project(params: LayerParams, u: np.ndarray, q: int):
     """Coefficients of the checked u (batch, t, d), padded to whole chunks of
     q: rows from t on have gates 1 and B = C = x = 0, so they leave the state
-    as it is and add zeros.  A tile of a longer call passes the call's RMS
-    rows and gate-bias tile (see ``layer_forward``); otherwise both are made
-    here and the RMS is freed before the products."""
+    as it is and add zeros.  Every buffer made here spans u alone, which in a
+    layer call is one tile (see ``layer_forward``): the RMS of its positions,
+    freed before the products, and its gate-bias rows."""
     b, t, d = u.shape
     h, n = params.heads, params.state_dim
     rows = -(-t // q) * q
-    if rms is None:
-        rms = _rms(u)
+    rms = np.einsum("btd,btd->bt", u, u)
+    rms /= d
+    rms += RMS_EPS
+    np.sqrt(rms, out=rms)
     if rows == t:
         un = u / rms[..., None]
     else:
@@ -345,7 +337,7 @@ def _project(params: LayerParams, u: np.ndarray, q: int, rms=None, bias=None):
     # a = 1 / (1 + e^(logit)) in place; overflow to inf gives exactly 0.  b_a
     # is added as a (rows, H) row-tiled operand: broadcast as (H,), the add
     # runs one H-long inner loop per position
-    a += params.b_a[None].repeat(rows, 0) if bias is None else bias[:rows]
+    a += params.b_a[None].repeat(rows, 0)
     _exp_in_place(a)
     a += 1.0
     np.reciprocal(a, out=a)
@@ -358,12 +350,10 @@ def _project(params: LayerParams, u: np.ndarray, q: int, rms=None, bias=None):
     return SsmCoefficients(a, Bmat, Cmat, validate=False), x
 
 
-def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str, fault,
-                  out, rms=None, bias=None):
+def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str, fault):
     """One tile of a layer call: project u, run the kernel from state, and
-    write u plus the output projection into out (a new buffer when None).
-    Returns (v, the state at the end of the tile)."""
-    coeffs, x = _project(params, u, q, rms, bias)
+    add the output projection to u in place.  Returns the tile's end state."""
+    coeffs, x = _project(params, u, q)
     if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
     elif kernel == "recurrent":
@@ -371,8 +361,8 @@ def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str
     else:
         y, hT = dense_dual(coeffs, x, state)
     del coeffs, x  # a, B, C and x are dead: free them before the output is made
-    p = _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
-    return np.add(p, u, out=p if out is None else out), hT
+    u += _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
+    return hT
 
 
 def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = None, *,
@@ -391,16 +381,17 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     same map, differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
         overwrite_input: write v over u and return u's own buffer, which
-                    must be writeable; v is a new buffer when False.
+                    must be writeable; v is a new buffer when False.  A u
+                    that is not float64 (float32, a nested list) is converted
+                    first: v is then that new buffer, and u is left untouched.
 
-    The call runs in tiles of whole chunks whose stage-1 mask fits
-    ``_MASK_ELEMENTS_PER_ROW`` per batch row (at least one chunk; a dense
-    call is one chunk).  Each tile is projected, run through the kernel from
-    the state the previous tile left, projected back and added to its input
-    rows, so beside u and v a call holds its RMS vector and one tile's
-    buffers.  A tile's output may overwrite its input because no later tile
-    reads it.  A one-tile call makes the buffers of an untiled one, and
-    tiling changes no bit.
+    Every call runs one loop over tiles of whole chunks whose stage-1 mask
+    fits ``_MASK_ELEMENTS_PER_ROW`` per batch row (at least one chunk; a
+    dense call is one chunk), one tile or many.  Each tile is projected, run
+    through the kernel from the state the previous tile left, projected back
+    and added to its input rows, which it overwrites: no later tile reads
+    them.  So beside v (and u, when not overwritten) a call holds one tile's
+    buffers, and tiling changes no bit.
 
     A ragged length runs padded to whole chunks by ``_project``, so every
     product and the kernel call are chunk-aligned, and v is the real rows of
@@ -427,17 +418,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if kernel == "dense":
         q = t  # the products' one chunk spans the call, as the kernel's does
     span = _tile_chunks(params.heads, q) * q
-    if span >= t:
-        return _tile_forward(params, u, q, state, kernel, fault, u if overwrite_input else None)
-    # per call, not per tile: the RMS of every position and the gate bias
-    # rows of a whole tile, sliced by each tile
-    rms = _rms(u)
-    bias = params.b_a[None].repeat(span, 0)
-    v = u if overwrite_input else np.empty_like(u)
+    v = u if overwrite_input else u.copy()
     for lo in range(0, t, span):
-        tile = slice(lo, lo + span)
-        _, state = _tile_forward(params, u[:, tile], q, state, kernel, fault, v[:, tile],
-                                 rms[:, tile], bias)
+        state = _tile_forward(params, v[:, lo:lo + span], q, state, kernel, fault)
     return v, state
 
 
@@ -448,10 +431,9 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     throughout beside one tile of s positions, whose buffers live in order:
     the normalized un until a, B, C and x exist; then the kernel's
     workspace (for the recurrent kernel its output y alone); then y and the
-    output projection.  Several tiles also hold the call's RMS vector, the
-    gate-bias tile and the state carried between them.  u and the RMS
-    vector span the t real positions, a tile whole chunks of q, the block's
-    resolved chunk (t under the dense kernel, see ``_block_forms``).
+    output projection.  Several tiles also hold the state carried between
+    them.  u spans the t real positions, a tile whole chunks of q, the
+    block's resolved chunk (t under the dense kernel, see ``_block_forms``).
     """
     rows = -(-t // q) * q
     s = min(rows, _tile_chunks(spec.H, q) * q)
@@ -459,8 +441,8 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     E = batch * s * spec.H  # a, x, y
     F = E * spec.N          # B, C
     W = E if kernel == "recurrent" else workspace_elements(batch, s, spec.H, spec.N, q)
-    tiles = 0 if s == rows else batch * t + s * spec.H + batch * spec.H * spec.N
-    return batch * t * spec.d + tiles + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
+    carried = 0 if s == rows else batch * spec.H * spec.N
+    return batch * t * spec.d + carried + max(P + 2 * E + 2 * F, 2 * E + 2 * F + W, E + P)
 
 
 @functools.lru_cache(maxsize=256)
@@ -683,12 +665,14 @@ def import_state_snapshot(doc: dict) -> np.ndarray:
 
 @contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
-    """Open a fresh temp file beside ``path`` for writing ("w" or "wb" mode).
+    """Open a fresh temp file beside ``path`` for writing, in mode "w" or "wb" only.
 
     When the block completes the file is flushed, fsynced and renamed over
     ``path``; when it raises the temp file is removed, so ``path`` is either
     left as it was or fully replaced, never half-written.
     """
+    if mode not in ("w", "wb"):
+        raise ValidationError(f'atomic_write mode must be "w" or "wb", got {mode!r}')
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")

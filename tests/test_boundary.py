@@ -54,6 +54,7 @@ from ssdkit import (
     workspace_elements,
 )
 from ssdkit.model_io import save_model_spec, spec_from_config, spec_to_config
+from ssdkit.stack import atomic_write
 
 SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
 MODEL = generate_model(SPEC)
@@ -102,6 +103,12 @@ def text_file(tmp_path, data: bytes):
     path = tmp_path / "text.txt"
     path.write_bytes(data)
     return path
+
+
+def atomic_text(tmp_path, mode: str):
+    """Write one line to ``f.txt`` through atomic_write in ``mode``."""
+    with atomic_write(tmp_path / "f.txt", mode) as fh:
+        fh.write("new\n")
 
 
 CASES = {
@@ -208,6 +215,8 @@ CASES = {
         lambda tmp: spec_to_config(EquivalenceConfig()), ValidationError),
     "save_model_spec-int-spec": (
         lambda tmp: save_model_spec(tmp / "spec.json", 3), ValidationError),
+    "atomic_write-append-mode": (lambda tmp: atomic_text(tmp, "a"), ValidationError),
+    "atomic_write-read-mode": (lambda tmp: atomic_text(tmp, "r"), ValidationError),
     # layers and inference
     "layer_forward-batch-0-u": (
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((0, 4, 8)), None, 4), ValidationError),
@@ -313,4 +322,11 @@ def test_a_refused_model_save_leaves_no_file(tmp_path):
 def test_a_refused_spec_save_leaves_no_file(tmp_path):
     with pytest.raises(ValidationError):
         save_model_spec(tmp_path / "spec.json", 3)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["a", "r"])
+def test_a_refused_atomic_write_leaves_no_file(tmp_path, mode):
+    with pytest.raises(ValidationError):
+        atomic_text(tmp_path, mode)
     assert list(tmp_path.iterdir()) == []

@@ -349,6 +349,19 @@ class TestLayerForward:
         assert np.array_equal(u, v)
         assert np.array_equal(h_out, hT)
 
+    def test_overwrite_input_converts_a_float32_input_into_a_new_buffer(self):
+        # a u that is not float64 is converted first, so the call writes over
+        # the converted buffer and leaves the caller's u as it was
+        p = tiny_params(13)
+        u = np.random.default_rng(13).standard_normal((2, 22, 8)).astype(np.float32)
+        kept = u.copy()
+        v, hT = layer_forward(p, u, chunk_size=4, overwrite_input=True)
+        assert v is not u
+        assert np.array_equal(u, kept)
+        v64, h64 = layer_forward(p, u.astype(np.float64), chunk_size=4)
+        assert np.array_equal(v, v64)
+        assert np.array_equal(hT, h64)
+
     @pytest.mark.parametrize("value", [1, 0, None, "yes", np.True_])
     def test_overwrite_input_must_be_a_bool(self, value):
         with pytest.raises(ValidationError, match="overwrite_input must be a bool"):
@@ -935,9 +948,10 @@ class TestLedgerAgainstTracedMemory:
         assert 0.95 <= ratio <= 1.10
 
     def test_horizontal_traced_peak_grows_by_the_residual_stream(self):
-        # a horizontal call holds one residual stream plus one layer tile, so
-        # its peak grows with length by the stream (8 b T d bytes) and the
-        # RMS vector (1/d of it): measured 1.06x the stream's growth, against
+        # a horizontal call holds one residual stream plus one layer tile,
+        # whose buffers, its RMS and gate-bias rows among them, span the
+        # tile alone, so its peak grows with length by the stream alone
+        # (8 b T d bytes): measured 1.000x the stream's growth, against
         # 3.37x when each layer held u, un, a and the projections whole
         model = generate_model(self.SPEC)
         peaks = {}
@@ -946,7 +960,7 @@ class TestLedgerAgainstTracedMemory:
             horizontal_infer(model, tok)  # warm lazy set-up
             _, peaks[t] = traced_peak_bytes(horizontal_infer, model, tok)
         stream = 8 * (65536 - 16384) * self.SPEC.d
-        assert peaks[65536] - peaks[16384] <= 1.10 * stream
+        assert peaks[65536] - peaks[16384] <= 1.02 * stream
 
     def test_vertical_traced_peak_is_flat_in_length(self):
         model = generate_model(self.SPEC)
