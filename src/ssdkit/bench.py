@@ -169,7 +169,7 @@ def _stage_checks(report, instance, coeffs, x, h0, q, config):
     """Check each decomposition stage against an independent oracle.
 
     The stage functions run directly on chunk_major's layout, with the state
-    h0 carried in, so stage 3 corrects every chunk.
+    h0 carried in; stage 3 corrects every chunk, as in chunked_forward.
     """
     add = report.checks.append
     tol, fault = config.tolerance, config.fault

@@ -33,10 +33,11 @@ its caller's: ``stack.layer_forward`` runs a layer in tiles of whole chunks
 whose stage-1 mask fits a per-row budget, each tile one kernel call with
 the state carried in, so every kernel call ``infer`` makes spans one tile.
 
-Stage 3 reads out the first chunk only when a state is passed in, zero or
-not, so a call's flops are a closed form of its shape and that one bit
-(``stage_flops``), as its workspace is (``workspace_elements``).  Stage 3
-adds each correction into the stage-1 output buffer in place.
+Stage 3 reads out every chunk, the first from the state passed in; a
+missing state (h0 None) is a zero state, so a call's flops are a closed
+form of its shape alone (``stage_flops``), as its workspace is
+(``workspace_elements``).  Stage 3 adds each correction into the stage-1
+output buffer in place.
 
 ``chunked_forward`` returns only (y, hT).  Each stage is a public function
 of the chunk-major arrays that ``chunk_major`` lays out, so a harness that
@@ -128,14 +129,9 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     copies with the tail padded by a = 1 and B = C = x = 0.
     """
     x = _check_inputs(coeffs, x)
-    _, q, _, _ = _partition(coeffs.length, chunk_size)
-    return _chunk_major(coeffs.a, coeffs.Bmat, coeffs.Cmat, x, q)
-
-
-def _chunk_major(a, Bm, Cm, x, q: int):
-    """chunk_major of checked arrays: a, x (b, t, h) and Bm, Cm (b, t, h, n)."""
+    a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
     b, t, h, n = Bm.shape
-    k = -(-t // q)
+    _, q, k, _ = _partition(t, chunk_size)
     pad = k * q - t
     if pad:
         a = np.concatenate([a, np.ones((b, pad, h))], axis=1)
@@ -299,37 +295,26 @@ def chunked_forward(coeffs: SsmCoefficients, x, chunk_size: int, h0=None, *, fau
         coeffs:     per-position coefficients.
         x:          (batch, length, heads) input channels.
         chunk_size: chunk length; a ragged final chunk is padded (see module).
-        h0:         optional (batch, heads, state) initial state; when given,
-                    stage 3 reads it out through the first chunk.
+        h0:         optional (batch, heads, state) initial state; None is
+                    exactly a zero state, with the same bits and counts.
 
     Returns:
         (y, hT) matching recurrent_scan, y trimmed from whole chunks.  The
         float64 elements held beyond the inputs, y included, peak at
         workspace_elements(...) of the shape.
     """
-    _check_fault(fault)
-    x = _check_inputs(coeffs, x)
-    b, t, h = x.shape
-    n = coeffs.state_dim
-    _, q, k, _ = _partition(t, chunk_size)
-    state = None if h0 is None else _as_f64(h0, "h0", (b, h, n))
-    a, Bm, Cm, xs = _chunk_major(coeffs.a, coeffs.Bmat, coeffs.Cmat, x, q)
+    a, Bm, Cm, xs = chunk_major(coeffs, x, chunk_size)
+    b, k, h, q, n = Bm.shape
+    b0 = np.zeros((b, h, n)) if h0 is None else _as_f64(h0, "h0", (b, h, n))
     y_c, b_intra = intra_chunk(a, Bm, Cm, xs, fault=fault)
     entry = np.empty(xs.shape)
     np.multiply.accumulate(a, axis=-1, out=entry)  # np.cumprod, without its wrapper
-    b0 = np.zeros((b, h, n)) if state is None else state
     states = propagate_states(b_intra, entry[..., -1], b0, fault=fault)
-    if state is not None:
-        y_c += inter_chunk_correction(entry, Cm, states[:, :k], fault=fault)
-    elif k > 1:
-        # without a state passed in, the state entering the call's first
-        # chunk is zero, and so is its correction: stage 3 skips that chunk
-        y_c[:, 1:] += inter_chunk_correction(entry[:, 1:], Cm[:, 1:], states[:, 1:k],
-                                             fault=fault)
+    y_c += inter_chunk_correction(entry, Cm, states[:, :k], fault=fault)
     hT = states[:, k].copy()
     del b_intra, entry, b0, states  # freed before y is made
     y = y_c.swapaxes(-1, -2).reshape(b, -1, h)  # one copy of the time-major view
-    return y[:, :t], hT  # the padded tail dropped
+    return y[:, :coeffs.length], hT  # the padded tail dropped
 
 
 def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
@@ -355,29 +340,24 @@ def workspace_elements(b: int, t: int, h: int, n: int, chunk_size: int) -> int:
                      3 * c + p + g)              # stage 3: y_intra, entry, correction, states
 
 
-def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int, *,
-                carry_in: bool) -> FlopCounter:
+def stage_flops(b: int, t: int, h: int, n: int, chunk_size: int) -> FlopCounter:
     """Per-stage flops of one chunked_forward call; dense_dual is chunk_size = t.
 
     Per batch-head slice and chunk of real length m (a padded tail counts its
     real positions only): intra m(m-1)/2 + m^2 n + 2mn (mask, M @ B, C . Z and
     the boundary row) plus one per position for the running product of the
-    transitions; propagate n; inter mn + m, for every chunk but the first
-    unless carry_in (a state h0 is passed).  These are the counts of the
-    unfaulted kernel: a fault mode changes what a stage computes, not this.
+    transitions; propagate n; inter mn + m.  Stage 3 reads out every chunk,
+    the first from h0 or a zero state.  These are the counts of the unfaulted
+    kernel: a fault mode changes what a stage computes, not this.
     """
     b, h, n = _as_int(b, "batch", 1), _as_int(h, "heads", 1), _as_int(n, "state size", 1)
     t, chunk_size, k, tail = _partition(t, chunk_size)
-    if not isinstance(carry_in, bool):
-        raise ValidationError(f"carry_in must be a bool, got {carry_in!r}")
 
     def over_chunks(per_chunk):  # k - 1 full chunks and the tail
         return b * h * ((k - 1) * per_chunk(chunk_size) + per_chunk(tail))
 
-    skipped = 0 if carry_in else min(chunk_size, t)  # chunk 0 without a correction
-    inter = over_chunks(lambda m: m * n + m) - b * h * (skipped * n + skipped)
     intra = over_chunks(lambda m: m * (m - 1) // 2 + m * m * n + 2 * m * n) + b * h * t
-    return FlopCounter(intra, b * h * n * k, inter)
+    return FlopCounter(intra, b * h * n * k, over_chunks(lambda m: m * n + m))
 
 
 def dense_dual(coeffs: SsmCoefficients, x, h0=None):
@@ -386,6 +366,8 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None):
     Materializes a (length, length) block per batch/head slice, so a length
     above DEFAULT_DENSE_LIMIT is refused.  This is literally chunked_forward
     with one chunk, which is what makes the two agree bitwise at chunk_size = length.
+    h0 is an optional (batch, heads, state) initial state; None is exactly a
+    zero state, with the same bits and counts.
     """
     _check_inputs(coeffs, x)
     if coeffs.length > DEFAULT_DENSE_LIMIT:

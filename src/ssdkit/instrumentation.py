@@ -12,9 +12,9 @@ one expression are not counted.  Only ``infer`` writes a ledger.
 The flop counter tallies multiply-accumulate counts per stage of the
 block-decomposed kernel (intra-chunk, state propagation, cross-chunk
 correction), also in closed form: ``chunked.stage_flops`` of each kernel
-call's shape and of whether a state was passed in (stage 3 then reads out
-the first chunk, even a zero state).  Only ``infer`` counts; the kernels
-do not, so counting costs them nothing.
+call's shape alone (stage 3 reads out every chunk, the first from the state
+passed in or a zero state).  Only ``infer`` counts; the kernels do not, so
+counting costs them nothing.
 """
 
 from __future__ import annotations

@@ -244,7 +244,7 @@ class InferenceResult:
     hidden: np.ndarray
     ledger: MemoryLedger
     flops: FlopCounter
-    states: np.ndarray | None
+    states: np.ndarray
 
 
 def _model_spec(model) -> ModelSpec:
@@ -372,7 +372,8 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     Args:
         params:     layer parameters.
         u:          (batch, length, d) input channels.
-        state:      optional (batch, H, N) kernel state entering the layer.
+        state:      optional (batch, H, N) kernel state entering the layer;
+                    None is exactly a zero state, with the same bits.
         chunk_size: chunk length of the kernel and of the input and output
                     projections, one product per chunk; required by the
                     chunked kernel.  One chunk spans the call when it is None
@@ -446,18 +447,18 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
 
 @functools.lru_cache(maxsize=256)
-def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str, fresh: bool,
+def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str,
                  tile_budget: int) -> tuple[tuple[int, int, int], int]:
     """A block's per-stage flops over the L layers and its footprint, once per
     block shape; the footprint also reads the layer tile budget, so that is
-    part of the key.  Tiles leave the flops those of one kernel call over
-    the block: a later tile's first-chunk correction is the whole call's."""
+    part of the key.  Every kernel call reads out all its chunks, so tiles
+    leave the flops those of one kernel call over the block."""
     if kernel == "dense":
         q = n  # one chunk spans a dense layer call (see layer_forward)
     elements = _block_elements(spec, batch, n, q, kernel)
     if kernel == "recurrent":
         return (0, 0, 0), elements
-    f = stage_flops(batch, n, spec.H, spec.N, q, carry_in=not fresh)
+    f = stage_flops(batch, n, spec.H, spec.N, q)
     return (spec.L * f.intra, spec.L * f.propagate, spec.L * f.inter), elements
 
 
@@ -480,14 +481,14 @@ def _check_tokens(tokens, vocab_size: int) -> np.ndarray:
     return arr
 
 
-def _block_forward(model: StackedModel, u: np.ndarray, states: np.ndarray, fresh: bool,
-                   q: int, kernel: str, fault) -> None:
+def _block_forward(model: StackedModel, u: np.ndarray, states: np.ndarray, q: int,
+                   kernel: str, fault) -> None:
     """One block's residual stream u (rows, n, d) through every layer, in
     place: the block owns it, so every layer writes its output over it.
     Updates states (L, rows, H, N)."""
     for li, layer in enumerate(model.layers):
-        _, states[li] = layer_forward(layer, u, None if fresh else states[li], q,
-                                      kernel=kernel, fault=fault, overwrite_input=True)
+        _, states[li] = layer_forward(layer, u, states[li], q, kernel=kernel, fault=fault,
+                                      overwrite_input=True)
 
 
 def _split_forward(groups: int, model: StackedModel, u: np.ndarray, states: np.ndarray,
@@ -517,7 +518,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         kernel:         "chunked", "recurrent", or "dense" (see layer_forward);
                         dense refuses blocks over chunked.DEFAULT_DENSE_LIMIT.
         initial_states: optional (L, batch, H, N) states from a previous call
-                        on the preceding positions.
+                        on the preceding positions; None starts every layer
+                        from a zero state.
         sink:           optional callable(start, hidden_block) receiving every
                         block's final-layer output; storage at the sink is the
                         caller's, not counted by the ledger.
@@ -553,12 +555,9 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
 
     peak = 0
     for start in range(0, t, step):
-        # the states entering the first block are zero unless carried in;
-        # None skips the kernels' state checks and the first chunk's correction
-        fresh = start == 0 and initial_states is None
         n = min(step, t - start)
         (intra, propagate, inter), elements = _block_forms(
-            spec, batch, n, q, kernel, fresh, _MASK_ELEMENTS_PER_ROW)
+            spec, batch, n, q, kernel, _MASK_ELEMENTS_PER_ROW)
         flops.intra += intra
         flops.propagate += propagate
         flops.inter += inter
@@ -569,9 +568,9 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         groups = min(_CPUS, batch, batch * n // _MIN_GROUP_POSITIONS)
         u = model.embedding[tok[:, start:start + n]]
         if groups < 2:
-            _block_forward(model, u, states, fresh, q, kernel, fault)
+            _block_forward(model, u, states, q, kernel, fault)
         else:
-            _split_forward(groups, model, u, states, fresh, q, kernel, fault)
+            _split_forward(groups, model, u, states, q, kernel, fault)
         if sink is not None:
             sink(start, u.copy())
     ledger = MemoryLedger(peak_elements=states.size + peak,

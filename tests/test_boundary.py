@@ -117,10 +117,6 @@ CASES = {
     "chunk_major-none-coeffs": (lambda tmp: chunk_major(None, X, 4), ValidationError),
     "recurrent_scan-none-coeffs": (lambda tmp: recurrent_scan(None, X), ValidationError),
     "dense_dual-none-coeffs": (lambda tmp: dense_dual(None, X), ValidationError),
-    "stage_flops-string-carry_in": (
-        lambda tmp: stage_flops(1, 8, 2, 3, 4, carry_in="no"), ValidationError),
-    "stage_flops-none-carry_in": (
-        lambda tmp: stage_flops(1, 8, 2, 3, 4, carry_in=None), ValidationError),
     "cumulative_transition-bool-index": (
         lambda tmp: cumulative_transition(np.ones(3), True, 0), ValidationError),
     "cumulative_transition-float-index": (
@@ -158,9 +154,9 @@ CASES = {
     "cumulative_transition-empty-series": (
         lambda tmp: cumulative_transition(np.ones(0), 0, 0), ValidationError),
     "stage_flops-batch--1": (
-        lambda tmp: stage_flops(-1, 8, 2, 3, 4, carry_in=False), ValidationError),
+        lambda tmp: stage_flops(-1, 8, 2, 3, 4), ValidationError),
     "stage_flops-zero-heads": (
-        lambda tmp: stage_flops(1, 8, 0, 3, 4, carry_in=False), ValidationError),
+        lambda tmp: stage_flops(1, 8, 0, 3, 4), ValidationError),
     "workspace_elements-batch--1": (lambda tmp: workspace_elements(-1, 8, 2, 3, 4),
                                     ValidationError),
     "workspace_elements-zero-heads": (lambda tmp: workspace_elements(1, 8, 0, 3, 4),

@@ -71,7 +71,7 @@ class TestChunkCount:
         with pytest.raises(ValidationError, match="chunk size must be an integer"):
             chunked_forward(coeffs, x, q)
         with pytest.raises(ValidationError, match="chunk size must be an integer"):
-            stage_flops(1, 40, 2, 4, q, carry_in=False)
+            stage_flops(1, 40, 2, 4, q)
         with pytest.raises(ValidationError, match="chunk size must be an integer"):
             workspace_elements(1, 40, 2, 4, q)
 
@@ -80,12 +80,12 @@ class TestChunkCount:
         for got, want in zip(chunked_forward(coeffs, x, np.int64(16)),
                              chunked_forward(coeffs, x, 16)):
             assert np.array_equal(got, want)
-        assert (stage_flops(1, 40, 2, 4, np.int64(16), carry_in=False)
-                == stage_flops(1, 40, 2, 4, 16, carry_in=False))
+        assert (stage_flops(1, 40, 2, 4, np.int64(16))
+                == stage_flops(1, 40, 2, 4, 16))
         assert workspace_elements(1, 40, 2, 4, np.int64(16)) == workspace_elements(1, 40, 2, 4, 16)
         # NumPy integers in, Python ints out, which JSON can write
         numpy_shape = [np.int64(v) for v in (1, 40, 2, 4, 16)]
-        counts = dataclasses.asdict(stage_flops(*numpy_shape, carry_in=False))
+        counts = dataclasses.asdict(stage_flops(*numpy_shape))
         peak = workspace_elements(*numpy_shape)
         assert all(type(v) is int for v in [*counts.values(), peak])
         json.dumps([counts, peak])
@@ -93,7 +93,7 @@ class TestChunkCount:
     @pytest.mark.parametrize("t,q", [(0, 4), (-3, 4), (8, 0)])
     def test_closed_forms_reject_an_empty_partition(self, t, q):
         with pytest.raises(ValidationError):
-            stage_flops(1, t, 2, 4, q, carry_in=False)
+            stage_flops(1, t, 2, 4, q)
         with pytest.raises(ValidationError):
             workspace_elements(1, t, 2, 4, q)
 
@@ -186,10 +186,10 @@ class TestIntraChunk:
         def per_slice(q):
             return q * (q - 1) // 2 + q * q * n + 2 * q * n
 
-        flops = stage_flops(2, 11, 3, n, 4, carry_in=False)
+        flops = stage_flops(2, 11, 3, n, 4)
         assert flops.intra == 2 * 3 * (2 * per_slice(4) + per_slice(3) + 11)
         assert flops.propagate == 2 * 3 * n * 3
-        assert flops.inter == 2 * 3 * (4 * n + 4 + 3 * n + 3)  # chunks 1 and 2
+        assert flops.inter == 2 * 3 * (2 * (4 * n + 4) + 3 * n + 3)  # every chunk
 
 
 class TestPropagateStates:
@@ -249,8 +249,8 @@ class TestPropagateStates:
 
     def test_flop_count(self):
         # one multiply-add of a state per chunk, ragged tail included
-        for t, carry_in in ((16, False), (14, True)):
-            assert stage_flops(2, t, 3, 5, 4, carry_in=carry_in).propagate == 2 * 3 * 5 * 4
+        for t in (16, 14):
+            assert stage_flops(2, t, 3, 5, 4).propagate == 2 * 3 * 5 * 4
 
     def test_rejects_mismatched_shapes(self):
         from ssdkit import DimensionError
@@ -344,17 +344,16 @@ class TestChunkedForward:
         assert np.array_equal(y1, y2)
         assert np.array_equal(h1, h2)
 
-    def test_nonzero_state_charges_first_chunk_correction(self):
-        # a state passed in, zero or not, is read out through the first chunk
-        q, n = 4, 3
-        fresh = stage_flops(2, 16, 2, n, q, carry_in=False)
-        carried = stage_flops(2, 16, 2, n, q, carry_in=True)
-        assert carried.inter - fresh.inter == 2 * 2 * (q * n + q)
-        assert (carried.intra, carried.propagate) == (fresh.intra, fresh.propagate)
+    @pytest.mark.parametrize("t,q", [(16, 4), (13, 5), (3, 8)])
+    def test_every_chunk_charges_its_correction(self, t, q):
+        # stage 3 reads out each position once, the first chunk's included
+        n = 3
+        assert stage_flops(2, t, 2, n, q).inter == 2 * 2 * (t * n + t)
 
     @pytest.mark.parametrize("t,q", [(16, 4), (13, 5), (3, 8)])
     def test_stage_three_runs_the_chunks_the_count_charges(self, monkeypatch, t, q):
-        # the skip rule is a shape rule: only h0 is None skips chunk 0
+        # one stage-3 call over every chunk, whatever state enters the call:
+        # None is a zero state, so it reads out chunk 0 as well
         import ssdkit.chunked as chunked
         seen = []
         original = chunked.inter_chunk_correction
@@ -369,7 +368,7 @@ class TestChunkedForward:
         for state in (None, np.zeros_like(h0), h0):
             seen.clear()
             chunked_forward(coeffs, x, q, state)
-            assert sum(seen) == num_chunks - (state is None)
+            assert seen == [num_chunks]
 
     def test_dense_guard_trips_above_the_limit(self):
         # the guard fires before any quadratic work, so the long call is cheap
@@ -447,8 +446,8 @@ class TestChunkMajorEvaluation:
         assert np.array_equal(y_pad[:, :13], y)
         assert np.array_equal(h_pad, hT)
 
-        whole = stage_flops(2, 13, 2, 3, 5, carry_in=True)
-        by_chunk = [stage_flops(2, m, 2, 3, m, carry_in=True)  # each one unpadded chunk
+        whole = stage_flops(2, 13, 2, 3, 5)
+        by_chunk = [stage_flops(2, m, 2, 3, m)  # each one unpadded chunk
                     for m in (5, 5, 3)]
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_chunk)
@@ -641,6 +640,6 @@ class TestNearOneGatesAtLength:
 
 class TestFlopScaling:
     def test_doubling_length_doubles_total_within_two_percent(self):
-        totals = [stage_flops(1, t, 2, 4, 8, carry_in=False).total for t in (64, 128, 256)]
+        totals = [stage_flops(1, t, 2, 4, 8).total for t in (64, 128, 256)]
         assert abs(totals[1] / totals[0] - 2.0) <= 0.02 * 2.0
         assert abs(totals[2] / totals[1] - 2.0) <= 0.02 * 2.0

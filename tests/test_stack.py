@@ -774,7 +774,8 @@ class TestLedgerPeaks:
 
 class TestFlopCounts:
     # Literal per-stage flops of the run-time counter that the closed form
-    # replaced; random initial states give chunk 0 a correction (inter rises).
+    # replaced.  Stage 3 reads out chunk 0 of every block, from a zero state
+    # when none is carried in, so each fresh row counts as its carried twin.
     SPEC = ModelSpec(seed=5, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
     MODEL = generate_model(SPEC)
 
@@ -787,12 +788,12 @@ class TestFlopCounts:
         return infer(model, tok, v, q, kernel=kernel, initial_states=states)
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried,flops", [
-        ("chunked", 2, 50, 4, None, False, (8088, 312, 1472)),
-        ("dense", 1, 37, 4, None, False, (20128, 12, 0)),
+        ("chunked", 2, 50, 4, None, False, (8088, 312, 1600)),
+        ("dense", 1, 37, 4, None, False, (20128, 12, 592)),
         ("recurrent", 2, 40, 4, None, False, (0, 0, 0)),
-        ("chunked", 1, 70, 4, 16, False, (5684, 216, 1056)),
-        ("chunked", 3, 47, 3, None, False, (9504, 576, 2112)),
-        ("chunked", 3, 47, 3, 12, False, (9504, 576, 2112)),
+        ("chunked", 1, 70, 4, 16, False, (5684, 216, 1120)),
+        ("chunked", 3, 47, 3, None, False, (9504, 576, 2256)),
+        ("chunked", 3, 47, 3, 12, False, (9504, 576, 2256)),
         ("chunked", 2, 50, 4, None, True, (8088, 312, 1600)),
         ("dense", 1, 37, 4, None, True, (20128, 12, 592)),
         ("chunked", 1, 70, 4, 16, True, (5684, 216, 1120)),
@@ -805,7 +806,8 @@ class TestFlopCounts:
 
     @pytest.mark.parametrize("kernel,v", [("chunked", None), ("chunked", 16), ("dense", None)])
     def test_zero_initial_states_count_like_random_ones(self, kernel, v):
-        # a state that is passed in is read out, zero or not; the zeros add
+        # every state is read out, zero or not, and a missing state is a
+        # zero state: the counts do not depend on the states, and the zeros add
         # exact zeros, so the outputs are those of a fresh call
         spec = self.SPEC
         tok = np.random.default_rng(1).integers(0, spec.vocab_size - 1, size=(2, 37))
@@ -814,19 +816,20 @@ class TestFlopCounts:
         zero = infer(self.MODEL, tok, v, 4, kernel=kernel, initial_states=np.zeros_like(states))
         carried = infer(self.MODEL, tok, v, 4, kernel=kernel, initial_states=states)
         assert zero.flops == carried.flops
+        assert fresh.flops == carried.flops
         assert np.array_equal(zero.hidden, fresh.hidden)
         assert np.array_equal(zero.states, fresh.states)
 
     # a layer call longer than one tile runs one kernel call per tile, whose
-    # flops sum to the whole call's: tile 0 carries a state in when the
-    # call does, every later tile carries one in
+    # flops sum to the whole call's: tile 0 gets the call's state, None or
+    # not, and every later tile the state the tile before it left
     @pytest.mark.parametrize("batch,t,q,chunks,tiles", [
         (2, 4096, 16, None, 3),  # the module's budget: tiles of 96 chunks
         (3, 47, 3, 4, 4),        # tiles of 4 chunks, the last one ragged
     ])
-    @pytest.mark.parametrize("carry_in", [False, True])
+    @pytest.mark.parametrize("with_state", [False, True])
     def test_a_multi_tile_call_counts_its_tiles(self, monkeypatch, batch, t, q, chunks, tiles,
-                                                carry_in):
+                                                with_state):
         h, n = 2, 4
         seen = []
         original = stack.chunked_forward
@@ -837,18 +840,51 @@ class TestFlopCounts:
 
         monkeypatch.setattr(stack, "chunked_forward", recorded)
         rng = np.random.default_rng(t)
-        h0 = rng.standard_normal((batch, h, n)) if carry_in else None
+        h0 = rng.standard_normal((batch, h, n)) if with_state else None
         with layer_tiles(chunks, h, q):
             layer_forward(tiny_params(t, h=h, n=n), rng.standard_normal((batch, t, 8)), h0, q)
         assert len(seen) == tiles
-        assert [carried for _, carried in seen] == [carry_in] + [True] * (tiles - 1)
+        assert [passed for _, passed in seen] == [with_state] + [True] * (tiles - 1)
         lengths = [m for m, _ in seen]
         lengths[-1] -= sum(lengths) - t  # the padded tail of the last tile
-        by_tile = [stage_flops(batch, m, h, n, q, carry_in=carried)
-                   for m, (_, carried) in zip(lengths, seen)]
-        whole = stage_flops(batch, t, h, n, q, carry_in=carry_in)
+        by_tile = [stage_flops(batch, m, h, n, q) for m in lengths]
+        whole = stage_flops(batch, t, h, n, q)
         for stage in ("intra", "propagate", "inter"):
             assert getattr(whole, stage) == sum(getattr(f, stage) for f in by_tile)
+
+
+class TestNoneIsAZeroState:
+    # A missing state is exactly a zero state: the kernels give the same
+    # bits for h0=None and h0=zeros, and infer the same results and counts
+    # for initial_states=None and zeros, on one block, on several and split
+    SPEC = ModelSpec(seed=9, L=2, d=8, H=2, N=3, vocab_size=32, Q=4, V=8)
+    MODEL = generate_model(SPEC)
+
+    @pytest.mark.parametrize("schedule", ["horizontal", "vertical", "row-groups"])
+    @pytest.mark.parametrize("t", [48, 37])  # aligned, and ragged but at Q = 1
+    @pytest.mark.parametrize("q", [1, 4, 16])
+    def test_none_gives_the_zero_state_results(self, q, t, schedule):
+        rng = np.random.default_rng(q * t)
+        coeffs = random_coefficients(rng, 2, t, 2, 3)
+        x = rng.standard_normal((2, t, 2))
+        zero = np.zeros((2, 2, 3))
+        for run in (lambda h0: chunked_forward(coeffs, x, q, h0),
+                    lambda h0: chunked.dense_dual(coeffs, x, h0),
+                    lambda h0: recurrent_scan(coeffs, x, h0)):
+            for got, want in zip(run(None), run(zero)):
+                assert got.tobytes() == want.tobytes()
+
+        spec, batch = self.SPEC, 4
+        tok = rng.integers(0, spec.vocab_size - 1, size=(batch, t))
+        v = 2 * q if schedule == "vertical" else None
+        with row_groups(2 if schedule == "row-groups" else 1):
+            none = infer(self.MODEL, tok, v, q)
+            zeros = infer(self.MODEL, tok, v, q,
+                          initial_states=np.zeros((spec.L, batch, spec.H, spec.N)))
+        assert none.hidden.tobytes() == zeros.hidden.tobytes()
+        assert none.states.tobytes() == zeros.states.tobytes()
+        assert none.flops == zeros.flops
+        assert none.ledger == zeros.ledger
 
 
 class TestClosedFormsPerShape:
@@ -859,25 +895,24 @@ class TestClosedFormsPerShape:
     MODEL = generate_model(SPEC)
 
     @staticmethod
-    def closed_forms(spec, kernel, batch, t, q, v, carried):
+    def closed_forms(spec, kernel, batch, t, q, v):
         step = v or t
-        blocks = [(min(step, t - start), carried or start > 0) for start in range(0, t, step)]
-        # (length, chunk, carried in) per block; a dense block is one chunk
-        blocks = [(n, n if kernel == "dense" else q, carry_in) for n, carry_in in blocks]
+        # (length, chunk) per block; a dense block is one chunk
+        blocks = [(n, n if kernel == "dense" else q)
+                  for n in (min(step, t - start) for start in range(0, t, step))]
         flops = FlopCounter()
-        for n, chunk, carry_in in blocks if kernel != "recurrent" else ():
-            f = stage_flops(batch, n, spec.H, spec.N, chunk, carry_in=carry_in)
+        for n, chunk in blocks if kernel != "recurrent" else ():
+            f = stage_flops(batch, n, spec.H, spec.N, chunk)
             flops.intra += spec.L * f.intra
             flops.propagate += spec.L * f.propagate
             flops.inter += spec.L * f.inter
-        peak = max(stack._block_elements(spec, batch, n, chunk, kernel)
-                   for n, chunk, _ in blocks)
+        peak = max(stack._block_elements(spec, batch, n, chunk, kernel) for n, chunk in blocks)
         return flops, spec.L * batch * spec.H * spec.N + peak
 
     @pytest.mark.parametrize("kernel,batch,t,q,v,carried", [
         ("chunked", 2, 32, 4, None, False),  # fresh
         ("chunked", 1, 70, 4, 16, True),     # carried, ragged last block
-        ("chunked", 3, 47, 3, 12, False),    # ragged chunks, carried from block 2 on
+        ("chunked", 3, 47, 3, 12, False),    # ragged chunks, fresh
         ("dense", 1, 37, 4, None, True),
         ("recurrent", 2, 40, 4, 8, False),
     ])
@@ -886,7 +921,7 @@ class TestClosedFormsPerShape:
         rng = np.random.default_rng(t)
         tok = rng.integers(0, spec.vocab_size - 1, size=(batch, t))
         states = rng.standard_normal((spec.L, batch, spec.H, spec.N)) if carried else None
-        flops, peak = self.closed_forms(spec, kernel, batch, t, q, v, carried)
+        flops, peak = self.closed_forms(spec, kernel, batch, t, q, v)
         first, second = (infer(self.MODEL, tok, v, q, kernel=kernel, initial_states=states)
                          for _ in range(2))
         assert first.flops is not second.flops and first.ledger is not second.ledger
