@@ -5,11 +5,11 @@ route agrees with the sequential recurrence: the dense single-operator form,
 the block-decomposed form at several chunk sizes (outputs and final states),
 each decomposition stage (the stage functions called one by one on the
 chunk-major layout, with a state carried in) against its own independent
-oracle, and the model-level schedules (chunked/dense kernels and the
-vertical scheduler against a recurrent-kernel reference).  A fault injected
-into one stage must surface here on every instance whose decomposition
-actually exercises that stage; single-chunk instances are expected to stay
-green.
+oracle, and the model-level schedules (the chunked kernel at Q and at Q = T,
+and the vertical scheduler, against a recurrent-kernel reference).  A fault
+injected into one stage must surface here on every instance whose
+decomposition actually exercises that stage; single-chunk instances are
+expected to stay green.
 
 Sweeps time full forward passes (coefficient generation included) over a
 grid of sequence lengths, batch sizes, chunk sizes, and vertical block
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _ROUTES = {"recurrent": ("recurrent", False, False),  # strategy: (kernel, uses Q, uses V)
-           "dense": ("dense", False, False),
+           "dense": ("chunked", False, False),  # no Q axis: one chunk per block
            "chunked-horizontal": ("chunked", True, False),
            "vertical": ("chunked", True, True)}
 STRATEGIES = tuple(_ROUTES)
@@ -251,7 +251,7 @@ def run_equivalence(config: EquivalenceConfig = EquivalenceConfig()) -> Equivale
         add(CheckResult(instance, "model-chunked", multi, relative_error(got, ref.hidden), tol))
 
         if t <= DEFAULT_DENSE_LIMIT:
-            got = horizontal_infer(model, tokens, EQ_MODEL_Q, kernel="dense").hidden
+            got = horizontal_infer(model, tokens, t).hidden
             add(CheckResult(instance, "model-dense", False, relative_error(got, ref.hidden), tol))
 
         for v in config.v_grid:
@@ -329,12 +329,12 @@ CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 def _cell_list(config: SweepConfig, log) -> list[tuple]:
     """Expand the grids into (strategy, T, batch, Q, V) cells, pruned; dense
-    cells by ``DEFAULT_DENSE_LIMIT``."""
+    cells, a T x T mask per slice, by ``DEFAULT_DENSE_LIMIT``."""
     cells = []
     for strategy in config.strategies:
         kernel, uses_q, uses_v = _ROUTES[strategy]
         for t in config.t_grid:
-            if kernel == "dense" and t > DEFAULT_DENSE_LIMIT:
+            if kernel == "chunked" and not uses_q and t > DEFAULT_DENSE_LIMIT:
                 log(f"skip {strategy} T={t}: exceeds dense limit {DEFAULT_DENSE_LIMIT}")
                 continue
             for batch in config.batch_grid:
@@ -353,7 +353,8 @@ def _cell_call(model: StackedModel, config: SweepConfig, cell: tuple):
     rng = np.random.default_rng([config.seed, t, batch])
     tokens = rng.integers(0, model.spec.vocab_size - 1, size=(batch, t))
     kernel = _ROUTES[strategy][0]
-    return lambda: infer(model, tokens, v or None, q or model.spec.Q, kernel=kernel)
+    chunk = q or (t if kernel == "chunked" else model.spec.Q)  # dense: chunk_size = T
+    return lambda: infer(model, tokens, v or None, chunk, kernel=kernel)
 
 
 def _time_cell(model: StackedModel, config: SweepConfig, cell: tuple) -> list[BenchRecord]:

@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="absolute vertical block lengths (default: Q, 2Q, 4Q per Q)")
     sw.add_argument("--grid-batch", dest="batch_grid", type=_int_list)
     sw.add_argument("--strategy", dest="strategies", type=_name_list,
-                    help=f"comma-separated subset of {','.join(STRATEGIES)}")
+                    help=f"comma-separated subset of {','.join(STRATEGIES)}; dense is "
+                         "the chunked kernel at one chunk per block")
     sw.add_argument("--reps", type=int)
     sw.add_argument("--warmup", type=int)
     sw.add_argument("--preset", choices=("bench",), default=None,

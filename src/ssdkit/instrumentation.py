@@ -4,10 +4,12 @@ The memory ledger states the activation footprint of an inference call in
 closed form, from the block shapes alone.  Each module describes only its
 own buffers: ``chunked.workspace_elements`` is the peak a kernel call holds
 beyond its inputs, its output included, and ``stack`` adds the layer's
-buffers around it (input u, normalized un, coefficients a, B, C and x,
-output v) and the carried (L, batch, H, N) states.  Model parameters, token
-ids, buffers handed back to the caller, and elementwise temporaries inside
-one expression are not counted.  Only ``infer`` writes a ledger.
+buffers around it (the block's one residual stream u, which each layer's
+output overwrites, and one tile's normalized un, coefficients a, B, C and
+x, kernel output y and output projection) and the carried (L, batch, H, N)
+states.  Model parameters, token ids, buffers handed back to the caller,
+and elementwise temporaries inside one expression are not counted.  Only
+``infer`` writes a ledger.
 
 The flop counter tallies multiply-accumulate counts per stage of the
 block-decomposed kernel (intra-chunk, state propagation, cross-chunk

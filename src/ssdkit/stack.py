@@ -23,8 +23,7 @@ tile's buffers.
 
 A layer call checks its input and resolves its chunk to one integer at its
 entry (``_layer_input``): the chunk size given, or one chunk spanning the
-call when None and under the dense kernel, which is therefore the chunked
-kernel at Q = T bit for bit.  One rule handles a ragged length (not a
+call (the dense form) when None.  One rule handles a ragged length (not a
 multiple of Q, such as every embedding query): ``_project`` pads it with
 zero rows in the normalized buffer each layer makes anyway, its gates 1
 there, and its callers trim once.  No product or kernel call sees a ragged
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chunked import chunked_forward, dense_dual, stage_flops, workspace_elements
+from .chunked import chunked_forward, stage_flops, workspace_elements
 from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
 from .instrumentation import FlopCounter, MemoryLedger
@@ -73,7 +72,7 @@ __all__ = [
 ]
 
 RMS_EPS = 1e-8
-KERNELS = ("chunked", "recurrent", "dense")
+KERNELS = ("chunked", "recurrent")
 
 # layer_forward runs tiles of whole chunks whose stage-1 mask holds at most
 # this many elements per batch row (384 KB), so no layer buffer but the
@@ -356,10 +355,8 @@ def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str
     coeffs, x = _project(params, u, q)
     if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
-    elif kernel == "recurrent":
-        y, hT = recurrent_scan(coeffs, x, state)
     else:
-        y, hT = dense_dual(coeffs, x, state)
+        y, hT = recurrent_scan(coeffs, x, state)
     del coeffs, x  # a, B, C and x are dead: free them before the output is made
     u += _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
     return hT
@@ -376,10 +373,10 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     None is exactly a zero state, with the same bits.
         chunk_size: chunk length of the kernel and of the input and output
                     projections, one product per chunk; required by the
-                    chunked kernel.  One chunk spans the call when it is None
-                    and under the dense kernel, as chunk_size = length.
-        kernel:     "chunked", "recurrent", or "dense"; all three compute the
-                    same map, differing in cost profile.
+                    chunked kernel.  One chunk spans the call when it is
+                    None, as chunk_size = length.
+        kernel:     "chunked" or "recurrent"; both compute the same map,
+                    differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
         overwrite_input: write v over u and return u's own buffer, which
                     must be writeable; v is a new buffer when False.  A u
@@ -387,12 +384,12 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     first: v is then that new buffer, and u is left untouched.
 
     Every call runs one loop over tiles of whole chunks whose stage-1 mask
-    fits ``_MASK_ELEMENTS_PER_ROW`` per batch row (at least one chunk; a
-    dense call is one chunk), one tile or many.  Each tile is projected, run
-    through the kernel from the state the previous tile left, projected back
-    and added to its input rows, which it overwrites: no later tile reads
-    them.  So beside v (and u, when not overwritten) a call holds one tile's
-    buffers, and tiling changes no bit.
+    fits ``_MASK_ELEMENTS_PER_ROW`` per batch row (at least one chunk), one
+    tile or many.  Each tile is projected, run through the kernel from the
+    state the previous tile left, projected back and added to its input
+    rows, which it overwrites: no later tile reads them.  So beside v (and
+    u, when not overwritten) a call holds one tile's buffers, and tiling
+    changes no bit.
 
     A ragged length runs padded to whole chunks by ``_project``, so every
     product and the kernel call are chunk-aligned, and v is the real rows of
@@ -416,8 +413,6 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
     if overwrite_input and not u.flags.writeable:
         raise ValidationError("overwrite_input needs a writeable u")
     t = u.shape[1]
-    if kernel == "dense":
-        q = t  # the products' one chunk spans the call, as the kernel's does
     span = _tile_chunks(params.heads, q) * q
     v = u if overwrite_input else u.copy()
     for lo in range(0, t, span):
@@ -433,8 +428,7 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
     the normalized un until a, B, C and x exist; then the kernel's
     workspace (for the recurrent kernel its output y alone); then y and the
     output projection.  Several tiles also hold the state carried between
-    them.  u spans the t real positions, a tile whole chunks of q, the
-    block's resolved chunk (t under the dense kernel, see ``_block_forms``).
+    them.  u spans the t real positions, a tile whole chunks of q.
     """
     rows = -(-t // q) * q
     s = min(rows, _tile_chunks(spec.H, q) * q)
@@ -453,8 +447,6 @@ def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str,
     block shape; the footprint also reads the layer tile budget, so that is
     part of the key.  Every kernel call reads out all its chunks, so tiles
     leave the flops those of one kernel call over the block."""
-    if kernel == "dense":
-        q = n  # one chunk spans a dense layer call (see layer_forward)
     elements = _block_elements(spec, batch, n, q, kernel)
     if kernel == "recurrent":
         return (0, 0, 0), elements
@@ -515,8 +507,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
         block_len:      positions per block, a multiple of the chunk size;
                         None runs one block spanning the whole sequence.
         chunk_size:     chunk length (default model.spec.Q).
-        kernel:         "chunked", "recurrent", or "dense" (see layer_forward);
-                        dense refuses blocks over chunked.DEFAULT_DENSE_LIMIT.
+        kernel:         "chunked" or "recurrent" (see layer_forward).
         initial_states: optional (L, batch, H, N) states from a previous call
                         on the preceding positions; None starts every layer
                         from a zero state.

@@ -14,6 +14,7 @@ from ssdkit import (
     SweepConfig,
     ValidationError,
     generate_model,
+    infer,
     read_records,
     run_equivalence,
     run_sweep,
@@ -182,6 +183,19 @@ class TestSweep:
         records = run_sweep(model, config, log=messages.append)
         assert {r.T for r in records} == {16}
         assert "skip dense T=4097: exceeds dense limit 4096" in messages
+
+    def test_a_dense_cell_counts_as_one_chunk_spanning_the_call(self):
+        # the dense route is the chunked kernel at chunk_size = T; the counts
+        # are closed forms of the call's shape, whatever its tokens
+        model = generate_model(SWEEP_MODEL_SPEC)
+        config = SweepConfig(t_grid=(16, 37), batch_grid=(1, 3), q_grid=(4,),
+                             strategies=("dense",), reps=1, warmup=0)
+        records = run_sweep(model, config)
+        assert len(records) == 4
+        for r in records:
+            ref = infer(model, np.zeros((r.batch, r.T), int), None, r.T)
+            assert (r.peak_elems, r.flops_intra, r.flops_prop, r.flops_inter) == (
+                ref.ledger.peak_elements, ref.flops.intra, ref.flops.propagate, ref.flops.inter)
 
     def test_misaligned_vertical_cells_are_pruned(self):
         model = generate_model(SWEEP_MODEL_SPEC)

@@ -6,6 +6,7 @@ joins the table with its malformed inputs.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,9 @@ CASES = {
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((0, 4, 8)), None, 4), ValidationError),
     "layer_forward-length-0-u": (
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, 0, 8)), None, 4), ValidationError),
+    "layer_forward-dense-kernel": (  # the dense form is chunk_size = length
+        lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, 4, 8)), None, 4, kernel="dense"),
+        ValidationError),
     "generate_coefficients-batch-0-u": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((0, 4, 8)), 4),
         ValidationError),
@@ -225,6 +229,7 @@ CASES = {
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 0, 8)), 4),
         ValidationError),
     "infer-none-model": (lambda tmp: infer(None, TOKENS), ValidationError),
+    "infer-dense-kernel": (lambda tmp: infer(MODEL, TOKENS, kernel="dense"), ValidationError),
     "horizontal_infer-string-model": (
         lambda tmp: horizontal_infer("model", TOKENS), ValidationError),
     "vertical_infer-none-model": (lambda tmp: vertical_infer(None, TOKENS), ValidationError),
@@ -307,6 +312,12 @@ def test_malformed_input_raises_its_ssd_error(call, error, tmp_path):
     with pytest.raises(SsdError) as caught:
         call(tmp_path)
     assert isinstance(caught.value, error)
+
+
+@pytest.mark.parametrize("case", ["layer_forward-dense-kernel", "infer-dense-kernel"])
+def test_the_dense_kernel_is_refused_naming_the_kernels(case, tmp_path):
+    with pytest.raises(ValidationError, match=re.escape(repr(("chunked", "recurrent")))):
+        CASES[case][0](tmp_path)
 
 
 def test_a_refused_model_save_leaves_no_file(tmp_path):

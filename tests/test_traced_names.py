@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssdkit import ModelSpec, generate_model, infer, stack
+from ssdkit import ModelSpec, bench, generate_model, infer, stack
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -102,17 +102,25 @@ def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, bloc
         assert children == list(STAGES)
 
 
-def test_the_dense_route_reaches_the_kernel_through_dense_dual(monkeypatch):
+# Each kernel name has a caller in the package: the sweep's dense route runs
+# chunked_forward at one chunk per layer call, and the equivalence suite
+# calls dense_dual, the kernel-level dense form, directly.
+def test_the_sweep_dense_route_reaches_the_kernel_through_chunked_forward(monkeypatch):
     spec = ModelSpec(seed=14, L=2, d=8, H=2, N=3, vocab_size=32, Q=4)
     model = generate_model(spec)
-    tok = np.random.default_rng(3).integers(0, spec.vocab_size - 1, 48)
-    states = np.full((spec.L, 1, spec.H, spec.N), 0.5)  # so stage 3 runs
+    call = bench._cell_call(model, bench.SweepConfig(), ("dense", 48, 1, 0, 0))
     calls = record_calls(monkeypatch)
-    infer(model, tok, kernel="dense", initial_states=states)
+    call()
 
     names = {cid: name for name, cid, _ in calls}
     tree = [(name, names.get(parent)) for name, _, parent in calls]
     assert tree == [("stack.layer_forward", None),
-                    ("chunked.dense_dual", "stack.layer_forward"),
-                    ("chunked.chunked_forward", "chunked.dense_dual"),
+                    ("chunked.chunked_forward", "stack.layer_forward"),
                     *[(stage, "chunked.chunked_forward") for stage in STAGES]] * spec.L
+
+
+def test_the_equivalence_suite_reaches_dense_dual(monkeypatch):
+    calls = record_calls(monkeypatch)
+    bench.run_equivalence(bench.EquivalenceConfig(t_grid=(4,), q_grid=(2,), v_grid=(8,),
+                                                  layers=1))
+    assert ("chunked.dense_dual", None) in [(name, parent) for name, _, parent in calls]
