@@ -23,12 +23,12 @@ from .chunked import (DEFAULT_DENSE_LIMIT, FAULT_MODES, chunk_major, chunked_for
 from .instrumentation import FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer, infer,
-                    import_state_snapshot, layer_forward, layer_shapes, load_state_snapshot,
-                    save_state_snapshot, vertical_infer)
+                    import_state_snapshot, layer_forward, layer_shapes, vertical_infer)
 from .embedding import (EmbeddingOutput, LossConfig, QUERY_TEMPLATE, cosine_similarity,
                         embed_sequence, format_query, info_nce_loss, tokenize_words)
-from .model_io import (expected_payload_bytes, generate_model, load_model,
-                       load_model_spec, model_payload, save_model, save_model_spec)
+from .model_io import (expected_payload_bytes, generate_model, load_model, load_model_spec,
+                       load_state_snapshot, model_payload, save_model, save_model_spec,
+                       save_state_snapshot)
 
 # the names of ssdkit.bench, which no inference or embedding call uses
 _BENCH_NAMES = ("STRATEGIES", "CSV_HEADER", "EquivalenceConfig", "EquivalenceReport",

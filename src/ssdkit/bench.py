@@ -31,8 +31,8 @@ from .chunked import (DEFAULT_DENSE_LIMIT, _check_fault, chunk_major, chunked_fo
                       dense_dual, inter_chunk_correction, intra_chunk, propagate_states)
 from .core import _as_int, _positive_real, random_coefficients, recurrent_scan
 from .errors import ValidationError
-from .model_io import generate_model
-from .stack import ModelSpec, StackedModel, atomic_write, horizontal_infer, infer, vertical_infer
+from .model_io import atomic_write, generate_model
+from .stack import ModelSpec, StackedModel, horizontal_infer, infer, vertical_infer
 
 __all__ = [
     "STRATEGIES",

@@ -23,8 +23,8 @@ from .bench import (BENCH_SPEC, STRATEGIES, SUMMARY_FIELDS, EquivalenceConfig, S
 from .chunked import FAULT_MODES
 from .embedding import embed_sequence, format_query, tokenize_words
 from .errors import SsdError, ValidationError
-from .model_io import generate_model, load_model, load_model_spec, spec_to_config
-from .stack import _CPUS, ModelSpec, StackedModel, atomic_write
+from .model_io import atomic_write, generate_model, load_model, load_model_spec, spec_to_config
+from .stack import _CPUS, ModelSpec, StackedModel
 
 
 def _name_list(text: str) -> tuple[str, ...]:

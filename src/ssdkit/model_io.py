@@ -1,4 +1,4 @@
-"""Deterministic model generation and serialization.
+"""Deterministic model generation, and every file the package writes or reads.
 
 Parameter stream.  Parameters are drawn from SplitMix64, a published 64-bit
 mixing generator: draw i of seed s is mix64(s + (i+1) * 0x9E3779B97F4A7C15),
@@ -16,7 +16,9 @@ byte count, sha256 checksum), a newline, then the raw parameter payload:
 row-major float64, little-endian, in the draw order above including the
 all-ones normalization scales.  Loading verifies structure first (length
 mismatches are FormatError) and the checksum second (IntegrityError), and
-reproduces the saved model bit for bit.
+reproduces the saved model bit for bit.  Spec and state snapshot files
+are JSON documents; every loader decodes JSON by ``_json_document``, and
+every file is written by ``atomic_write``, never left half-written.
 """
 
 from __future__ import annotations
@@ -24,13 +26,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
 from .core import _as_int
 from .errors import FormatError, IntegrityError, ValidationError
-from .stack import LayerParams, ModelSpec, StackedModel, _model_spec, atomic_write, layer_shapes
+from .stack import (LayerParams, ModelSpec, StackedModel, _model_spec, export_state_snapshot,
+                    import_state_snapshot, layer_shapes)
 
 __all__ = [
     "generate_model",
@@ -42,6 +49,9 @@ __all__ = [
     "spec_from_config",
     "save_model_spec",
     "load_model_spec",
+    "atomic_write",
+    "save_state_snapshot",
+    "load_state_snapshot",
 ]
 
 FORMAT_NAME = "ssdkit-model"
@@ -64,6 +74,39 @@ def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
 def _uniform_signed(seed: int, start: int, count: int) -> np.ndarray:
     u = (_splitmix64(seed, start, count) >> np.uint64(11)).astype(np.float64)
     return u * (2.0 / 9007199254740992.0) - 1.0  # [0, 2^53) -> [-1, 1)
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a fresh temp file beside ``path`` for writing, in mode "w" or "wb" only.
+
+    When the block completes the file is flushed, fsynced and renamed over
+    ``path``; when it raises the temp file is removed, so ``path`` is either
+    left as it was or fully replaced, never half-written.
+    """
+    if mode not in ("w", "wb"):
+        raise ValidationError(f'atomic_write mode must be "w" or "wb", got {mode!r}')
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _json_document(data: bytes, what: str):
+    """data decoded as UTF-8 JSON; anything else is a FormatError naming ``what``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _check_spec(spec) -> None:
@@ -155,12 +198,7 @@ def save_model_spec(path, spec: ModelSpec) -> None:
 
 
 def load_model_spec(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"model spec file is not valid JSON: {exc}") from exc
-    return spec_from_config(doc)
+    return spec_from_config(_json_document(Path(path).read_bytes(), "model spec file"))
 
 
 def save_model(path, model: StackedModel) -> None:
@@ -179,15 +217,11 @@ def save_model(path, model: StackedModel) -> None:
 
 
 def load_model(path) -> StackedModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
         raise FormatError("model file has no header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"model header is not valid JSON: {exc}") from exc
+    header = _json_document(raw[:newline], "model header")
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise FormatError("not a model file (missing format marker)")
     version = _as_int(header.get("version"), "model format version", error=FormatError)
@@ -207,3 +241,12 @@ def load_model(path) -> StackedModel:
 
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return _assemble(spec, _split(flat, [shape for _, shape in _layout(spec)]))
+
+
+def save_state_snapshot(path, states) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(export_state_snapshot(states), fh)
+
+
+def load_state_snapshot(path) -> np.ndarray:
+    return import_state_snapshot(_json_document(Path(path).read_bytes(), "state snapshot"))

@@ -32,16 +32,13 @@ length, and a ragged block gives the bits of the same rows of any longer one.
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
 ``_block_elements`` and ``chunked.stage_flops``), and the final per-layer
-states (resumable via the snapshot helpers at the bottom of this module).
+states (resumable via the snapshot documents at the bottom of this module).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
-import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -66,9 +63,6 @@ __all__ = [
     "vertical_infer",
     "export_state_snapshot",
     "import_state_snapshot",
-    "atomic_write",
-    "save_state_snapshot",
-    "load_state_snapshot",
 ]
 
 RMS_EPS = 1e-8
@@ -651,42 +645,3 @@ def import_state_snapshot(doc: dict) -> np.ndarray:
     if not np.isfinite(out).all():
         raise FormatError("snapshot carries non-finite state values")
     return out
-
-
-@contextmanager
-def atomic_write(path, mode: str = "w", **open_kwargs):
-    """Open a fresh temp file beside ``path`` for writing, in mode "w" or "wb" only.
-
-    When the block completes the file is flushed, fsynced and renamed over
-    ``path``; when it raises the temp file is removed, so ``path`` is either
-    left as it was or fully replaced, never half-written.
-    """
-    if mode not in ("w", "wb"):
-        raise ValidationError(f'atomic_write mode must be "w" or "wb", got {mode!r}')
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def save_state_snapshot(path, states) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(export_state_snapshot(states), fh)
-
-
-def load_state_snapshot(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"state snapshot is not valid JSON: {exc}") from exc
-    return import_state_snapshot(doc)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ssdkit import stack
+from ssdkit import model_io
 
 
 class _CrashingFile:
@@ -30,7 +30,7 @@ class _CrashingFile:
 
 @pytest.fixture
 def crash_atomic_writes(monkeypatch):
-    """Make ``stack.atomic_write`` crash mid-write on temp files whose name
+    """Make ``model_io.atomic_write`` crash mid-write on temp files whose name
     contains ``part``; the fixture's value installs the fault and returns a
     function that removes it."""
     real_open = open
@@ -40,7 +40,7 @@ def crash_atomic_writes(monkeypatch):
             fh = real_open(path, *args, **kwargs)
             return _CrashingFile(fh) if part in str(path) else fh
 
-        monkeypatch.setattr(stack, "open", crashing_open, raising=False)
+        monkeypatch.setattr(model_io, "open", crashing_open, raising=False)
         return monkeypatch.undo
 
     return install

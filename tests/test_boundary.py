@@ -54,8 +54,7 @@ from ssdkit import (
     vertical_infer,
     workspace_elements,
 )
-from ssdkit.model_io import save_model_spec, spec_from_config, spec_to_config
-from ssdkit.stack import atomic_write
+from ssdkit.model_io import atomic_write, save_model_spec, spec_from_config, spec_to_config
 
 SPEC = ModelSpec(seed=3, L=2, d=8, H=2, N=2, vocab_size=16, Q=4, V=8)
 MODEL = generate_model(SPEC)
