@@ -27,8 +27,9 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .chunked import (DEFAULT_DENSE_LIMIT, _check_fault, chunk_major, chunked_forward,
-                      dense_dual, inter_chunk_correction, intra_chunk, propagate_states)
+from .chunked import (DEFAULT_DENSE_LIMIT, _check_fault, _chunk_size, chunk_major,
+                      chunked_forward, dense_dual, inter_chunk_correction, intra_chunk,
+                      propagate_states)
 from .core import _as_int, _positive_real, random_coefficients, recurrent_scan
 from .errors import ValidationError
 from .model_io import atomic_write, generate_model
@@ -106,6 +107,8 @@ class EquivalenceConfig:
         _check_fault(self.fault)
         _check_ints(self, {"seed": 0, "layers": 1},
                     ("t_grid", "q_grid", "v_grid"))
+        for q in self.q_grid:
+            _chunk_size(q, "q_grid entry")
         if any(v % EQ_MODEL_Q for v in self.v_grid):
             raise ValidationError(f"v_grid entries must be multiples of the suite model's "
                                   f"chunk size {EQ_MODEL_Q}, got {self.v_grid}")
@@ -286,6 +289,8 @@ class SweepConfig:
     def __post_init__(self):
         _check_ints(self, {"seed": 0, "reps": 1, "warmup": 0},
                     ("t_grid", "batch_grid", "q_grid", "v_grid"))
+        for q in self.q_grid:
+            _chunk_size(q, "q_grid entry")
         strategies = self.strategies
         if (not isinstance(strategies, (list, tuple)) or not strategies
                 or any(s not in STRATEGIES for s in strategies)

@@ -112,6 +112,16 @@ def _check_fault(fault):
         raise ValidationError(f"unknown fault mode {fault!r}; expected one of {FAULT_MODES}")
 
 
+def _chunk_size(chunk_size, name: str = "chunk size") -> int:
+    """chunk_size as an int in [1, DEFAULT_DENSE_LIMIT]: a chunk of Q sizes a
+    (Q, Q) mask per slice, as dense_dual's block does, so a longer one is a
+    CapacityError before anything is allocated, whatever the call's length."""
+    q = _as_int(chunk_size, name, 1)
+    if q > DEFAULT_DENSE_LIMIT:
+        raise CapacityError(f"{name} {q} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
+    return q
+
+
 def _partition(t: int, chunk_size: int) -> tuple[int, int, int, int]:
     """t and chunk_size as ints, the chunk count and the last chunk's length."""
     t = _as_int(t, "sequence length", 1)
@@ -126,12 +136,13 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     Returns (a, Bmat, Cmat, x) with a and x (batch, chunks, heads, Q)
     and Bmat/Cmat (batch, chunks, heads, Q, state).  When the length is a
     multiple of Q these are zero-copy views of the inputs; otherwise they are
-    copies with the tail padded by a = 1 and B = C = x = 0.
+    copies with the tail padded by a = 1 and B = C = x = 0.  A chunk size
+    above DEFAULT_DENSE_LIMIT is a CapacityError.
     """
     x = _check_inputs(coeffs, x)
     a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
     b, t, h, n = Bm.shape
-    _, q, k, _ = _partition(t, chunk_size)
+    _, q, k, _ = _partition(t, _chunk_size(chunk_size))
     pad = k * q - t
     if pad:
         a = np.concatenate([a, np.ones((b, pad, h))], axis=1)

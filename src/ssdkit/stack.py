@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chunked import chunked_forward, stage_flops, workspace_elements
+from .chunked import _check_fault, _chunk_size, chunked_forward, stage_flops, workspace_elements
 from .core import SsmCoefficients, _as_f64, _as_int, recurrent_scan
 from .errors import DimensionError, FormatError, ValidationError
 from .instrumentation import FlopCounter, MemoryLedger
@@ -249,12 +249,24 @@ def _model_spec(model) -> ModelSpec:
 
 def _layer_input(params: LayerParams, u, chunk_size) -> tuple[np.ndarray, int]:
     """u checked as a layer input (batch, length, d), and the chunk of the
-    call's products: chunk_size, or the call's length when it is None."""
+    call's products: chunk_size (``chunked._chunk_size``), or the call's
+    length when it is None."""
     u = _as_f64(u, "u")
     if u.ndim != 3 or u.shape[2] != params.d:
         raise DimensionError(
             f"layer input shape {u.shape} does not match (batch, length, {params.d})")
-    return u, u.shape[1] if chunk_size is None else _as_int(chunk_size, "chunk size", 1)
+    return u, u.shape[1] if chunk_size is None else _chunk_size(chunk_size)
+
+
+def _check_kernel(kernel, fault) -> None:
+    """kernel one of KERNELS, and fault None or, under the chunked kernel,
+    one of ``chunked.FAULT_MODES``."""
+    if kernel not in KERNELS:
+        raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    if fault is not None and kernel != "chunked":
+        raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
+                              f"not {kernel!r}")
+    _check_fault(fault)
 
 
 def _chunk_matmul(x: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
@@ -367,8 +379,9 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     None is exactly a zero state, with the same bits.
         chunk_size: chunk length of the kernel and of the input and output
                     projections, one product per chunk; required by the
-                    chunked kernel.  One chunk spans the call when it is
-                    None, as chunk_size = length.
+                    chunked kernel, and at most chunked.DEFAULT_DENSE_LIMIT.
+                    One chunk spans the call when it is None, as
+                    chunk_size = length.
         kernel:     "chunked" or "recurrent"; both compute the same map,
                     differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
@@ -394,11 +407,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         (v, new_state): output channels and the kernel state at the end of
         the span.
     """
-    if kernel not in KERNELS:
-        raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if fault is not None and kernel != "chunked":
-        raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
-                              f"not {kernel!r}")
+    _check_kernel(kernel, fault)
     if not isinstance(overwrite_input, bool):
         raise ValidationError(f"overwrite_input must be a bool, got {overwrite_input!r}")
     u, q = _layer_input(params, u, chunk_size)
@@ -500,7 +509,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     Args:
         block_len:      positions per block, a multiple of the chunk size;
                         None runs one block spanning the whole sequence.
-        chunk_size:     chunk length (default model.spec.Q).
+        chunk_size:     chunk length (default model.spec.Q), at most
+                        chunked.DEFAULT_DENSE_LIMIT.
         kernel:         "chunked" or "recurrent" (see layer_forward).
         initial_states: optional (L, batch, H, N) states from a previous call
                         on the preceding positions; None starts every layer
@@ -509,6 +519,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
                         block's final-layer output; storage at the sink is the
                         caller's, not counted by the ledger.
 
+    The kernel, fault and chunk size are checked before any block work.
     The ledger's peak is the carried (L, batch, H, N) state buffer plus the
     largest layer footprint of a block (``_block_elements``), over the full
     block length and the ragged last one.  The result's hidden field covers
@@ -521,7 +532,8 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     keep their bits; the ledger, linear in the batch, is unchanged.
     """
     spec = _model_spec(model)
-    q = _as_int(chunk_size, "chunk size", 1) if chunk_size is not None else spec.Q
+    _check_kernel(kernel, fault)
+    q = _chunk_size(chunk_size if chunk_size is not None else spec.Q)
     if block_len is not None:
         block_len = _as_int(block_len, "block length", 1)
         if block_len % q != 0:

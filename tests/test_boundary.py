@@ -7,11 +7,14 @@ joins the table with its malformed inputs.
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ssdkit import (
+    DEFAULT_DENSE_LIMIT,
+    CapacityError,
     DimensionError,
     EquivalenceConfig,
     FormatError,
@@ -95,6 +98,8 @@ def model_file(tmp_path, **header):
     return path
 
 
+OVER = DEFAULT_DENSE_LIMIT + 1  # a chunk size one over the dense limit
+
 NOT_UTF8 = b"hello \xff\xfe world\n"
 
 
@@ -135,6 +140,10 @@ CASES = {
         lambda tmp: chunked_forward(COEFFS, X, 4, np.zeros((2, 2, 3))), DimensionError),
     "chunked_forward-string-chunk": (
         lambda tmp: chunked_forward(COEFFS, X, "4"), ValidationError),
+    "chunked_forward-chunk-over-dense-limit": (
+        lambda tmp: chunked_forward(COEFFS, X, OVER), CapacityError),
+    "chunk_major-chunk-over-dense-limit": (
+        lambda tmp: chunk_major(COEFFS, X, OVER), CapacityError),
     "propagate_states-3d-b_intra": (
         lambda tmp: propagate_states(np.ones((1, 2, 1)), np.ones((1, 2, 1)),
                                      np.zeros((1, 1, 1))), DimensionError),
@@ -221,6 +230,12 @@ CASES = {
     "layer_forward-dense-kernel": (  # the dense form is chunk_size = length
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, 4, 8)), None, 4, kernel="dense"),
         ValidationError),
+    "layer_forward-chunk-over-dense-limit": (
+        lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, 4, 8)), None, OVER),
+        CapacityError),
+    "generate_coefficients-chunk-over-dense-limit": (
+        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), OVER),
+        CapacityError),
     "generate_coefficients-batch-0-u": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((0, 4, 8)), 4),
         ValidationError),
@@ -229,6 +244,12 @@ CASES = {
         ValidationError),
     "infer-none-model": (lambda tmp: infer(None, TOKENS), ValidationError),
     "infer-dense-kernel": (lambda tmp: infer(MODEL, TOKENS, kernel="dense"), ValidationError),
+    "infer-chunk-over-dense-limit": (lambda tmp: infer(MODEL, TOKENS, None, OVER), CapacityError),
+    "infer-spec-Q-over-dense-limit": (
+        lambda tmp: infer(StackedModel(replace(SPEC, Q=OVER, V=OVER), MODEL.embedding,
+                                       MODEL.layers), TOKENS), CapacityError),
+    "vertical_infer-chunk-over-dense-limit": (
+        lambda tmp: vertical_infer(MODEL, TOKENS, OVER, OVER), CapacityError),
     "horizontal_infer-string-model": (
         lambda tmp: horizontal_infer("model", TOKENS), ValidationError),
     "vertical_infer-none-model": (lambda tmp: vertical_infer(None, TOKENS), ValidationError),
@@ -251,6 +272,10 @@ CASES = {
         lambda tmp: EquivalenceConfig(fault="gremlins"), ValidationError),
     "EquivalenceConfig-int-fault": (lambda tmp: EquivalenceConfig(fault=3), ValidationError),
     "EquivalenceConfig-int-q_grid": (lambda tmp: EquivalenceConfig(q_grid=4), ValidationError),
+    "EquivalenceConfig-q-over-dense-limit": (
+        lambda tmp: EquivalenceConfig(q_grid=(4, OVER)), CapacityError),
+    "SweepConfig-q-over-dense-limit": (
+        lambda tmp: SweepConfig(q_grid=(4, OVER)), CapacityError),
     "SweepConfig-repeated-strategy": (
         lambda tmp: SweepConfig(strategies=("recurrent", "recurrent")), ValidationError),
     "SweepConfig-int-t_grid": (lambda tmp: SweepConfig(t_grid=3), ValidationError),
@@ -317,6 +342,18 @@ def test_malformed_input_raises_its_ssd_error(call, error, tmp_path):
 def test_the_dense_kernel_is_refused_naming_the_kernels(case, tmp_path):
     with pytest.raises(ValidationError, match=re.escape(repr(("chunked", "recurrent")))):
         CASES[case][0](tmp_path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chunk_major(COEFFS, X, DEFAULT_DENSE_LIMIT),
+    lambda: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), DEFAULT_DENSE_LIMIT),
+    # the recurrent kernel: the chunked one would hold a (4,096, 4,096) mask per head
+    lambda: infer(MODEL, TOKENS, None, DEFAULT_DENSE_LIMIT, kernel="recurrent"),
+    lambda: EquivalenceConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
+    lambda: SweepConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
+], ids=["chunk_major", "generate_coefficients", "infer", "EquivalenceConfig", "SweepConfig"])
+def test_a_chunk_at_the_dense_limit_is_accepted(call):
+    call()
 
 
 def test_a_refused_model_save_leaves_no_file(tmp_path):

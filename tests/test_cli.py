@@ -444,6 +444,17 @@ class TestEmbedCommand:
         assert "chunk size" in captured.err
         assert captured.out == ""
 
+    def test_a_chunk_over_the_dense_limit_is_an_input_error(self, tmp_path, capsys):
+        # refused before the call: one chunk of 5,000 rows would hold a
+        # (5,000, 5,000) mask per head for a few tokens
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        rc = main(["embed", str(src), "--q", "5000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "dense limit" in captured.err
+        assert captured.out == ""
+
     def test_format_query_wraps_the_text(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         src.write_text("what is a kernel")

@@ -5,6 +5,7 @@ computed once from the default configuration and pinned; any change to the
 generator stream or the serialization order must show up here.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -32,6 +33,10 @@ from ssdkit.model_io import spec_from_config, spec_to_config
 GOLDEN_FIRST_PARAM = 0.12078243938591166
 GOLDEN_PAYLOAD_SHA = "sha256:8e1b271399e70705bdacd47ed5f3df46a573b35a26d3489978609b573e1e2da4"
 GOLDEN_PAYLOAD_BYTES = 44608
+# sha256 of the snapshot file of SNAPSHOT_STATES and of the spec file of ModelSpec()
+SNAPSHOT_STATES = np.linspace(-1.0, 1.0, 12).reshape(2, 1, 2, 3)
+GOLDEN_SNAPSHOT_FILE_SHA = "2b39392e89136e1576a84bd4117559891615ed32c7aa83a1715f122d362cf645"
+GOLDEN_SPEC_FILE_SHA = "f1f52eb2d4773ada63f7f6e5a4f9e3e3c33bc32b282bd99eeab7dca323c692c0"
 
 
 class TestGeneration:
@@ -61,6 +66,15 @@ class TestGeneration:
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["checksum"] == GOLDEN_PAYLOAD_SHA
         assert header["payload_bytes"] == GOLDEN_PAYLOAD_BYTES
+
+    @pytest.mark.parametrize("write,value,sha", [
+        (save_state_snapshot, SNAPSHOT_STATES, GOLDEN_SNAPSHOT_FILE_SHA),
+        (save_model_spec, ModelSpec(), GOLDEN_SPEC_FILE_SHA),
+    ], ids=["snapshot", "spec"])
+    def test_file_bytes_are_pinned(self, tmp_path, write, value, sha):
+        path = tmp_path / "file.json"
+        write(path, value)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
     def test_expected_payload_bytes_matches_the_payload(self):
         for spec in (ModelSpec(), ModelSpec(L=2, d=8, H=1, N=2, vocab_size=16, Q=4, V=8)):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ssdkit import (
     DEFAULT_DENSE_LIMIT,
     FAULT_MODES,
+    CapacityError,
     DimensionError,
     FlopCounter,
     FormatError,
@@ -916,6 +917,19 @@ class TestClosedFormsPerShape:
         third = infer(self.MODEL, tok, v, q, kernel=kernel, initial_states=states)
         for result in (second, third):
             assert result.flops == flops and result.ledger.peak_elements == peak
+
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(kernel="bogus"), ValidationError),
+        (dict(fault="gremlins"), ValidationError),
+        (dict(kernel="recurrent", fault=chunked.FAULT_TRANSITION), ValidationError),
+        (dict(chunk_size=DEFAULT_DENSE_LIMIT + 1), CapacityError),
+    ])
+    def test_a_refused_setting_does_no_block_work(self, kwargs, error):
+        # refused before the states and the first block's closed forms are made
+        before = stack._block_forms.cache_info()
+        with pytest.raises(error):
+            infer(self.MODEL, tokens_for(self.SPEC, 16), **kwargs)
+        assert stack._block_forms.cache_info() == before
 
     def test_the_tile_budget_is_part_of_the_key(self, monkeypatch):
         # a (1, 64) block at Q = 4 runs as one tile, then as eight of two chunks
