@@ -142,7 +142,8 @@ def chunk_major(coeffs: SsmCoefficients, x, chunk_size: int):
     x = _check_inputs(coeffs, x)
     a, Bm, Cm = coeffs.a, coeffs.Bmat, coeffs.Cmat
     b, t, h, n = Bm.shape
-    _, q, k, _ = _partition(t, _chunk_size(chunk_size))
+    q = _chunk_size(chunk_size)
+    k = -(-t // q)
     pad = k * q - t
     if pad:
         a = np.concatenate([a, np.ones((b, pad, h))], axis=1)

@@ -263,10 +263,11 @@ def _check_kernel(kernel, fault) -> None:
     one of ``chunked.FAULT_MODES``."""
     if kernel not in KERNELS:
         raise ValidationError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if fault is not None and kernel != "chunked":
-        raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
-                              f"not {kernel!r}")
-    _check_fault(fault)
+    if fault is not None:
+        if kernel != "chunked":
+            raise ValidationError(f"fault {fault!r} applies to the chunked kernel only, "
+                                  f"not {kernel!r}")
+        _check_fault(fault)
 
 
 def _chunk_matmul(x: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
