@@ -24,8 +24,8 @@ from .instrumentation import FlopCounter, MemoryLedger
 from .stack import (InferenceResult, LayerParams, ModelSpec, StackedModel,
                     export_state_snapshot, generate_coefficients, horizontal_infer, infer,
                     import_state_snapshot, layer_forward, layer_shapes, vertical_infer)
-from .embedding import (EmbeddingOutput, LossConfig, QUERY_TEMPLATE, cosine_similarity,
-                        embed_sequence, format_query, info_nce_loss, tokenize_words)
+from .embedding import (EmbeddingOutput, QUERY_TEMPLATE, cosine_similarity, embed_sequence,
+                        format_query, info_nce_loss, tokenize_words)
 from .model_io import (expected_payload_bytes, generate_model, load_model, load_model_spec,
                        load_state_snapshot, model_payload, save_model, save_model_spec,
                        save_state_snapshot)
@@ -51,7 +51,7 @@ __all__ = [
     "horizontal_infer", "vertical_infer",
     "export_state_snapshot", "import_state_snapshot", "save_state_snapshot",
     "load_state_snapshot",
-    "QUERY_TEMPLATE", "EmbeddingOutput", "LossConfig", "format_query",
+    "QUERY_TEMPLATE", "EmbeddingOutput", "format_query",
     "tokenize_words", "embed_sequence", "cosine_similarity", "info_nce_loss",
     "generate_model", "model_payload", "expected_payload_bytes", "save_model",
     "load_model", "save_model_spec", "load_model_spec",

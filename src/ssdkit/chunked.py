@@ -53,8 +53,8 @@ call's rows the same way before its projections, so every chunked kernel
 call ``infer`` makes is chunk-aligned and lays its inputs out as views.
 
 ``dense_dual`` is the single-block special case (chunk_size = sequence
-length): the same code path, so the two agree bitwise, with a capacity guard
-because it materializes a (length, length) block per slice.
+length): the same code path, so the two agree bitwise, and the same capacity
+rule (``_chunk_size``), since it materializes a (length, length) block per slice.
 
 Fault injection: the four ``FAULT_MODES`` each disable one algebraic
 ingredient (intra-block decay mask, boundary-row weights, carry transition
@@ -114,8 +114,9 @@ def _check_fault(fault):
 
 def _chunk_size(chunk_size, name: str = "chunk size") -> int:
     """chunk_size as an int in [1, DEFAULT_DENSE_LIMIT]: a chunk of Q sizes a
-    (Q, Q) mask per slice, as dense_dual's block does, so a longer one is a
-    CapacityError before anything is allocated, whatever the call's length."""
+    (Q, Q) mask per slice, so a longer one is a CapacityError before anything
+    is allocated, whatever the call's length.  The one statement of the rule:
+    a spec's Q, a one-chunk call's length and the closed forms' chunk pass here."""
     q = _as_int(chunk_size, name, 1)
     if q > DEFAULT_DENSE_LIMIT:
         raise CapacityError(f"{name} {q} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
@@ -125,7 +126,7 @@ def _chunk_size(chunk_size, name: str = "chunk size") -> int:
 def _partition(t: int, chunk_size: int) -> tuple[int, int, int, int]:
     """t and chunk_size as ints, the chunk count and the last chunk's length."""
     t = _as_int(t, "sequence length", 1)
-    chunk_size = _as_int(chunk_size, "chunk size", 1)
+    chunk_size = _chunk_size(chunk_size)
     k = -(-t // chunk_size)
     return t, chunk_size, k, t - (k - 1) * chunk_size
 
@@ -376,13 +377,10 @@ def dense_dual(coeffs: SsmCoefficients, x, h0=None):
     """Single-operator evaluation: one kernel block spanning the sequence.
 
     Materializes a (length, length) block per batch/head slice, so a length
-    above DEFAULT_DENSE_LIMIT is refused.  This is literally chunked_forward
-    with one chunk, which is what makes the two agree bitwise at chunk_size = length.
-    h0 is an optional (batch, heads, state) initial state; None is exactly a
-    zero state, with the same bits and counts.
+    above DEFAULT_DENSE_LIMIT is refused (``_chunk_size``).  This is literally
+    chunked_forward with one chunk, which is what makes the two agree bitwise
+    at chunk_size = length.  h0 is an optional (batch, heads, state) initial
+    state; None is exactly a zero state, with the same bits and counts.
     """
     _check_inputs(coeffs, x)
-    if coeffs.length > DEFAULT_DENSE_LIMIT:
-        raise CapacityError(
-            f"sequence length {coeffs.length} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
-    return chunked_forward(coeffs, x, coeffs.length, h0)
+    return chunked_forward(coeffs, x, _chunk_size(coeffs.length, "sequence length"), h0)

@@ -23,7 +23,6 @@ from .stack import StackedModel, _check_tokens, _model_spec, horizontal_infer, v
 
 __all__ = [
     "QUERY_TEMPLATE",
-    "LossConfig",
     "EmbeddingOutput",
     "format_query",
     "tokenize_words",
@@ -67,14 +66,6 @@ def tokenize_words(text: str, vocab_size: int) -> list[int]:
 class EmbeddingOutput:
     vector: np.ndarray  # (d,)
     source_len: int     # tokens consumed, including the appended terminal id
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    temperature: float = 0.02
-
-    def __post_init__(self):
-        object.__setattr__(self, "temperature", _positive_real(self.temperature, "temperature"))
 
 
 def embed_sequence(model: StackedModel, tokens, *, strategy: str = "horizontal",
@@ -152,7 +143,7 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
     arbitrarily small temperatures stay finite.  With no negatives the loss is
     exactly zero.  The query is checked and normed once, not per candidate.
     """
-    config = LossConfig(temperature)  # validates the temperature
+    temperature = _positive_real(temperature, "temperature")
     q = _real_array(query, "query")
     if not isinstance(negatives, (list, tuple)):
         raise ValidationError(f"negatives must be a list or tuple of embeddings, "
@@ -161,6 +152,6 @@ def info_nce_loss(query, positive, negatives=(), *, temperature: float = 0.02) -
     candidates += [_checked(e, q.shape, f"negatives[{i}]") for i, e in enumerate(negatives)]
     q, q_norm = _checked(q, q.shape, "query")
     sims = [_cosine(q, q_norm, e, e_norm) for e, e_norm in candidates]
-    scaled = np.array(sims) / config.temperature
+    scaled = np.array(sims) / temperature
     shift = scaled.max()
     return float(shift + np.log(np.exp(scaled - shift).sum()) - scaled[0])

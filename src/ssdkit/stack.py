@@ -22,12 +22,13 @@ every layer write its output over it, so a block holds one stream plus one
 tile's buffers.
 
 A layer call checks its input and resolves its chunk to one integer at its
-entry (``_layer_input``): the chunk size given, or one chunk spanning the
-call (the dense form) when None.  One rule handles a ragged length (not a
-multiple of Q, such as every embedding query): ``_project`` pads it with
-zero rows in the normalized buffer each layer makes anyway, its gates 1
-there, and its callers trim once.  No product or kernel call sees a ragged
-length, and a ragged block gives the bits of the same rows of any longer one.
+entry (``_layer_input``, by ``chunked._chunk_size``): the chunk size given,
+or one chunk spanning the call (the dense form) when None.  One rule handles
+a ragged length (not a multiple of Q, such as every embedding query):
+``_project`` pads it with zero rows in the normalized buffer each layer makes
+anyway, its gates 1 there, and its callers trim once.  No product or kernel
+call sees a ragged length, and a ragged block gives the bits of the same rows
+of any longer one.
 
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
@@ -115,7 +116,7 @@ class ModelSpec:
         N:           state dimension per head.
         vocab_size:  token vocabulary size; the highest id is reserved as the
                      end-of-sequence marker used for pooling.
-        Q:           default chunk size.
+        Q:           default chunk size, at most chunked.DEFAULT_DENSE_LIMIT.
         V:           default vertical block length (multiple of Q).
     """
 
@@ -134,6 +135,7 @@ class ModelSpec:
         for f in fields(self):
             value = _as_int(getattr(self, f.name), f"ModelSpec.{f.name}", minimum.get(f.name, 1))
             object.__setattr__(self, f.name, value)
+        _chunk_size(self.Q, "ModelSpec.Q")  # the chunk of every default call
         if self.V % self.Q != 0:
             raise ValidationError(
                 f"vertical block V={self.V} must be a multiple of chunk size Q={self.Q}")
@@ -249,13 +251,15 @@ def _model_spec(model) -> ModelSpec:
 
 def _layer_input(params: LayerParams, u, chunk_size) -> tuple[np.ndarray, int]:
     """u checked as a layer input (batch, length, d), and the chunk of the
-    call's products: chunk_size (``chunked._chunk_size``), or the call's
+    call's products by ``chunked._chunk_size``: chunk_size, or the call's
     length when it is None."""
     u = _as_f64(u, "u")
     if u.ndim != 3 or u.shape[2] != params.d:
         raise DimensionError(
             f"layer input shape {u.shape} does not match (batch, length, {params.d})")
-    return u, u.shape[1] if chunk_size is None else _chunk_size(chunk_size)
+    if chunk_size is None:
+        return u, _chunk_size(u.shape[1], "sequence length")
+    return u, _chunk_size(chunk_size)
 
 
 def _check_kernel(kernel, fault) -> None:
@@ -359,13 +363,17 @@ def _project(params: LayerParams, u: np.ndarray, q: int):
 def _tile_forward(params: LayerParams, u: np.ndarray, q: int, state, kernel: str, fault):
     """One tile of a layer call: project u, run the kernel from state, and
     add the output projection to u in place.  Returns the tile's end state."""
+    t = u.shape[1]
     coeffs, x = _project(params, u, q)
     if kernel == "chunked":
         y, hT = chunked_forward(coeffs, x, q, state, fault=fault)
-    else:
-        y, hT = recurrent_scan(coeffs, x, state)
+    else:  # the real rows only: the padding would just carry the state
+        y, hT = recurrent_scan(coeffs.slice_time(0, t), x[:, :t], state)
     del coeffs, x  # a, B, C and x are dead: free them before the output is made
-    u += _chunk_matmul(y, params.W_out, q)[:, :u.shape[1]]
+    if y.shape[1] % q:  # zero rows to whole chunks: a row's bits depend on the
+        # product's shape, not on the other rows' values
+        y = np.concatenate([y, np.zeros((y.shape[0], -t % q, y.shape[2]))], axis=1)
+    u += _chunk_matmul(y, params.W_out, q)[:, :t]
     return hT
 
 
@@ -382,7 +390,7 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
                     projections, one product per chunk; required by the
                     chunked kernel, and at most chunked.DEFAULT_DENSE_LIMIT.
                     One chunk spans the call when it is None, as
-                    chunk_size = length.
+                    chunk_size = length, under the same limit.
         kernel:     "chunked" or "recurrent"; both compute the same map,
                     differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
@@ -409,11 +417,11 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         the span.
     """
     _check_kernel(kernel, fault)
+    if kernel == "chunked" and chunk_size is None:  # at any length
+        raise ValidationError("chunk_size is required for the chunked kernel")
     if not isinstance(overwrite_input, bool):
         raise ValidationError(f"overwrite_input must be a bool, got {overwrite_input!r}")
     u, q = _layer_input(params, u, chunk_size)
-    if kernel == "chunked" and chunk_size is None:
-        raise ValidationError("chunk_size is required for the chunked kernel")
     if overwrite_input and not u.flags.writeable:
         raise ValidationError("overwrite_input needs a writeable u")
     t = u.shape[1]

@@ -7,7 +7,6 @@ joins the table with its malformed inputs.
 
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from ssdkit import (
     EquivalenceConfig,
     FormatError,
     LayerParams,
-    LossConfig,
     ModelSpec,
     SsdError,
     SsmCoefficients,
@@ -99,6 +97,7 @@ def model_file(tmp_path, **header):
 
 
 OVER = DEFAULT_DENSE_LIMIT + 1  # a chunk size one over the dense limit
+OVER_SPEC = {**spec_to_config(SPEC), "Q": OVER, "V": OVER}  # a spec document no call could run
 
 NOT_UTF8 = b"hello \xff\xfe world\n"
 
@@ -166,10 +165,14 @@ CASES = {
         lambda tmp: stage_flops(-1, 8, 2, 3, 4), ValidationError),
     "stage_flops-zero-heads": (
         lambda tmp: stage_flops(1, 8, 0, 3, 4), ValidationError),
+    "stage_flops-chunk-over-dense-limit": (
+        lambda tmp: stage_flops(1, OVER, 2, 3, OVER), CapacityError),
     "workspace_elements-batch--1": (lambda tmp: workspace_elements(-1, 8, 2, 3, 4),
                                     ValidationError),
     "workspace_elements-zero-heads": (lambda tmp: workspace_elements(1, 8, 0, 3, 4),
                                       ValidationError),
+    "workspace_elements-chunk-over-dense-limit": (
+        lambda tmp: workspace_elements(1, OVER, 2, 3, OVER), CapacityError),
     "intra_chunk-x-one-position-short": (
         lambda tmp: intra_chunk(A4, BM4, CM4, X4[..., :3]), DimensionError),
     "intra_chunk-Cm-state-size": (
@@ -212,6 +215,7 @@ CASES = {
     "StackedModel-dict-layers": (
         lambda tmp: StackedModel(SPEC, MODEL.embedding, [dict()] * SPEC.L), ValidationError),
     "ModelSpec-float-L": (lambda tmp: ModelSpec(L=2.5), ValidationError),
+    "ModelSpec-Q-over-dense-limit": (lambda tmp: ModelSpec(Q=OVER, V=OVER), CapacityError),
     "generate_model-dict-spec": (lambda tmp: generate_model({"seed": 1}), ValidationError),
     "expected_payload_bytes-int-spec": (lambda tmp: expected_payload_bytes(3), ValidationError),
     "model_payload-int-model": (lambda tmp: model_payload(3), ValidationError),
@@ -236,6 +240,13 @@ CASES = {
     "generate_coefficients-chunk-over-dense-limit": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), OVER),
         CapacityError),
+    # None is one chunk spanning the call, under the same rule
+    "layer_forward-recurrent-none-chunk-over-dense-limit": (
+        lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, OVER, 8)), None, None,
+                                  kernel="recurrent"), CapacityError),
+    "generate_coefficients-none-chunk-over-dense-limit": (
+        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, OVER, 8))),
+        CapacityError),
     "generate_coefficients-batch-0-u": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((0, 4, 8)), 4),
         ValidationError),
@@ -245,9 +256,6 @@ CASES = {
     "infer-none-model": (lambda tmp: infer(None, TOKENS), ValidationError),
     "infer-dense-kernel": (lambda tmp: infer(MODEL, TOKENS, kernel="dense"), ValidationError),
     "infer-chunk-over-dense-limit": (lambda tmp: infer(MODEL, TOKENS, None, OVER), CapacityError),
-    "infer-spec-Q-over-dense-limit": (
-        lambda tmp: infer(StackedModel(replace(SPEC, Q=OVER, V=OVER), MODEL.embedding,
-                                       MODEL.layers), TOKENS), CapacityError),
     "vertical_infer-chunk-over-dense-limit": (
         lambda tmp: vertical_infer(MODEL, TOKENS, OVER, OVER), CapacityError),
     "horizontal_infer-string-model": (
@@ -283,7 +291,10 @@ CASES = {
     "EquivalenceConfig-repeated-t_grid": (
         lambda tmp: EquivalenceConfig(t_grid=(16, 16)), ValidationError),
     "SweepConfig-int-strategies": (lambda tmp: SweepConfig(strategies=3), ValidationError),
-    "LossConfig-bool-temperature": (lambda tmp: LossConfig(temperature=True), ValidationError),
+    "info_nce_loss-bool-temperature": (
+        lambda tmp: info_nce_loss(VEC, VEC, temperature=True), ValidationError),
+    "info_nce_loss-inf-temperature": (
+        lambda tmp: info_nce_loss(VEC, VEC, temperature=float("inf")), ValidationError),
     "info_nce_loss-string-temperature": (
         lambda tmp: info_nce_loss(VEC, VEC, temperature="0.1"), ValidationError),
     "info_nce_loss-none-temperature": (
@@ -316,6 +327,10 @@ CASES = {
     "snapshot-layer-not-a-list": (
         lambda tmp: import_state_snapshot(snapshot(states=[[0.0] * 4, "0000"])), FormatError),
     "spec-zero-layers": (lambda tmp: spec_from_config({"L": 0}), FormatError),
+    "spec-file-Q-over-dense-limit": (
+        lambda tmp: load_model_spec(text_file(tmp, json.dumps(OVER_SPEC).encode())), FormatError),
+    "model-Q-over-dense-limit": (lambda tmp: load_model(model_file(tmp, spec=OVER_SPEC)),
+                                 FormatError),
     "model-bool-version": (lambda tmp: load_model(model_file(tmp, version=True)), FormatError),
     "model-float-version": (lambda tmp: load_model(model_file(tmp, version=1.0)), FormatError),
     "model-string-payload-bytes": (
@@ -347,13 +362,28 @@ def test_the_dense_kernel_is_refused_naming_the_kernels(case, tmp_path):
 @pytest.mark.parametrize("call", [
     lambda: chunk_major(COEFFS, X, DEFAULT_DENSE_LIMIT),
     lambda: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), DEFAULT_DENSE_LIMIT),
+    lambda: generate_coefficients(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8))),
     # the recurrent kernel: the chunked one would hold a (4,096, 4,096) mask per head
     lambda: infer(MODEL, TOKENS, None, DEFAULT_DENSE_LIMIT, kernel="recurrent"),
+    lambda: layer_forward(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8)), None, None,
+                          kernel="recurrent"),
+    lambda: ModelSpec(Q=DEFAULT_DENSE_LIMIT, V=DEFAULT_DENSE_LIMIT),
+    lambda: workspace_elements(1, DEFAULT_DENSE_LIMIT, 2, 3, DEFAULT_DENSE_LIMIT),
+    lambda: stage_flops(1, DEFAULT_DENSE_LIMIT, 2, 3, DEFAULT_DENSE_LIMIT),
     lambda: EquivalenceConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
     lambda: SweepConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
-], ids=["chunk_major", "generate_coefficients", "infer", "EquivalenceConfig", "SweepConfig"])
+], ids=["chunk_major", "generate_coefficients", "generate_coefficients-none", "infer",
+        "layer_forward-none", "ModelSpec", "workspace_elements", "stage_flops",
+        "EquivalenceConfig", "SweepConfig"])
 def test_a_chunk_at_the_dense_limit_is_accepted(call):
     call()
+
+
+@pytest.mark.parametrize("case", ["layer_forward-recurrent-none-chunk-over-dense-limit",
+                                  "generate_coefficients-none-chunk-over-dense-limit"])
+def test_a_one_chunk_call_reads_as_dense_dual_does(case, tmp_path):
+    with pytest.raises(CapacityError, match="^sequence length 4097 exceeds dense limit 4096$"):
+        CASES[case][0](tmp_path)
 
 
 def test_a_refused_model_save_leaves_no_file(tmp_path):

@@ -554,6 +554,19 @@ class TestEmbedCommand:
         from_file = capsys.readouterr().out
         assert from_spec == from_file
 
+    def test_a_spec_whose_chunk_no_call_runs_is_refused_on_load(self, tmp_path, capsys):
+        # Q over the dense limit: every default call would refuse it, so the spec does
+        spec = ModelSpec(seed=5, L=2, d=8, H=2, N=2, vocab_size=32, Q=4, V=8)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec_to_config(spec), "Q": DEFAULT_DENSE_LIMIT + 1,
+                                         "V": DEFAULT_DENSE_LIMIT + 1}))
+        src = tmp_path / "in.txt"
+        src.write_text(self.TEXT)
+        rc = main(["embed", str(src), "--model", str(spec_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "spec document: ModelSpec.Q 4097 exceeds dense limit 4096" in captured.err
+
     def test_corrupt_model_file_is_an_input_error(self, tmp_path, capsys):
         spec = ModelSpec(seed=5, L=1, d=8, H=1, N=2, vocab_size=16, Q=4, V=8)
         model_path = tmp_path / "m.ssdm"

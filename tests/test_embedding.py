@@ -3,6 +3,7 @@
 Template renderings are pinned byte for byte in tests/data/format_query_golden.json.
 """
 
+import inspect
 import json
 import math
 import zlib
@@ -13,7 +14,6 @@ import pytest
 
 from ssdkit import (
     DimensionError,
-    LossConfig,
     ModelSpec,
     QUERY_TEMPLATE,
     ValidationError,
@@ -284,7 +284,7 @@ class TestInfoNceLoss:
         with pytest.raises(ValidationError):
             info_nce_loss(self.Q, self.P, temperature=-1.0)
         with pytest.raises(ValidationError):
-            LossConfig(temperature=math.inf)
+            info_nce_loss(self.Q, self.P, temperature=math.inf)
 
     @pytest.mark.parametrize("query,negative", [
         (Q, np.array([1.0, 0.0])),           # a negative of the wrong length
@@ -351,8 +351,9 @@ class TestInfoNceLoss:
         with pytest.raises(ValidationError, match=f"{field} must hold real numbers"):
             info_nce_loss(*args)
 
-    def test_loss_config_default(self):
-        assert LossConfig().temperature == 0.02
+    def test_the_default_temperature(self):
+        default = inspect.signature(info_nce_loss).parameters["temperature"].default
+        assert default == 0.02
 
 
 class TestEndToEndSimilarity:

@@ -147,7 +147,7 @@ class TestCoefficientProjection:
         p = tiny_params(21, h=8, d=16, n=2)
         rng = np.random.default_rng(21)
         u = rng.standard_normal((16, 8192, 16)) * 10.0
-        coeffs, _ = generate_coefficients(p, u)
+        coeffs, _ = generate_coefficients(p, u, DEFAULT_DENSE_LIMIT)  # None: over the limit
         assert coeffs.a.size == 16 * 8192 * 8
         assert np.all(coeffs.a > 0.0)
         assert np.all(coeffs.a < 1.0)
@@ -315,10 +315,14 @@ class TestLayerForward:
         assert np.array_equal(np.concatenate([v_a, v_b], axis=1), v_full)
         assert np.array_equal(h_b, h_full)
 
-    def test_chunked_kernel_requires_a_chunk_size(self):
+    # refused before the call's chunk is resolved, so not a CapacityError
+    # over the dense limit
+    @pytest.mark.parametrize("t", [4, DEFAULT_DENSE_LIMIT + 1])
+    def test_chunked_kernel_requires_a_chunk_size(self, t):
         p = tiny_params(11)
-        with pytest.raises(ValidationError):
-            layer_forward(p, np.zeros((1, 4, 8)))
+        with pytest.raises(ValidationError,
+                           match="^chunk_size is required for the chunked kernel$"):
+            layer_forward(p, np.zeros((1, t, 8)))
 
     def test_unknown_kernel_rejected(self):
         p = tiny_params(11)
@@ -693,8 +697,9 @@ class TestInferProperties:
         assert np.array_equal(h, h_dense)
         assert np.array_equal(v, u + stack._chunk_matmul(y, layer.W_out, t))
 
-    # the recurrent kernel runs a ragged call padded to whole chunks too, so
-    # its projections have the shapes of a longer call's and give its bits
+    # the recurrent kernel's projections run a ragged call padded to whole
+    # chunks too (its scan reads the real rows only), so they have the shapes
+    # of a longer call's and give its bits
     @pytest.mark.parametrize("q", [2, 3, 5, 8, 16])
     def test_ragged_recurrent_rows_match_a_longer_call(self, q):
         tok = tokens_for(self.SPEC, 97 + q, seed=q)
@@ -703,6 +708,28 @@ class TestInferProperties:
                 short = infer(self.MODEL, tok[:, :t], None, q, kernel="recurrent")
                 longer = infer(self.MODEL, tok[:, :t + q], None, q, kernel="recurrent")
                 assert np.array_equal(short.hidden, longer.hidden[:, :t]), t
+
+    # a scan of the padding cost a tile its chunks x Q steps: 6 tokens at
+    # Q = 4,096 scanned 4,096 steps a layer (54 ms, against 0.5 ms at Q = 8)
+    @pytest.mark.parametrize("q", [8, 512])
+    @pytest.mark.parametrize("t,chunks", [(6, None), (37, 1), (1029, 2)])
+    def test_recurrent_tiles_scan_their_real_rows(self, monkeypatch, q, t, chunks):
+        seen = []
+        original = stack.recurrent_scan
+
+        def recorded(coeffs, x, h0=None):
+            seen.append(coeffs.length)
+            return original(coeffs, x, h0)
+
+        monkeypatch.setattr(stack, "recurrent_scan", recorded)
+        tok = tokens_for(self.SPEC, t, seed=q)
+        with layer_tiles(chunks, self.SPEC.H, q):
+            result = infer(self.MODEL, tok, None, q, kernel="recurrent")
+            span = stack._tile_chunks(self.SPEC.H, q) * q
+            chunked_result = infer(self.MODEL, tok, None, q)
+        assert seen == [min(span, t - lo) for lo in range(0, t, span)] * self.SPEC.L
+        assert rel_err(result.hidden, chunked_result.hidden) < 1e-12
+        assert rel_err(result.states, chunked_result.states) < 1e-12
 
 
 def traced_peak_bytes(fn, *args, **kwargs):
@@ -971,8 +998,9 @@ class TestLedgerAgainstTracedMemory:
         assert 0.95 <= ratio <= 1.10
 
     def test_ragged_recurrent_traced_peak_matches_the_ledger(self):
-        # 17 positions run padded to 32 (measured 1.04); a ledger of the 17
-        # real rows alone would read about half the traced peak (1.93)
+        # 17 positions are projected padded to 32 and scanned as 17 (measured
+        # 1.05); a ledger of the 17 real rows alone would read about half
+        # the traced peak (1.93)
         model = generate_model(self.SPEC)
         tok = tokens_for(self.SPEC, 17, batch=64)
         horizontal_infer(model, tok, kernel="recurrent")  # warm lazy set-up
