@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     em.add_argument("--q", type=int, default=None, help="chunk size override")
     em.add_argument("--v", type=int, default=None,
                     help="vertical block length override (with --vertical)")
-    em.add_argument("--memory-cap", action="store_true",
-                    help="cap vertical memory: block length = chunk size (with --vertical)")
     em.add_argument("--format-query", metavar="PROMPT", default=None,
                     help="render the instruction template around the input first")
     em.add_argument("--out", help="write the vector to a file instead of stdout")
@@ -287,11 +285,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    if not args.vertical and (args.v is not None or args.memory_cap):
-        raise ValidationError("--v and --memory-cap apply to the vertical schedule; "
-                              "add --vertical")
-    if args.v is not None and args.memory_cap:
-        raise ValidationError("--memory-cap and --v both set the block length; give one")
+    if not args.vertical and args.v is not None:
+        raise ValidationError("--v applies to the vertical schedule; add --vertical")
     model = _load_model_arg(args)
     try:
         if args.input == "-":
@@ -306,12 +301,10 @@ def _cmd_embed(args) -> int:
     ids = tokenize_words(text, model.spec.vocab_size)
     if not ids:
         raise ValidationError("input contains no tokens")
-    chunk = args.q if args.q is not None else model.spec.Q
-    # None under the horizontal schedule: --v and --memory-cap need --vertical
-    block = args.v if args.v is not None else (chunk if args.memory_cap else None)
+    # None stands for the model's Q and, under --vertical, its V
     out = embed_sequence(model, ids,
                          strategy="vertical" if args.vertical else "horizontal",
-                         chunk_size=chunk, block_len=block)
+                         chunk_size=args.q, block_len=args.v)
     line = ",".join(f"{value:.17g}" for value in out.vector)
     if args.out:
         with atomic_write(args.out, "w", encoding="utf-8") as fh:

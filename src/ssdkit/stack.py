@@ -21,14 +21,13 @@ whole chunks, and ``infer``, which owns each block's residual stream, has
 every layer write its output over it, so a block holds one stream plus one
 tile's buffers.
 
-A layer call checks its input and resolves its chunk to one integer at its
-entry (``_layer_input``, by ``chunked._chunk_size``): the chunk size given,
-or one chunk spanning the call (the dense form) when None.  One rule handles
-a ragged length (not a multiple of Q, such as every embedding query):
-``_project`` pads it with zero rows in the normalized buffer each layer makes
-anyway, its gates 1 there, and its callers trim once.  No product or kernel
-call sees a ragged length, and a ragged block gives the bits of the same rows
-of any longer one.
+A layer call always takes its chunk, checked with its input at its entry
+(``_layer_input``, by ``chunked._chunk_size``); one chunk spanning the call,
+chunk_size = length, is the dense form.  One rule handles a ragged length
+(not a multiple of Q, such as every embedding query): ``_project`` pads it
+with zero rows in the normalized buffer each layer makes anyway, its gates 1
+there, and its callers trim once.  No product or kernel call sees a ragged
+length, and a ragged block gives the bits of the same rows of any longer one.
 
 Both return an InferenceResult with the final block's hidden states, the
 memory ledger and the flop counter (closed forms of the block shapes, see
@@ -250,15 +249,14 @@ def _model_spec(model) -> ModelSpec:
 
 
 def _layer_input(params: LayerParams, u, chunk_size) -> tuple[np.ndarray, int]:
-    """u checked as a layer input (batch, length, d), and the chunk of the
-    call's products by ``chunked._chunk_size``: chunk_size, or the call's
-    length when it is None."""
+    """u checked as a layer input (batch, length, d), and chunk_size, which
+    every layer call takes, checked by ``chunked._chunk_size``."""
+    if chunk_size is None:
+        raise ValidationError("chunk_size is required")
     u = _as_f64(u, "u")
     if u.ndim != 3 or u.shape[2] != params.d:
         raise DimensionError(
             f"layer input shape {u.shape} does not match (batch, length, {params.d})")
-    if chunk_size is None:
-        return u, _chunk_size(u.shape[1], "sequence length")
     return u, _chunk_size(chunk_size)
 
 
@@ -288,7 +286,7 @@ def _chunk_matmul(x: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
     return np.matmul(x.reshape(b, -1, q, k), w).reshape(b, t, -1)
 
 
-def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None):
+def generate_coefficients(params: LayerParams, u, chunk_size: int):
     """Project a layer input (batch, length, d) to per-position coefficients.
 
     The input is RMS-normalized per position before projection.  Transition
@@ -297,11 +295,11 @@ def generate_coefficients(params: LayerParams, u, chunk_size: int | None = None)
     a = 0.5, and logits beyond the float range saturate to exactly 0 or 1.
 
     The projections are one BLAS product per chunk of ``chunk_size``
-    positions (one chunk spanning the call when None, see ``_layer_input``):
-    one with w_gate for the gate logits and one with the stacked W_in for B,
-    C and x, both with gamma folded in.  A ragged length is padded to whole
-    chunks, so these are the coefficients ``layer_forward``'s kernel reads,
-    and any prefix or chunk-aligned slice gives the whole call's rows exactly.
+    positions: one with w_gate for the gate logits and one with the stacked
+    W_in for B, C and x, both with gamma folded in.  A ragged length is
+    padded to whole chunks, so these are the coefficients ``layer_forward``'s
+    kernel reads, and any prefix or chunk-aligned slice gives the whole
+    call's rows exactly.
 
     Returns (coeffs, x): the SsmCoefficients and the (batch, length, H) input
     channel, views of the padded buffers; B, C and x share one.
@@ -387,10 +385,8 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         state:      optional (batch, H, N) kernel state entering the layer;
                     None is exactly a zero state, with the same bits.
         chunk_size: chunk length of the kernel and of the input and output
-                    projections, one product per chunk; required by the
-                    chunked kernel, and at most chunked.DEFAULT_DENSE_LIMIT.
-                    One chunk spans the call when it is None, as
-                    chunk_size = length, under the same limit.
+                    projections, one product per chunk; required under
+                    either kernel, and at most chunked.DEFAULT_DENSE_LIMIT.
         kernel:     "chunked" or "recurrent"; both compute the same map,
                     differing in cost profile.
         fault:      one of ``chunked.FAULT_MODES``, for the chunked kernel only.
@@ -417,8 +413,6 @@ def layer_forward(params: LayerParams, u, state=None, chunk_size: int | None = N
         the span.
     """
     _check_kernel(kernel, fault)
-    if kernel == "chunked" and chunk_size is None:  # at any length
-        raise ValidationError("chunk_size is required for the chunked kernel")
     if not isinstance(overwrite_input, bool):
         raise ValidationError(f"overwrite_input must be a bool, got {overwrite_input!r}")
     u, q = _layer_input(params, u, chunk_size)
@@ -453,12 +447,13 @@ def _block_elements(spec: ModelSpec, batch: int, t: int, q: int, kernel: str) ->
 
 
 @functools.lru_cache(maxsize=256)
-def _block_forms(spec: ModelSpec, batch: int, n: int, q: int, kernel: str,
-                 tile_budget: int) -> tuple[tuple[int, int, int], int]:
+def _block_forms(spec: ModelSpec, batch: int, n: int, q: int,
+                 kernel: str) -> tuple[tuple[int, int, int], int]:
     """A block's per-stage flops over the L layers and its footprint, once per
-    block shape; the footprint also reads the layer tile budget, so that is
-    part of the key.  Every kernel call reads out all its chunks, so tiles
-    leave the flops those of one kernel call over the block."""
+    block shape.  The footprint also reads ``_MASK_ELEMENTS_PER_ROW``, a
+    module constant and not part of the key: code that rewrites it clears
+    this cache.  Every kernel call reads out all its chunks, so tiles leave
+    the flops those of one kernel call over the block."""
     elements = _block_elements(spec, batch, n, q, kernel)
     if kernel == "recurrent":
         return (0, 0, 0), elements
@@ -562,8 +557,7 @@ def infer(model: StackedModel, tokens, block_len: int | None = None,
     peak = 0
     for start in range(0, t, step):
         n = min(step, t - start)
-        (intra, propagate, inter), elements = _block_forms(
-            spec, batch, n, q, kernel, _MASK_ELEMENTS_PER_ROW)
+        (intra, propagate, inter), elements = _block_forms(spec, batch, n, q, kernel)
         flops.intra += intra
         flops.propagate += propagate
         flops.inter += inter

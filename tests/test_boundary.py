@@ -240,13 +240,14 @@ CASES = {
     "generate_coefficients-chunk-over-dense-limit": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), OVER),
         CapacityError),
-    # None is one chunk spanning the call, under the same rule
-    "layer_forward-recurrent-none-chunk-over-dense-limit": (
+    # every layer call takes its chunk, refused as missing before its input
+    # is read, so not a CapacityError over the dense limit
+    "layer_forward-recurrent-none-chunk": (
         lambda tmp: layer_forward(MODEL.layers[0], np.ones((1, OVER, 8)), None, None,
-                                  kernel="recurrent"), CapacityError),
-    "generate_coefficients-none-chunk-over-dense-limit": (
-        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, OVER, 8))),
-        CapacityError),
+                                  kernel="recurrent"), ValidationError),
+    "generate_coefficients-none-chunk": (
+        lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((1, OVER, 8)), None),
+        ValidationError),
     "generate_coefficients-batch-0-u": (
         lambda tmp: generate_coefficients(MODEL.layers[0], np.ones((0, 4, 8)), 4),
         ValidationError),
@@ -362,27 +363,28 @@ def test_the_dense_kernel_is_refused_naming_the_kernels(case, tmp_path):
 @pytest.mark.parametrize("call", [
     lambda: chunk_major(COEFFS, X, DEFAULT_DENSE_LIMIT),
     lambda: generate_coefficients(MODEL.layers[0], np.ones((1, 4, 8)), DEFAULT_DENSE_LIMIT),
-    lambda: generate_coefficients(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8))),
+    lambda: generate_coefficients(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8)),
+                                  DEFAULT_DENSE_LIMIT),
     # the recurrent kernel: the chunked one would hold a (4,096, 4,096) mask per head
     lambda: infer(MODEL, TOKENS, None, DEFAULT_DENSE_LIMIT, kernel="recurrent"),
-    lambda: layer_forward(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8)), None, None,
-                          kernel="recurrent"),
+    lambda: layer_forward(MODEL.layers[0], np.ones((1, DEFAULT_DENSE_LIMIT, 8)), None,
+                          DEFAULT_DENSE_LIMIT, kernel="recurrent"),
     lambda: ModelSpec(Q=DEFAULT_DENSE_LIMIT, V=DEFAULT_DENSE_LIMIT),
     lambda: workspace_elements(1, DEFAULT_DENSE_LIMIT, 2, 3, DEFAULT_DENSE_LIMIT),
     lambda: stage_flops(1, DEFAULT_DENSE_LIMIT, 2, 3, DEFAULT_DENSE_LIMIT),
     lambda: EquivalenceConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
     lambda: SweepConfig(q_grid=(DEFAULT_DENSE_LIMIT,)),
-], ids=["chunk_major", "generate_coefficients", "generate_coefficients-none", "infer",
-        "layer_forward-none", "ModelSpec", "workspace_elements", "stage_flops",
+], ids=["chunk_major", "generate_coefficients", "generate_coefficients-one-chunk", "infer",
+        "layer_forward-one-chunk", "ModelSpec", "workspace_elements", "stage_flops",
         "EquivalenceConfig", "SweepConfig"])
 def test_a_chunk_at_the_dense_limit_is_accepted(call):
     call()
 
 
-@pytest.mark.parametrize("case", ["layer_forward-recurrent-none-chunk-over-dense-limit",
-                                  "generate_coefficients-none-chunk-over-dense-limit"])
-def test_a_one_chunk_call_reads_as_dense_dual_does(case, tmp_path):
-    with pytest.raises(CapacityError, match="^sequence length 4097 exceeds dense limit 4096$"):
+@pytest.mark.parametrize("case", ["layer_forward-recurrent-none-chunk",
+                                  "generate_coefficients-none-chunk"])
+def test_a_layer_call_without_a_chunk_is_refused(case, tmp_path):
+    with pytest.raises(ValidationError, match="^chunk_size is required$"):
         CASES[case][0](tmp_path)
 
 

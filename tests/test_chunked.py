@@ -534,13 +534,16 @@ class TestMaskTiles:
     # the traced peak of a kernel call stays within the ledger's bounds (see
     # test_stack's TestLedgerAgainstTracedMemory); at Q = 4, N = 2 the mask
     # is the largest stage-1 buffer: a mask kept alive into y_intra puts the
-    # peak 17% above the closed form
-    @pytest.mark.parametrize("b,t,h,n,q", [
-        (2, 4096, 2, 4, 16), (2, 1024, 2, 2, 4),
+    # peak 17% above the closed form.  At Q = 2, N = 1 every buffer is small
+    # beside the per-call fixed cost the closed form leaves out, so the bound
+    # is 1.56, just above the measured 1.43 (4 x 2,048) and 1.49 (2 x 256)
+    @pytest.mark.parametrize("b,t,h,n,q,high", [
+        (2, 4096, 2, 4, 16, 1.10), (2, 1024, 2, 2, 4, 1.10),
         # ragged lengths: y spans whole chunks, trimmed at the return
-        (2, 4100, 2, 4, 16), (3, 1001, 2, 2, 4),
-    ], ids=["aligned", "q4-n2", "ragged", "ragged-q4-n2"])
-    def test_traced_peak_matches_the_closed_form(self, b, t, h, n, q):
+        (2, 4100, 2, 4, 16, 1.10), (3, 1001, 2, 2, 4, 1.10),
+        (4, 2048, 2, 1, 2, 1.56), (2, 256, 2, 1, 2, 1.56),
+    ], ids=["aligned", "q4-n2", "ragged", "ragged-q4-n2", "q2-n1", "q2-n1-short"])
+    def test_traced_peak_matches_the_closed_form(self, b, t, h, n, q, high):
         coeffs, x, _ = random_problem(7, b, t, h, n, with_state=False)
         chunked_forward(coeffs, x, q)  # warm lazy set-up
         tracemalloc.start()
@@ -550,7 +553,7 @@ class TestMaskTiles:
         finally:
             tracemalloc.stop()
         ratio = peak / (8 * workspace_elements(b, t, h, n, q))
-        assert 0.95 <= ratio <= 1.10
+        assert 0.95 <= ratio <= high
 
 
 class TestExtremeGates:

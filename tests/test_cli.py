@@ -408,31 +408,34 @@ class TestEmbedCommand:
         src.write_text(self.TEXT)
         main(["embed", str(src)])
         horizontal = capsys.readouterr().out.strip()
-        rc = main(["embed", str(src), "--vertical", "--memory-cap", "--q", "4"])
+        rc = main(["embed", str(src), "--vertical", "--v", "4", "--q", "4"])
         vertical = capsys.readouterr().out.strip()
         assert rc == 0
         got_h = np.array([float(v) for v in horizontal.split(",")])
         got_v = np.array([float(v) for v in vertical.split(",")])
         assert np.max(np.abs(got_h - got_v)) <= 1e-9 * np.max(np.abs(got_h))
 
-    @pytest.mark.parametrize("flags", [["--v", "32"], ["--memory-cap"]])
-    def test_vertical_options_need_the_vertical_flag(self, tmp_path, capsys, flags):
+    def test_the_block_length_needs_the_vertical_flag(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         src.write_text(self.TEXT)
-        rc = main(["embed", str(src)] + flags)
+        rc = main(["embed", str(src), "--v", "32"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "--vertical" in captured.err
         assert captured.out == ""
 
-    def test_memory_cap_with_a_block_length_is_a_usage_error(self, tmp_path, capsys):
-        # --memory-cap sets the block length, so it cannot sit beside --v
+    # --v alone sets the block length; the retired --memory-cap, which was
+    # --v at the chunk size, is an unknown flag
+    @pytest.mark.parametrize("flags", [["--vertical"], ["--vertical", "--q", "4"],
+                                       ["--vertical", "--v", "64"], []])
+    def test_memory_cap_is_a_usage_error(self, tmp_path, capsys, flags):
         src = tmp_path / "in.txt"
         src.write_text(self.TEXT)
-        rc = main(["embed", str(src), "--vertical", "--v", "64", "--memory-cap"])
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(src), "--memory-cap"] + flags)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert rc == 2
-        assert "--memory-cap" in captured.err and "--v" in captured.err
+        assert "--memory-cap" in captured.err
         assert captured.out == ""
 
     def test_zero_chunk_size_is_an_input_error(self, tmp_path, capsys):

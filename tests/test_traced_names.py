@@ -86,11 +86,18 @@ def test_infer_reaches_the_kernel_and_each_stage_once_per_tile(monkeypatch, bloc
     tok = np.random.default_rng(3).integers(0, spec.vocab_size - 1, 48)
     states = np.full((spec.L, 1, spec.H, spec.N), 0.5) if carried else None
     chunks = 48 // blocks // spec.Q  # per layer call
-    if tiles > 1:
-        monkeypatch.setattr(stack, "_MASK_ELEMENTS_PER_ROW",
-                            chunks // tiles * spec.H * spec.Q * spec.Q)
     calls = record_calls(monkeypatch)
-    infer(model, tok, block_len, spec.Q, initial_states=states)
+    with pytest.MonkeyPatch.context() as budget:
+        if tiles > 1:
+            budget.setattr(stack, "_MASK_ELEMENTS_PER_ROW",
+                           chunks // tiles * spec.H * spec.Q * spec.Q)
+        # infer's closed forms read the budget but are cached by block shape
+        stack._block_forms.cache_clear()
+        try:
+            infer(model, tok, block_len, spec.Q, initial_states=states)
+        finally:
+            budget.undo()
+            stack._block_forms.cache_clear()
 
     names = {cid: name for name, cid, _ in calls}
     layers = [cid for name, cid, parent in calls if name == "stack.layer_forward"]
